@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .errors import ConfigError, MissingInputError
 
@@ -32,7 +32,6 @@ class TreeConfig:
     max_depth: int | None = None
     prune_cf: float | None = 0.25
     missing: str = "error"          # "error" or "majority"
-    seed: int = 0                   # reserved; induction is deterministic
 
 
 @dataclass
@@ -240,7 +239,7 @@ def _pessimistic_errors(n: int, errors: int, cf: float) -> float:
         return 0.0
     if errors >= n:
         return float(n)
-    return float(n) * float(_beta.ppf(1.0 - cf, errors + 1, n - errors))
+    return float(n) * float(betaincinv(errors + 1, n - errors, 1.0 - cf))
 
 
 def _prune(node: Leaf | Split, cf: float) -> tuple[Leaf | Split, float]:
@@ -548,7 +547,6 @@ def tree_to_json(tree: DecisionTree, path: str | Path) -> None:
             "max_depth": tree.config.max_depth,
             "prune_cf": tree.config.prune_cf,
             "missing": tree.config.missing,
-            "seed": tree.config.seed,
         },
         "split_points": {
             attr: pts for attr, pts in all_split_points(tree).items()
@@ -576,7 +574,6 @@ def tree_from_json(path: str | Path) -> DecisionTree:
             max_depth=cfg["max_depth"],
             prune_cf=cfg["prune_cf"],
             missing=cfg["missing"],
-            seed=int(cfg["seed"]),
         ),
     )
 

@@ -3,9 +3,10 @@
 Flat clustering is a Gaussian mixture fitted by EM (diagonal covariances by
 default, full behind config, eigenvalue-floored); the cluster count can be
 fixed or chosen by BIC. Hierarchies come in a divisive flavour (recursive
-2-means) and an agglomerative flavour (single/complete/average linkage), both
-producing the same binary-tree taxonomy type, which can be cut into ordered
-classes for the ontology export.
+2-means) and an agglomerative flavour (single/complete/average linkage, read
+off scipy's linkage matrix; exact distance ties merge in scipy's deterministic
+order), both producing the same binary-tree taxonomy type, which can be cut
+into ordered classes for the ontology export.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage as _scipy_linkage
 from scipy.special import logsumexp
 
 from .errors import ConfigError, MissingInputError, NumericalError
@@ -31,7 +33,6 @@ class EncodingConfig:
     numeric: tuple[str, ...] = NUMERIC_COLUMNS
     categorical: tuple[str, ...] = CATEGORICAL_COLUMNS
     scale: bool = True
-    categorical_weight: float = 1.0
     pca_components: int | None = None
 
 
@@ -72,10 +73,7 @@ def encode_observations(
     for c in config.categorical:
         values = sorted({str(d[c]) for d in dicts})
         for v in values:
-            cols.append(
-                config.categorical_weight
-                * np.array([1.0 if str(d[c]) == v else 0.0 for d in dicts])
-            )
+            cols.append(np.array([1.0 if str(d[c]) == v else 0.0 for d in dicts]))
             names.append(f"{c}={v}")
     X = np.column_stack(cols) if cols else np.zeros((len(rows), 0))
     n_num = len(config.numeric)
@@ -510,8 +508,10 @@ def agglomerative_hierarchy(
     X: ObservationMatrix | np.ndarray, linkage: str = "single"
 ) -> Taxonomy:
     """Bottom-up taxonomy under single/complete/average linkage on Euclidean
-    distances. Ties pick the pair with the lowest (then second-lowest) member
-    index; n-1 merges, heights non-decreasing."""
+    distances, built from scipy's linkage matrix: n-1 merges, heights
+    non-decreasing, each merge's children ordered by smallest member index.
+    The result is deterministic for a given input order; exactly tied
+    distances merge in scipy's order."""
     if linkage not in _LINKAGES:
         raise ConfigError(f"unknown linkage {linkage!r}; pick one of {_LINKAGES}")
     data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
@@ -520,38 +520,19 @@ def agglomerative_hierarchy(
     n = data.shape[0]
     if n < 1:
         raise ConfigError("need at least one observation")
-    pdist = np.sqrt(((data[:, None, :] - data[None, :, :]) ** 2).sum(axis=2))
-    clusters: list[TaxNode] = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
+    nodes = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
     merges: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
-
-    def cluster_dist(a: TaxNode, b: TaxNode) -> float:
-        block = pdist[np.ix_(a.indices, b.indices)]
-        if linkage == "single":
-            return float(block.min())
-        if linkage == "complete":
-            return float(block.max())
-        return float(block.mean())
-
-    while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = cluster_dist(clusters[i], clusters[j])
-                key = (d, min(clusters[i].indices), min(clusters[j].indices))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        key, i, j = best
-        d = key[0]
-        a, b = clusters[i], clusters[j]
+    links = _scipy_linkage(data, linkage) if n > 1 else np.empty((0, 4))
+    for i, j, d, _ in links:
+        a, b = nodes[int(i)], nodes[int(j)]
         if min(a.indices) > min(b.indices):
             a, b = b, a
-        merged = TaxNode(
-            indices=tuple(sorted(a.indices + b.indices)), height=d, left=a, right=b
+        height = float(d)
+        nodes.append(
+            TaxNode(indices=tuple(sorted(a.indices + b.indices)), height=height, left=a, right=b)
         )
-        merges.append((a.indices, b.indices, d))
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-        clusters.append(merged)
-    return Taxonomy(root=clusters[0], n=n, method=f"agglomerative:{linkage}", merges=merges)
+        merges.append((a.indices, b.indices, height))
+    return Taxonomy(root=nodes[-1], n=n, method=f"agglomerative:{linkage}", merges=merges)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ DEFAULT_CONFIG: dict = {
         "min_leaf": 1,
         "max_depth": None,
         "prune_cf": 0.25,
-        "seed": None,
     },
     "mine": {
         "beta_sup": 0.2,
@@ -390,7 +389,6 @@ def _stage_classify(config: dict, paths: dict[str, Path]) -> list[Path]:
             min_leaf=int(cfg["min_leaf"]),
             max_depth=cfg["max_depth"],
             prune_cf=cfg["prune_cf"],
-            seed=_stage_seed(config, "classify", 3),
         ),
     )
     rules = classification.extract_rules(tree)

@@ -11,7 +11,9 @@ rules carry support, confidence, and the reliability measure
 """
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -133,9 +135,7 @@ def discretize(
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 pts = split_points.get(attr, [])
                 v = float(value)
-                j = 0
-                while j < len(pts) and v > pts[j]:
-                    j += 1
+                j = bisect.bisect_left(pts, v)
                 lo = pts[j - 1] if j > 0 else -_INF
                 hi = pts[j] if j < len(pts) else _INF
                 items.append(interval_item(attr, lo, hi))
@@ -245,7 +245,7 @@ def generate_rules(
             consequents = [
                 frozenset(combo)
                 for size in range(1, len(members))
-                for combo in _combinations(members, size)
+                for combo in itertools.combinations(members, size)
             ]
         for cons in consequents:
             ante = itemset - cons
@@ -271,12 +271,6 @@ def generate_rules(
             )
     rules.sort(key=AssociationRule.sort_key)
     return rules
-
-
-def _combinations(items: list[Item], size: int):
-    from itertools import combinations
-
-    return combinations(items, size)
 
 
 def reliability(rule: AssociationRule, transactions: list[Transaction]) -> float:

@@ -7,6 +7,7 @@ from nof.classification import (
     Leaf,
     Split,
     TreeConfig,
+    _pessimistic_errors,
     all_split_points,
     build_tree,
     classify,
@@ -174,6 +175,17 @@ class TestPruning:
         assert leaf_count(pruned) <= leaf_count(
             build_tree(rows, labels, TreeConfig(prune_cf=None))
         )
+
+
+    def test_pessimistic_errors_equal_beta_quantile(self):
+        from scipy.stats import beta
+
+        for cf in (0.01, 0.05, 0.1, 0.25, 0.5):
+            for n in (1, 2, 3, 7, 25, 100, 399):
+                for e in range(n):
+                    expected = float(n) * float(beta.ppf(1.0 - cf, e + 1, n - e))
+                    assert _pessimistic_errors(n, e, cf) == expected
+                assert _pessimistic_errors(n, n, cf) == float(n)
 
 
 class TestClassify:

@@ -322,6 +322,19 @@ class TestAgglomerative:
         with pytest.raises(ConfigError):
             agglomerative_hierarchy(ONE_D, "ward")
 
+    def test_heights_match_linkage_definition(self):
+        # each merge height is the min / max / mean of the pairwise Euclidean
+        # distances between the two merged clusters
+        rng = np.random.default_rng(20)
+        reduce = {"single": np.min, "complete": np.max, "average": np.mean}
+        for _ in range(10):
+            X = rng.normal(size=(int(rng.integers(2, 30)), int(rng.integers(1, 6))))
+            dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+            for linkage, fn in reduce.items():
+                for a, b, h in agglomerative_hierarchy(X, linkage).merges:
+                    expected = fn(dist[np.ix_(a, b)])
+                    assert h == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestTaxonomyClasses:
     def test_cut_at_root_single_class(self):

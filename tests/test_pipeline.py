@@ -243,6 +243,12 @@ class TestCli:
         assert main(["synth", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_cfg" / "montage.csv").exists()
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, nof; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "nof.cli", "--help"],
                               capture_output=True, text=True)
