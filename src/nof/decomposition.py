@@ -1,9 +1,9 @@
 """PCA whitening and FastICA source separation over concatenated epochs.
 
-Trials are concatenated along time before decomposition; per-trial factor
-activations are recovered by slicing. The FastICA variant is the symmetric
-(parallel) fixed-point iteration with a tanh or cubic contrast, fully
-deterministic for a fixed seed.
+Trials are concatenated along time before decomposition. Only the model is
+stored; factor activations are recomputed from it and the epochs. The FastICA
+variant is the symmetric (parallel) fixed-point iteration with a tanh or cubic
+contrast, fully deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ class WhitenedData:
     @property
     def n_components(self) -> int:
         return self.whitened.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.whitened.shape[1]
 
 
 def _concatenate(epochs: EpochTensor) -> np.ndarray:
@@ -124,23 +120,25 @@ class FastIcaConfig:
 
 @dataclass
 class FactorDecomposition:
-    """Factors FA1..FAk: unmixing/mixing in channel space plus activations.
+    """Factors FA1..FAk: the ICA model in channel space.
 
-    Activation rows are normalized to unit population variance; the mixing
-    columns (factor topographies) absorb the scale. Each topography is
-    flipped so its largest-magnitude channel weight is positive.
+    Activations are `unmixing @ (X - mean)` on the decomposed epochs; their
+    rows have unit population variance and the mixing columns (factor
+    topographies) absorb the scale. Each topography is flipped so its
+    largest-magnitude channel weight is positive. n_trials and n_timepoints
+    record the decomposed epoch shape, so that check_epochs can reject epochs
+    the model was not fitted on.
     """
 
     unmixing: np.ndarray      # factors x channels
     mixing: np.ndarray        # channels x factors
-    activations: np.ndarray   # factors x samples
     factor_ids: tuple[str, ...]
     channels: tuple[str, ...]
     mean: np.ndarray          # per-channel mean removed before unmixing
     converged: bool
     n_iter: int
-    n_trials: int = 0
-    n_timepoints: int = 0
+    n_trials: int
+    n_timepoints: int
 
     @property
     def n_factors(self) -> int:
@@ -152,14 +150,17 @@ class FactorDecomposition:
         except ValueError:
             raise ConfigError(f"unknown factor id {factor_id!r}") from None
 
-    def topography(self, factor_id: str) -> np.ndarray:
-        return self.mixing[:, self.factor_index(factor_id)]
+    def check_epochs(self, epochs: EpochTensor) -> None:
+        """Raise ConfigError unless `epochs` has the decomposed channels and shape."""
+        if (epochs.n_trials, epochs.n_timepoints) != (self.n_trials, self.n_timepoints):
+            raise ConfigError("decomposition does not match the epoch tensor shape")
+        if tuple(self.channels) != tuple(epochs.montage.channels):
+            raise ConfigError("decomposition channel space does not match the montage")
 
-    def activations_per_trial(self) -> np.ndarray:
-        """factors x trials x timepoints view of the concatenated activations."""
-        if self.n_trials * self.n_timepoints != self.activations.shape[1]:
-            raise ConfigError("stored trial shape does not match activations")
-        return self.activations.reshape(self.n_factors, self.n_trials, self.n_timepoints)
+    def activations(self, epochs: EpochTensor) -> np.ndarray:
+        """factors x (trials * timepoints) activations of the concatenated epochs."""
+        self.check_epochs(epochs)
+        return self.unmixing @ (_concatenate(epochs) - self.mean[:, None])
 
     def to_json(self, path: str | Path) -> None:
         doc = {
@@ -167,7 +168,6 @@ class FactorDecomposition:
             "channels": list(self.channels),
             "unmixing": _mat_doc(self.unmixing),
             "mixing": _mat_doc(self.mixing),
-            "activations": _mat_doc(self.activations),
             "mean": list(map(float, self.mean)),
             "converged": self.converged,
             "n_iter": self.n_iter,
@@ -187,7 +187,6 @@ class FactorDecomposition:
         return cls(
             unmixing=_mat_undoc(doc["unmixing"]),
             mixing=_mat_undoc(doc["mixing"]),
-            activations=_mat_undoc(doc["activations"]),
             factor_ids=tuple(doc["factor_ids"]),
             channels=tuple(doc["channels"]),
             mean=np.asarray(doc["mean"], dtype=float),
@@ -268,13 +267,10 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
             RuntimeWarning,
         )
 
-    unmixing = W @ white.whitening
-    activations = W @ Z
-    scales = activations.std(axis=1)
+    scales = (W @ Z).std(axis=1)
     if np.any(scales == 0):
         raise NumericalError("a factor activation has zero variance")
-    activations = activations / scales[:, None]
-    unmixing = unmixing / scales[:, None]
+    unmixing = W @ white.whitening / scales[:, None]
     mixing = white.dewhitening @ W.T * scales[None, :]
     # Sign convention: strongest-|weight| channel of each topography positive.
     for j in range(k):
@@ -282,12 +278,10 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
         if mixing[peak, j] < 0:
             mixing[:, j] = -mixing[:, j]
             unmixing[j, :] = -unmixing[j, :]
-            activations[j, :] = -activations[j, :]
     factor_ids = tuple(f"FA{i + 1}" for i in range(k))
     return FactorDecomposition(
         unmixing=unmixing,
         mixing=mixing,
-        activations=activations,
         factor_ids=factor_ids,
         channels=white.channels,
         mean=white.mean.copy(),
@@ -301,7 +295,7 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
 def backproject(
     dec: FactorDecomposition,
     factor_subset: list[str] | tuple[str, ...],
-    white: WhitenedData | None = None,
+    epochs: EpochTensor,
 ) -> np.ndarray:
     """Channel-space contribution (channels x samples) of the chosen factors.
 
@@ -311,6 +305,4 @@ def backproject(
     if not factor_subset:
         raise ConfigError("factor subset must be nonempty")
     idx = [dec.factor_index(f) for f in factor_subset]
-    if white is not None and white.n_samples != dec.activations.shape[1]:
-        raise ConfigError("whitened data does not match the decomposition")
-    return dec.mixing[:, idx] @ dec.activations[idx, :]
+    return dec.mixing[:, idx] @ dec.activations(epochs)[idx, :]

@@ -133,10 +133,7 @@ def extract_summary(
     mean_channel_set: list[str] | tuple[str, ...] | None = None,
 ) -> FactorSummary:
     """One summary row for a factor under a metadata condition."""
-    if dec.activations.shape[1] != epochs.n_trials * epochs.n_timepoints:
-        raise ConfigError("decomposition does not match the epoch tensor shape")
-    if tuple(dec.channels) != tuple(epochs.montage.channels):
-        raise ConfigError("decomposition channel space does not match the montage")
+    dec.check_epochs(epochs)
     template = np.asarray(template, dtype=float)
     if template.size != epochs.n_channels:
         raise ConfigError(
@@ -156,8 +153,13 @@ def extract_summary(
     sp_min = epochs.montage.channels[i_min]
 
     trials = _select_trials(epochs, condition)
-    act = dec.activations_per_trial()[j]
-    avg_act = act[trials].mean(axis=0)
+    in_condition = np.zeros(epochs.n_trials, dtype=bool)
+    in_condition[trials] = True
+    # The activation is linear in the data, so project the condition average.
+    # `where` averages the trials in place; a fancy-indexed copy of a long
+    # recording fragments the heap and peak RSS grows with every re-run.
+    trial_avg = epochs.data.mean(axis=0, where=in_condition[:, None, None])
+    avg_act = dec.unmixing[j] @ (trial_avg - dec.mean[:, None])
     if not np.any(avg_act):
         warnings.warn(f"factor {factor} has an all-zero averaged activation", UserWarning)
     wave_at_max = topo[i_max] * avg_act

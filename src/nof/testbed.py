@@ -146,10 +146,6 @@ class SourceTemplate:
     def n_samples(self) -> int:
         return int(self.waveform.size)
 
-    @property
-    def duration_ms(self) -> float:
-        return self.n_samples * 1000.0 / self.fs
-
 
 def gaussian_source(
     name: str,

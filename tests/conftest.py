@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nof import decomposition, testbed
+
+# Tests that start `python -m nof.cli` or `import nof` in a subprocess need
+# the same source tree that pytest's `pythonpath` setting puts on sys.path.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

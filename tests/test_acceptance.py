@@ -47,7 +47,7 @@ def test_criterion_01_ica_recovery():
     white = decomposition.center_and_whiten(epochs, 3)
     dec = decomposition.fastica(white, decomposition.FastIcaConfig(seed=7))
 
-    corr = np.abs(np.corrcoef(np.vstack([dec.activations, sources]))[:3, 3:])
+    corr = np.abs(np.corrcoef(np.vstack([dec.activations(epochs), sources]))[:3, 3:])
     used = set()
     for j in range(3):
         pick = max((i for i in range(3) if i not in used), key=lambda i: corr[i, j])

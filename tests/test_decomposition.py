@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from nof.decomposition import (
     fastica,
 )
 from nof.errors import ConfigError, NumericalError
-from nof.testbed import generate_dataset, p300_template
+from nof.testbed import EpochTensor, generate_dataset, p300_template
 
 from conftest import wrap_as_epochs
 
@@ -137,7 +139,7 @@ class TestFastIca:
         mixed = np.array([[2.0, 1.0], [1.0, 1.0]]) @ sources
         epochs = wrap_as_epochs(mixed, n_trials=4)
         dec = fastica(center_and_whiten(epochs), FastIcaConfig(seed=1))
-        matched = match_factors(dec.activations, sources)
+        matched = match_factors(dec.activations(epochs), sources)
         assert all(r >= 0.95 for r in matched)
 
     def test_more_factors_than_components_rejected(self):
@@ -152,9 +154,11 @@ class TestFastIca:
             dec.unmixing @ dec.mixing, np.eye(dec.n_factors), atol=1e-6
         )
 
-    def test_unit_variance_activations(self, two_pattern_decomposition):
+    def test_unit_variance_activations(self, two_pattern_epochs, two_pattern_decomposition):
         _, dec = two_pattern_decomposition
-        np.testing.assert_allclose(dec.activations.std(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(
+            dec.activations(two_pattern_epochs).std(axis=1), 1.0, atol=1e-9
+        )
 
     def test_sign_convention_peak_channel_positive(self, two_pattern_decomposition):
         _, dec = two_pattern_decomposition
@@ -178,7 +182,7 @@ class TestFastIca:
         a = fastica(white, FastIcaConfig(seed=21))
         b = fastica(white, FastIcaConfig(seed=21))
         assert np.array_equal(a.unmixing, b.unmixing)
-        assert np.array_equal(a.activations, b.activations)
+        assert np.array_equal(a.activations(epochs), b.activations(epochs))
         assert np.array_equal(a.mixing, b.mixing)
 
     def test_amari_style_diagonal_dominance(self):
@@ -209,7 +213,7 @@ class TestFastIca:
         rng = np.random.default_rng(17)
         sources = laplace_sources(rng, 2, 20000)
         dec = fastica(identity_whitened(sources), FastIcaConfig(seed=0, contrast="cube"))
-        matched = match_factors(dec.activations, sources)
+        matched = match_factors(dec.activations(wrap_as_epochs(sources)), sources)
         assert all(r >= 0.95 for r in matched)
 
     def test_unknown_contrast_rejected(self):
@@ -225,36 +229,57 @@ class TestFastIca:
         again = FactorDecomposition.from_json(path)
         assert np.array_equal(again.unmixing, dec.unmixing)
         assert np.array_equal(again.mixing, dec.mixing)
-        assert np.array_equal(again.activations, dec.activations)
+        assert np.array_equal(again.mean, dec.mean)
+        assert again.channels == dec.channels
+        assert again.converged == dec.converged
         assert again.factor_ids == dec.factor_ids
         assert again.n_trials == dec.n_trials
+
+    def test_json_holds_only_the_model(self, tmp_path, two_pattern_decomposition):
+        _, dec = two_pattern_decomposition
+        path = tmp_path / "dec.json"
+        dec.to_json(path)
+        assert set(json.loads(path.read_text())) == {
+            "factor_ids", "channels", "unmixing", "mixing", "mean",
+            "converged", "n_iter", "n_trials", "n_timepoints",
+        }
+
+    def test_activations_reject_other_epoch_shape(self, two_pattern_epochs,
+                                                   two_pattern_decomposition):
+        _, dec = two_pattern_decomposition
+        data = two_pattern_epochs.data[:-1]
+        shorter = EpochTensor(data=data, fs=two_pattern_epochs.fs,
+                              t0=two_pattern_epochs.t0, montage=two_pattern_epochs.montage,
+                              trial_info=two_pattern_epochs.trial_info[:-1])
+        with pytest.raises(ConfigError, match="epoch tensor shape"):
+            dec.activations(shorter)
 
 
 class TestBackproject:
     def test_full_subset_reconstructs_retained_projection(self, two_pattern_epochs,
                                                            two_pattern_decomposition):
         white, dec = two_pattern_decomposition
-        full = backproject(dec, list(dec.factor_ids), white)
+        full = backproject(dec, list(dec.factor_ids), two_pattern_epochs)
         reconstructed = white.dewhitening @ white.whitened
         np.testing.assert_allclose(full, reconstructed, atol=1e-6)
 
-    def test_complement_pair_linearity(self, two_pattern_decomposition):
-        white, dec = two_pattern_decomposition
+    def test_complement_pair_linearity(self, two_pattern_epochs, two_pattern_decomposition):
+        _, dec = two_pattern_decomposition
         ids = list(dec.factor_ids)
-        left = backproject(dec, ids[:1], white)
-        right = backproject(dec, ids[1:], white)
-        both = backproject(dec, ids, white)
+        left = backproject(dec, ids[:1], two_pattern_epochs)
+        right = backproject(dec, ids[1:], two_pattern_epochs)
+        both = backproject(dec, ids, two_pattern_epochs)
         np.testing.assert_allclose(left + right, both, atol=1e-10)
 
-    def test_unknown_factor_rejected(self, two_pattern_decomposition):
+    def test_unknown_factor_rejected(self, two_pattern_epochs, two_pattern_decomposition):
         _, dec = two_pattern_decomposition
         with pytest.raises(ConfigError, match="unknown factor"):
-            backproject(dec, ["FA99"])
+            backproject(dec, ["FA99"], two_pattern_epochs)
 
-    def test_empty_subset_rejected(self, two_pattern_decomposition):
+    def test_empty_subset_rejected(self, two_pattern_epochs, two_pattern_decomposition):
         _, dec = two_pattern_decomposition
         with pytest.raises(ConfigError):
-            backproject(dec, [])
+            backproject(dec, [], two_pattern_epochs)
 
     def test_planted_topography_recovered(self, montage):
         tpl = p300_template(montage)
@@ -267,7 +292,7 @@ class TestBackproject:
         assert abs(corr) >= 0.95
         # and via the back-projected single-factor signal: its dominant
         # spatial direction must also match the planted topography
-        contribution = backproject(dec, ["FA1"], white)
+        contribution = backproject(dec, ["FA1"], epochs)
         u, _, _ = np.linalg.svd(contribution, full_matrices=False)
         corr = np.corrcoef(u[:, 0], tpl.topography)[0, 1]
         assert abs(corr) >= 0.95

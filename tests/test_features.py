@@ -30,7 +30,6 @@ def manual_setup(mixing, activations, montage, fs=250.0, t0=0.0, n_trials=1,
     dec = FactorDecomposition(
         unmixing=np.linalg.pinv(mixing),
         mixing=mixing,
-        activations=activations,
         factor_ids=tuple(f"FA{i + 1}" for i in range(n_factors)),
         channels=tuple(montage.channels),
         mean=np.zeros(n_channels),
@@ -155,6 +154,15 @@ class TestExtractSummary:
             extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]),
                             mean_channel_set=())
 
+    def test_montage_mismatch_rejected(self):
+        dec, epochs = manual_setup([[1.0], [0.5], [0.2]], np.ones((1, 8)),
+                                   make_montage(TRIO), n_trials=2)
+        other = make_montage({"Fp1": "frontal", "Cz": "central", "Oz": "occipital"})
+        renamed = EpochTensor(data=epochs.data, fs=epochs.fs, t0=epochs.t0,
+                              montage=other, trial_info=epochs.trial_info)
+        with pytest.raises(ConfigError, match="montage"):
+            extract_summary(dec, renamed, "FA1", {}, template=np.array([1.0, 0, 0]))
+
     def test_ti_max_on_sample_grid(self):
         m = make_montage(TRIO)
         rng = np.random.default_rng(0)
@@ -223,6 +231,18 @@ class TestSummarizeDataset:
             )
         assert all(v >= 0.9 for v in own.values())
         assert all(v <= 0.5 for v in swapped.values())
+
+    def test_reloaded_decomposition_gives_same_rows(
+        self, tmp_path, two_pattern_epochs, two_pattern_decomposition, two_pattern_templates
+    ):
+        _, dec = two_pattern_decomposition
+        path = tmp_path / "dec.json"
+        dec.to_json(path)
+        template = two_pattern_templates[0].topography
+        again = FactorDecomposition.from_json(path)
+        assert summarize_dataset(again, two_pattern_epochs, template) == summarize_dataset(
+            dec, two_pattern_epochs, template
+        )
 
 
 class TestSummaryCsv:

@@ -146,6 +146,16 @@ class TestStages:
             run_stage(stage, config)
         assert artifact_checksums(out) == before
 
+    def test_extract_rejects_epochs_resynthesized_after_decompose(self, tmp_path):
+        overrides = small_overrides(tmp_path / "resynth")
+        run_stage("synth", load_config(overrides=overrides))
+        run_stage("decompose", load_config(overrides=overrides))
+        overrides["synth"] = {"n_trials": 30}
+        config = load_config(overrides=overrides)
+        run_stage("synth", config)
+        with pytest.raises(ConfigError, match="epoch tensor shape"):
+            run_stage("extract", config)
+
     def test_bic_and_agglomerative_config_branch(self, tmp_path):
         out = tmp_path / "bic_branch"
         config = load_config(overrides={
