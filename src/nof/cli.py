@@ -24,8 +24,13 @@ EXIT_NUMERICAL = 4
 
 
 def _parse_set(pairs: list[str]) -> dict:
-    """Turn --set a.b=value pairs into a nested override dict."""
+    """Turn --set a.b=value pairs into a nested override dict.
+
+    A key may repeat (the last value wins), but a key that is a prefix of
+    another, such as ``mine`` and ``mine.beta_sup``, is a conflict.
+    """
     out: dict = {}
+    keys: set[str] = set()
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
@@ -36,6 +41,10 @@ def _parse_set(pairs: list[str]) -> dict:
             value = raw
         node = out
         parts = key.split(".")
+        for other in keys:
+            if other.startswith(key + ".") or key.startswith(other + "."):
+                raise ConfigError(f"--set {key} conflicts with --set {other}")
+        keys.add(key)
         for part in parts[:-1]:
             node = node.setdefault(part, {})
         node[parts[-1]] = value

@@ -107,24 +107,24 @@ def _itemsets_match(mined: frozenset[Item], expert: frozenset[Item]) -> bool:
     return True
 
 
-def rule_match(mined: AssociationRule, expert: ExpertRule) -> bool:
-    """True when antecedents and (positive) consequents are equal after
-    interval alignment. A negated expert rule never *matches*."""
-    if expert.negated:
-        return False
+def _same_rule(mined: AssociationRule, expert: ExpertRule) -> bool:
+    """Antecedents and consequents equal after interval alignment, whether
+    or not the expert consequent is negated."""
     return _itemsets_match(mined.antecedent, expert.antecedent) and _itemsets_match(
         mined.consequent, frozenset([expert.consequent])
     )
+
+
+def rule_match(mined: AssociationRule, expert: ExpertRule) -> bool:
+    """True when antecedents and (positive) consequents are equal after
+    interval alignment. A negated expert rule never *matches*."""
+    return not expert.negated and _same_rule(mined, expert)
 
 
 def contradicts(mined: AssociationRule, expert: ExpertRule) -> bool:
     """True when the antecedents match and the mined consequent asserts
     exactly what the expert consequent negates."""
-    if not expert.negated:
-        return False
-    return _itemsets_match(mined.antecedent, expert.antecedent) and _itemsets_match(
-        mined.consequent, frozenset([expert.consequent])
-    )
+    return expert.negated and _same_rule(mined, expert)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +145,14 @@ def align_cluster_labels(
     label. Unmapped cluster labels stay as they are.
     """
     votes: dict[tuple[str, str], float] = {}
+    cluster_items: dict[str, Item] = {}
     for r in mined:
         if len(r.consequent) != 1:
             continue
         (c,) = r.consequent
         if c.kind != "eq" or c.attribute != cluster_attribute:
             continue
+        cluster_items[c.value] = c
         for e in expert_rules:
             if e.consequent.kind != "label":
                 continue
@@ -167,25 +169,25 @@ def align_cluster_labels(
     if not mapping:
         return list(mined), {}
 
-    def rename(items: frozenset[Item]) -> frozenset[Item]:
-        out = []
-        for i in items:
-            if i.kind == "eq" and i.attribute == cluster_attribute and i.value in mapping:
-                out.append(label_item(mapping[i.value]))
-            else:
-                out.append(i)
-        return frozenset(out)
-
-    renamed = [
-        AssociationRule(
-            antecedent=rename(r.antecedent),
-            consequent=rename(r.consequent),
-            support=r.support,
-            confidence=r.confidence,
-            reliability=r.reliability,
+    # Items are equal by canonical string, so these keys also find the mapped
+    # cluster items in antecedents
+    labels = {
+        cluster_items[cluster]: label_item(pattern) for cluster, pattern in mapping.items()
+    }
+    renamed = []
+    for r in mined:
+        if labels.keys().isdisjoint(r.antecedent) and labels.keys().isdisjoint(r.consequent):
+            renamed.append(r)
+            continue
+        renamed.append(
+            AssociationRule(
+                antecedent=frozenset(labels.get(i, i) for i in r.antecedent),
+                consequent=frozenset(labels.get(i, i) for i in r.consequent),
+                support=r.support,
+                confidence=r.confidence,
+                reliability=r.reliability,
+            )
         )
-        for r in mined
-    ]
     return renamed, mapping
 
 
@@ -228,9 +230,19 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
     ]
     qualified = sorted(set(qualified), key=AssociationRule.sort_key)
     annotated: list[AnnotatedRule] = []
+    found: set[int] = set()  # indices of the expert rules some qualified rule matches
     for r in qualified:
-        matched = next((e.rule_id for e in base.rules if rule_match(r, e)), None)
-        contra = next((e.rule_id for e in base.rules if contradicts(r, e)), None)
+        matched = contra = None
+        for idx, e in enumerate(base.rules):
+            if not _same_rule(r, e):
+                continue
+            if e.negated:
+                if contra is None:
+                    contra = e.rule_id
+            else:
+                if matched is None:
+                    matched = e.rule_id
+                found.add(idx)
         annotated.append(AnnotatedRule(rule=r, matched_expert=matched, contradicted_expert=contra))
 
     known_hi, known_lw, novel_hi, contra_set, residue = [], [], [], [], []
@@ -244,9 +256,7 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
             novel_hi.append(ar)
         else:
             residue.append(ar)
-    missing = [
-        e for e in base.rules if not any(rule_match(ar.rule, e) for ar in annotated)
-    ]
+    missing = [e for idx, e in enumerate(base.rules) if idx not in found]
     return PartitionReport(
         thresholds={
             "beta_sup": base.beta_sup,
@@ -403,9 +413,10 @@ def export_rule_base(base: OntologyRuleBase, path: str | Path) -> None:
 
 
 def _annotated_doc(ar: AnnotatedRule) -> dict:
+    ante, cons = ar.rule.sort_key()
     return {
-        "antecedent": [i.canonical for i in sorted(ar.rule.antecedent)],
-        "consequent": [i.canonical for i in sorted(ar.rule.consequent)],
+        "antecedent": list(ante),
+        "consequent": list(cons),
         "support": ar.rule.support,
         "confidence": ar.rule.confidence,
         "reliability": ar.rule.reliability,

@@ -5,9 +5,11 @@ categorical values pass through as ``attr=value`` items and numeric values
 fall into the half-open interval ``(lo, hi]`` between consecutive decision
 tree split points (with infinite sentinels, rendered ``attr<=hi`` /
 ``attr>lo``; an attribute with no split points yields the catch-all
-``attr=ANY``). Itemsets are mined with the classic level-wise join/prune and
-rules carry support, confidence, and the reliability measure
-``|confidence - support(consequent)|``.
+``attr=ANY``). Itemsets are mined with the classic level-wise join/prune;
+support is counted on per-item transaction bitmasks (bit t set when
+transaction t holds the item), so a candidate's count is the popcount of the
+AND of its two parents' masks. Rules carry support, confidence, and the
+reliability measure ``|confidence - support(consequent)|``.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError, MissingInputError, ParseError
@@ -167,35 +170,42 @@ def apriori(
     n = len(transactions)
     frequent: dict[frozenset[Item], float] = {}
 
-    singles = sorted({item for t in transactions for item in t})
-    level: list[tuple[Item, ...]] = []
-    for item in singles:
-        sup = _support_count(frozenset([item]), transactions) / n
+    tidmask: dict[Item, int] = {}
+    for t, tx in enumerate(transactions):
+        for item in tx:
+            tidmask[item] = tidmask.get(item, 0) | (1 << t)
+    singles = sorted(tidmask, key=attrgetter("canonical"))
+    # frequent itemsets of the current size as ascending indices into singles,
+    # mapped to their masks; each level is generated in ascending order
+    level: dict[tuple[int, ...], int] = {}
+    for idx, item in enumerate(singles):
+        mask = tidmask[item]
+        sup = mask.bit_count() / n
         if sup >= beta_sup:
             frequent[frozenset([item])] = sup
-            level.append((item,))
+            level[(idx,)] = mask
     k = 2
     while level and (max_len is None or k <= max_len):
         # join: combine k-1 sets sharing their first k-2 items
-        buckets: dict[tuple[Item, ...], list[Item]] = {}
+        buckets: dict[tuple[int, ...], list[int]] = {}
         for tup in level:
             buckets.setdefault(tup[:-1], []).append(tup[-1])
-        prev = set(map(frozenset, level))
-        next_level: list[tuple[Item, ...]] = []
-        for prefix in sorted(buckets):
-            tails = sorted(buckets[prefix])
+        next_level: dict[tuple[int, ...], int] = {}
+        for prefix, tails in buckets.items():
             for a in range(len(tails)):
+                mask_a = level[prefix + (tails[a],)]
                 for b in range(a + 1, len(tails)):
                     cand = prefix + (tails[a], tails[b])
-                    cand_set = frozenset(cand)
-                    # prune: all (k-1)-subsets must be frequent
-                    if any(cand_set - {item} not in prev for item in cand):
+                    # prune: all (k-1)-subsets must be frequent (the two
+                    # parents are, so only those dropping a prefix item remain)
+                    if any(cand[:i] + cand[i + 1:] not in level for i in range(k - 2)):
                         continue
-                    sup = _support_count(cand_set, transactions) / n
+                    mask = mask_a & level[prefix + (tails[b],)]
+                    sup = mask.bit_count() / n
                     if sup >= beta_sup:
-                        frequent[cand_set] = sup
-                        next_level.append(cand)
-        level = sorted(next_level)
+                        frequent[frozenset(singles[i] for i in cand)] = sup
+                        next_level[cand] = mask
+        level = next_level
         k += 1
     return frequent
 
@@ -207,17 +217,26 @@ class AssociationRule:
     support: float
     confidence: float
     reliability: float
+    _key: tuple[tuple[str, ...], tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        # Items order by their canonical string alone, so sorting the strings
+        # gives the items' order. Every writer and the partition sort read
+        # this key, so it is computed once per rule.
+        object.__setattr__(self, "_key", (
+            tuple(sorted(i.canonical for i in self.antecedent)),
+            tuple(sorted(i.canonical for i in self.consequent)),
+        ))
 
     def canonical(self) -> str:
-        ante = "&".join(i.canonical for i in sorted(self.antecedent))
-        cons = "&".join(i.canonical for i in sorted(self.consequent))
-        return f"{ante} -> {cons}"
+        ante, cons = self._key
+        return f"{'&'.join(ante)} -> {'&'.join(cons)}"
 
-    def sort_key(self) -> tuple:
-        return (
-            tuple(i.canonical for i in sorted(self.antecedent)),
-            tuple(i.canonical for i in sorted(self.consequent)),
-        )
+    def sort_key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(antecedent, consequent) canonical strings, each in item order."""
+        return self._key
 
 
 def generate_rules(
@@ -238,7 +257,7 @@ def generate_rules(
     for itemset, support in itemsets.items():
         if len(itemset) < 2:
             continue
-        members = sorted(itemset)
+        members = sorted(itemset, key=attrgetter("canonical"))
         if single_consequent:
             consequents = [frozenset([m]) for m in members]
         else:
@@ -298,10 +317,11 @@ def write_rules_csv(rules: list[AssociationRule], path: str | Path) -> None:
         w = csv.writer(fh, delimiter=";")
         w.writerow(_CSV_HEADER)
         for r in rules:
+            ante, cons = r.sort_key()
             w.writerow(
                 [
-                    "&".join(i.canonical for i in sorted(r.antecedent)),
-                    "&".join(i.canonical for i in sorted(r.consequent)),
+                    "&".join(ante),
+                    "&".join(cons),
                     repr(float(r.support)),
                     repr(float(r.confidence)),
                     repr(float(r.reliability)),
@@ -314,6 +334,20 @@ def read_rules_csv(path: str | Path) -> list[AssociationRule]:
     if not path.exists():
         raise MissingInputError(f"rules file not found: {path}")
     rules: list[AssociationRule] = []
+    # a rule file repeats a few dozen distinct items thousands of times, so
+    # each distinct token is parsed once per call
+    parsed: dict[str, Item] = {}
+
+    def items(text: str) -> frozenset[Item]:
+        out = []
+        for token in text.split("&"):
+            if token:
+                item = parsed.get(token)
+                if item is None:
+                    item = parsed[token] = parse_item(token)
+                out.append(item)
+        return frozenset(out)
+
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=";")
         header = next(reader, None)
@@ -323,12 +357,10 @@ def read_rules_csv(path: str | Path) -> list[AssociationRule]:
             if len(rec) != 5:
                 raise ParseError(f"expected 5 fields, got {len(rec)}", line=lineno)
             try:
-                ante = frozenset(parse_item(t) for t in rec[0].split("&") if t)
-                cons = frozenset(parse_item(t) for t in rec[1].split("&") if t)
                 rules.append(
                     AssociationRule(
-                        antecedent=ante,
-                        consequent=cons,
+                        antecedent=items(rec[0]),
+                        consequent=items(rec[1]),
                         support=float(rec[2]),
                         confidence=float(rec[3]),
                         reliability=float(rec[4]),

@@ -153,6 +153,17 @@ class TestPartitionWorkedExample:
         assert report.novel_high_strength == []
         assert report.contradictory[0].contradicted_expert == "e1"
 
+    def test_rule_matching_two_expert_rules(self):
+        r = mined(["TI_max∈(200,600]"], "P300", rel=0.9)
+        base = self._base([
+            expert("e1", ["TI_max∈(300,500]"], "P300"),
+            expert("e2", ["TI_max∈(250,550]"], "P300"),
+        ])
+        report = partition([r], base)
+        assert [a.rule for a in report.known_high_strength] == [r]
+        assert report.known_high_strength[0].matched_expert == "e1"
+        assert report.missing == []
+
     def test_support_confidence_gates(self):
         weak = mined(["a=1"], "L1", support=0.05, confidence=0.9, rel=0.9)
         shaky = mined(["b=1"], "L2", support=0.9, confidence=0.05, rel=0.9)

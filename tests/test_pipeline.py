@@ -231,6 +231,18 @@ class TestCli:
         # numerical failure (components beyond data rank) -> 4
         assert main(["decompose", *base, "--set", "decompose.n_components=40"]) == 4
 
+    def test_cli_set_value_then_nested_key_conflicts(self, tmp_path, capsys):
+        code = main(["mine", "--out", str(tmp_path),
+                     "--set", "mine=1", "--set", "mine.beta_sup=0.3"])
+        assert code == 3
+        assert "conflicts" in capsys.readouterr().err
+
+    def test_cli_set_nested_key_then_value_conflicts(self, tmp_path, capsys):
+        code = main(["mine", "--out", str(tmp_path),
+                     "--set", "mine.beta_sup=0.3", "--set", "mine=1"])
+        assert code == 3
+        assert "conflicts" in capsys.readouterr().err
+
     def test_cli_pipeline_runs_everything(self, tmp_path, capsys):
         out = tmp_path / "cli_pipe"
         code = main(["pipeline", "--out", str(out), "--seed", "5",

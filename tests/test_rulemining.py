@@ -68,6 +68,30 @@ class TestItems:
         assert [i.canonical for i in sorted(items)] == ["P300", "a=1", "b=2"]
 
 
+_tokens = st.text(alphabet="abAB_19", min_size=1, max_size=4)
+_bounds = st.sampled_from([-math.inf, -2.5, 0.0, 1.0 / 3.0, 300.0, 512.25, math.inf])
+_items = st.one_of(
+    st.builds(eq_item, _tokens, _tokens.filter(lambda v: v != "ANY")),
+    st.builds(label_item, _tokens),
+    st.builds(
+        lambda attr, pair: interval_item(attr, *sorted(pair)),
+        _tokens,
+        st.lists(_bounds, min_size=2, max_size=2, unique=True),
+    ),
+)
+
+
+class TestRuleKey:
+    @settings(max_examples=60, deadline=None)
+    @given(ante=st.frozensets(_items, max_size=5), cons=st.frozensets(_items, min_size=1, max_size=3))
+    def test_sort_key_is_canonical_strings_in_item_order(self, ante, cons):
+        rule = AssociationRule(antecedent=ante, consequent=cons,
+                               support=0.5, confidence=0.5, reliability=0.0)
+        want = (tuple(i.canonical for i in sorted(ante)), tuple(i.canonical for i in sorted(cons)))
+        assert rule.sort_key() == want
+        assert rule.canonical() == f"{'&'.join(want[0])} -> {'&'.join(want[1])}"
+
+
 class TestDiscretize:
     def test_threshold_arithmetic(self):
         rows = [{"TI_max": 300.0}, {"TI_max": 400.0}, {"TI_max": 350.0}]
@@ -151,6 +175,18 @@ class TestApriori:
             got = apriori(txs, 0.25)
             want = brute_force_itemsets(txs, 0.25)
             assert got == want
+
+    def test_matches_brute_force_beyond_one_machine_word(self):
+        # more than 64 transactions, so every support mask spans several words
+        rng = np.random.default_rng(7)
+        items = [eq_item("I", f"i{k}") for k in range(9)]
+        for n_tx in (65, 130, 257):
+            txs = [frozenset(it for it in items if rng.random() < 0.45) or frozenset([items[0]])
+                   for _ in range(n_tx)]
+            got = apriori(txs, 0.1)
+            assert got == brute_force_itemsets(txs, 0.1)
+            for itemset, support in got.items():
+                assert support == sum(itemset <= t for t in txs) / n_tx
 
     def test_downward_closure(self):
         rng = np.random.default_rng(1)
@@ -336,3 +372,30 @@ class TestRulesCsv:
         with pytest.raises(ParseError) as err:
             read_rules_csv(path)
         assert err.value.line == 2
+
+    def test_repeated_bad_token_names_first_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        row = "TI_max∈(300,x];P300;0.5;1.0;0.5\n"
+        path.write_text(
+            "antecedent;consequent;support;confidence;reliability\n" + row + row,
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            read_rules_csv(path)
+        assert err.value.line == 2
+
+    def test_write_read_write_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        splits = {"x": [1.0 / 3.0, 0.5, 2.0], "y": [-1.25, 1e-3], "z": []}
+        rows = [{"x": float(rng.normal()), "y": float(rng.normal()), "z": float(rng.normal()),
+                 "M": str(rng.choice(["a", "b"])), "N": str(rng.choice(["u", "v", "w"])),
+                 "O": str(rng.choice(["p", "q"]))} for _ in range(40)]
+        txs = discretize(rows, splits)
+        rules = generate_rules(apriori(txs, 0.05), 0.3, txs, single_consequent=False)
+        assert len(rules) >= 1000
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_rules_csv(rules, first)
+        again = read_rules_csv(first)
+        assert again == rules
+        write_rules_csv(again, second)
+        assert second.read_bytes() == first.read_bytes()
