@@ -11,6 +11,8 @@ Definitions, since the attribute names alone do not fix formulas:
   * IN_min / IN_max / TI_max come from the factor's back-projected waveform
     at the SP_max channel, averaged over the condition's trials. TI_max uses
     the maximum |amplitude| so negative deflections get correct latencies.
+    The activation is linear in the data, so each condition's trials are
+    averaged once and every factor projects that average.
   * IN_mean is the mean over both time and a configurable channel set of the
     back-projected factor signal.
   * SP_cor is the zero-lag Pearson correlation between the factor topography
@@ -124,15 +126,13 @@ def _condition_value(
     return "mixed"
 
 
-def extract_summary(
+def _check_inputs(
     dec: FactorDecomposition,
     epochs: EpochTensor,
-    factor: str,
-    condition: dict[str, str],
     template: np.ndarray,
-    mean_channel_set: list[str] | tuple[str, ...] | None = None,
-) -> FactorSummary:
-    """One summary row for a factor under a metadata condition."""
+    mean_channel_set: list[str] | tuple[str, ...] | None,
+) -> tuple[np.ndarray, list[int]]:
+    """Validated template and the channel indices IN_mean averages over."""
     dec.check_epochs(epochs)
     template = np.asarray(template, dtype=float)
     if template.size != epochs.n_channels:
@@ -143,25 +143,42 @@ def extract_summary(
         mean_channel_set = epochs.montage.channels
     if not mean_channel_set:
         raise ConfigError("mean_channel_set must be nonempty")
-    mean_idx = [epochs.montage.index(c) for c in mean_channel_set]
+    return template, [epochs.montage.index(c) for c in mean_channel_set]
 
-    j = dec.factor_index(factor)
+
+def _condition_average(
+    dec: FactorDecomposition, epochs: EpochTensor, trials: list[int]
+) -> np.ndarray:
+    """The centered channels x timepoints average of the selected trials."""
+    in_condition = np.zeros(epochs.n_trials, dtype=bool)
+    in_condition[trials] = True
+    # `where` averages the trials in place; a fancy-indexed copy of a long
+    # recording fragments the heap and peak RSS grows with every re-run.
+    trial_avg = epochs.data.mean(axis=0, where=in_condition[:, None, None])
+    return trial_avg - dec.mean[:, None]
+
+
+def _summary_row(
+    dec: FactorDecomposition,
+    epochs: EpochTensor,
+    j: int,
+    condition: dict[str, str],
+    trials: list[int],
+    centered_avg: np.ndarray,
+    template: np.ndarray,
+    mean_idx: list[int],
+) -> FactorSummary:
     topo = dec.mixing[:, j]
     i_max = _argmax_with_tie_warning(topo, "topography argmax")
     i_min = _argmax_with_tie_warning(-topo, "topography argmin")
     sp_max = epochs.montage.channels[i_max]
     sp_min = epochs.montage.channels[i_min]
 
-    trials = _select_trials(epochs, condition)
-    in_condition = np.zeros(epochs.n_trials, dtype=bool)
-    in_condition[trials] = True
-    # The activation is linear in the data, so project the condition average.
-    # `where` averages the trials in place; a fancy-indexed copy of a long
-    # recording fragments the heap and peak RSS grows with every re-run.
-    trial_avg = epochs.data.mean(axis=0, where=in_condition[:, None, None])
-    avg_act = dec.unmixing[j] @ (trial_avg - dec.mean[:, None])
+    avg_act = dec.unmixing[j] @ centered_avg
     if not np.any(avg_act):
-        warnings.warn(f"factor {factor} has an all-zero averaged activation", UserWarning)
+        warnings.warn(
+            f"factor {dec.factor_ids[j]} has an all-zero averaged activation", UserWarning
+        )
     wave_at_max = topo[i_max] * avg_act
     in_min = float(wave_at_max.min())
     in_max = float(wave_at_max.max())
@@ -186,6 +203,22 @@ def extract_summary(
     )
 
 
+def extract_summary(
+    dec: FactorDecomposition,
+    epochs: EpochTensor,
+    factor: str,
+    condition: dict[str, str],
+    template: np.ndarray,
+    mean_channel_set: list[str] | tuple[str, ...] | None = None,
+) -> FactorSummary:
+    """One summary row for a factor under a metadata condition."""
+    template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
+    j = dec.factor_index(factor)
+    trials = _select_trials(epochs, condition)
+    centered_avg = _condition_average(dec, epochs, trials)
+    return _summary_row(dec, epochs, j, condition, trials, centered_avg, template, mean_idx)
+
+
 def conditions_of(
     epochs: EpochTensor, group_by: tuple[str, ...] = METADATA_KEYS
 ) -> list[dict[str, str]]:
@@ -204,15 +237,21 @@ def summarize_dataset(
     mean_channel_set: list[str] | tuple[str, ...] | None = None,
     group_by: tuple[str, ...] = METADATA_KEYS,
 ) -> list[FactorSummary]:
-    """All factor x condition rows, factor-major, conditions sorted."""
-    conds = conditions_of(epochs, group_by)
-    rows: list[FactorSummary] = []
-    for factor in dec.factor_ids:
-        for cond in conds:
-            rows.append(
-                extract_summary(dec, epochs, factor, cond, template, mean_channel_set)
-            )
-    return rows
+    """All factor x condition rows, factor-major, conditions sorted.
+
+    Equal to `extract_summary` for every factor and condition, but each
+    condition's trials are selected and averaged once for all factors.
+    """
+    template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
+    conds = []
+    for cond in conditions_of(epochs, group_by):
+        trials = _select_trials(epochs, cond)
+        conds.append((cond, trials, _condition_average(dec, epochs, trials)))
+    return [
+        _summary_row(dec, epochs, j, cond, trials, centered_avg, template, mean_idx)
+        for j in range(len(dec.factor_ids))
+        for cond, trials, centered_avg in conds
+    ]
 
 
 def _fmt(value: float | str) -> str:

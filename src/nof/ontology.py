@@ -18,7 +18,9 @@ adopted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ConfigError, MissingInputError, ParseError
@@ -412,20 +414,67 @@ def export_rule_base(base: OntologyRuleBase, path: str | Path) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
 
 
-def _annotated_doc(ar: AnnotatedRule) -> dict:
-    ante, cons = ar.rule.sort_key()
-    return {
-        "antecedent": list(ante),
-        "consequent": list(cons),
-        "support": ar.rule.support,
-        "confidence": ar.rule.confidence,
-        "reliability": ar.rule.reliability,
-        "matched_expert": ar.matched_expert,
-        "contradicted_expert": ar.contradicted_expert,
-    }
+# The five annotated-rule lists make up almost all of report.json, and
+# json.dump with indent runs its pure-Python encoder, so these entries are
+# written from one template. Every piece is encoded the way json.dump(indent=2,
+# sort_keys=True, ensure_ascii=False) encodes it, so the file is the same.
+_RULE_LISTS = (
+    "contradictory",
+    "known_high_strength",
+    "known_low_strength",
+    "low_strength_residue",
+    "novel_high_strength",
+)
+
+# the first field is the separator before the entry
+_RULE_TEMPLATE = (
+    '{}{{\n      "antecedent": {},\n      "confidence": {},\n      "consequent": {},'
+    '\n      "contradicted_expert": {},\n      "matched_expert": {},'
+    '\n      "reliability": {},\n      "support": {}\n    }}'
+)
+
+_JSON_NULL = json.dumps(None)
+
+
+def _json_scalar(value) -> str:
+    """`value` as json.dumps writes it: finite floats through float.__repr__,
+    strings through json's C string encoder, None as json.dumps(None), and
+    anything else (NaN, infinities, ints, bools) through json.dumps itself."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return _JSON_NULL
+    return json.dumps(value)
+
+
+def _write_rule_list(fh, rules: list[AnnotatedRule], items_json) -> None:
+    if not rules:
+        fh.write("[]")
+        return
+    sep = "[\n    "
+    for ar in rules:
+        r = ar.rule
+        ante, cons = r.sort_key()
+        fh.write(
+            _RULE_TEMPLATE.format(
+                sep,
+                items_json(ante),
+                _json_scalar(r.confidence),
+                items_json(cons),
+                _json_scalar(ar.contradicted_expert),
+                _json_scalar(ar.matched_expert),
+                _json_scalar(r.reliability),
+                _json_scalar(r.support),
+            )
+        )
+        sep = ",\n    "
+    fh.write("\n  ]")
 
 
 def report_to_json(report: PartitionReport, path: str | Path) -> None:
+    """Write the report as indented JSON with sorted keys."""
     doc = {
         "thresholds": report.thresholds,
         "alignment": report.alignment,
@@ -438,19 +487,35 @@ def report_to_json(report: PartitionReport, path: str | Path) -> None:
             "missing": len(report.missing),
             "low_strength_residue": len(report.low_strength_residue),
         },
-        "known_high_strength": [_annotated_doc(a) for a in report.known_high_strength],
-        "known_low_strength": [_annotated_doc(a) for a in report.known_low_strength],
-        "novel_high_strength": [_annotated_doc(a) for a in report.novel_high_strength],
-        "contradictory": [_annotated_doc(a) for a in report.contradictory],
         "missing": [
             {"id": e.rule_id, "rule": e.render()} for e in report.missing
         ],
-        "low_strength_residue": [
-            _annotated_doc(a) for a in report.low_strength_residue
-        ],
     }
+    # rules repeat the same antecedents and consequents thousands of times
+    encoded: dict[tuple[str, ...], str] = {}
+
+    def items_json(items: tuple[str, ...]) -> str:
+        text = encoded.get(items)
+        if text is None:
+            text = encoded[items] = (
+                "[\n        " + ",\n        ".join(map(encode_basestring, items)) + "\n      ]"
+                if items
+                else "[]"
+            )
+        return text
+
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
+        sep = "{\n  "
+        for key in sorted((*doc, *_RULE_LISTS)):
+            fh.write(f"{sep}{encode_basestring(key)}: ")
+            if key in doc:
+                part = json.dumps(doc[key], indent=2, sort_keys=True, ensure_ascii=False)
+                # nest the small part one level deeper; JSON strings hold no raw newline
+                fh.write(part.replace("\n", "\n  "))
+            else:
+                _write_rule_list(fh, getattr(report, key), items_json)
+            sep = ",\n  "
+        fh.write("\n}")
 
 
 def report_to_text(report: PartitionReport) -> str:

@@ -357,15 +357,18 @@ def read_rules_csv(path: str | Path) -> list[AssociationRule]:
             if len(rec) != 5:
                 raise ParseError(f"expected 5 fields, got {len(rec)}", line=lineno)
             try:
-                rules.append(
-                    AssociationRule(
-                        antecedent=items(rec[0]),
-                        consequent=items(rec[1]),
-                        support=float(rec[2]),
-                        confidence=float(rec[3]),
-                        reliability=float(rec[4]),
-                    )
+                rule = AssociationRule(
+                    antecedent=items(rec[0]),
+                    consequent=items(rec[1]),
+                    support=float(rec[2]),
+                    confidence=float(rec[3]),
+                    reliability=float(rec[4]),
                 )
             except (ValueError, ConfigError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
+            # NaN fails every comparison and inf the upper bound
+            for name, value in zip(_CSV_HEADER[2:], rec[2:]):
+                if not 0.0 <= getattr(rule, name) <= 1.0:
+                    raise ParseError(f"{name} {value!r} is not a number in [0, 1]", line=lineno)
+            rules.append(rule)
     return rules

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,60 @@ class TestSummarizeDataset:
         assert summarize_dataset(again, two_pattern_epochs, template) == summarize_dataset(
             dec, two_pattern_epochs, template
         )
+
+
+class _NoAverage:
+    """Stands in for epoch data whose trials must never be averaged."""
+
+    def __init__(self, data):
+        self.shape = data.shape
+
+    def mean(self, *args, **kwargs):
+        raise AssertionError("trials averaged before the epochs were checked")
+
+
+class TestConditionAverages:
+    def _four_conditions(self):
+        m = make_montage(TRIO)
+        info = [
+            {"EVENT": event, "STIM": stim, "MOD": "visual"}
+            for event in ("e1", "e2") for stim in ("s1", "s2")
+        ] * 3
+        rng = np.random.default_rng(7)
+        return manual_setup(rng.normal(size=(3, 3)), rng.normal(size=(3, 12 * 10)), m,
+                            t0=-100.0, n_trials=12, info=info)
+
+    def test_equals_extract_summary_per_factor_and_condition(self):
+        dec, epochs = self._four_conditions()
+        dec = dataclasses.replace(dec, mean=np.array([0.25, -1.5, 3.0]))
+        template = np.array([1.0, 0.5, -0.2])
+        conds = conditions_of(epochs)
+        assert len(conds) == 4 and len(dec.factor_ids) == 3
+        rows = summarize_dataset(dec, epochs, template, mean_channel_set=["Fz", "Oz"])
+        assert rows == [
+            extract_summary(dec, epochs, f, c, template, mean_channel_set=["Fz", "Oz"])
+            for f in dec.factor_ids for c in conds
+        ]
+
+    def test_condition_without_trials_rejected(self):
+        # NaN differs from itself, so its condition selects no trial
+        nan = float("nan")
+        m = make_montage(TRIO)
+        dec, epochs = manual_setup([[1.0], [0.5], [0.2]], np.ones((1, 8)), m, n_trials=2,
+                                   info=[{"EVENT": nan, "STIM": "s", "MOD": "m"}] * 2)
+        with pytest.raises(ConfigError, match="selects no trials"):
+            summarize_dataset(dec, epochs, np.array([1.0, 0, 0]), group_by=("EVENT",))
+
+    def test_montage_checked_before_any_average(self):
+        dec, epochs = self._four_conditions()
+        other = make_montage({"Fp1": "frontal", "Cz": "central", "Oz": "occipital"})
+        renamed = EpochTensor(data=epochs.data, fs=epochs.fs, t0=epochs.t0,
+                              montage=other, trial_info=epochs.trial_info)
+        renamed.data = _NoAverage(epochs.data)
+        with pytest.raises(ConfigError, match="montage"):
+            summarize_dataset(dec, renamed, np.array([1.0, 0, 0]))
+        with pytest.raises(ConfigError, match="montage"):
+            extract_summary(dec, renamed, "FA1", {}, template=np.array([1.0, 0, 0]))
 
 
 class TestSummaryCsv:

@@ -1,13 +1,19 @@
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nof.errors import ConfigError, MissingInputError, ParseError
 from nof.ontology import (
+    AnnotatedRule,
     ExpertRule,
     OntologyClass,
     OntologyRuleBase,
+    PartitionReport,
     align_cluster_labels,
     contradicts,
     export_rule_base,
@@ -17,7 +23,15 @@ from nof.ontology import (
     report_to_text,
     rule_match,
 )
-from nof.rulemining import AssociationRule, eq_item, label_item, parse_item
+from nof.pipeline import load_config, run_pipeline
+from nof.rulemining import (
+    AssociationRule,
+    eq_item,
+    interval_item,
+    label_item,
+    parse_item,
+    read_rules_csv,
+)
 
 from helpers import brute_force_partition
 
@@ -488,3 +502,141 @@ class TestReportOutput:
                        "known, low strength", "contradictory",
                        "missing expert rules", "residue"):
             assert needle in text
+
+
+def _oracle_json(report) -> str:
+    """report.json as json.dump(indent=2, sort_keys=True, ensure_ascii=False)
+    writes it, from a document this test builds itself."""
+    def annotated(ar):
+        ante, cons = ar.rule.sort_key()
+        return {
+            "antecedent": list(ante),
+            "consequent": list(cons),
+            "support": ar.rule.support,
+            "confidence": ar.rule.confidence,
+            "reliability": ar.rule.reliability,
+            "matched_expert": ar.matched_expert,
+            "contradicted_expert": ar.contradicted_expert,
+        }
+
+    doc = {
+        "thresholds": report.thresholds,
+        "alignment": report.alignment,
+        "counts": {
+            "qualified": len(report.arec),
+            "known_high_strength": len(report.known_high_strength),
+            "known_low_strength": len(report.known_low_strength),
+            "novel_high_strength": len(report.novel_high_strength),
+            "contradictory": len(report.contradictory),
+            "missing": len(report.missing),
+            "low_strength_residue": len(report.low_strength_residue),
+        },
+        "missing": [{"id": e.rule_id, "rule": e.render()} for e in report.missing],
+    }
+    for name in ("known_high_strength", "known_low_strength", "novel_high_strength",
+                 "contradictory", "low_strength_residue"):
+        doc[name] = [annotated(ar) for ar in getattr(report, name)]
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
+    return fh.getvalue()
+
+
+def _assert_matches_oracle(report, path):
+    report_to_json(report, path)
+    assert path.read_bytes() == _oracle_json(report).encode("utf-8")
+
+
+def _report(rules, *, alignment=None, missing=(), thresholds=None):
+    """A PartitionReport that puts each (category, AnnotatedRule) where it says."""
+    lists = {name: [] for name in ("known_high_strength", "known_low_strength",
+                                   "novel_high_strength", "contradictory",
+                                   "low_strength_residue")}
+    for name, ar in rules:
+        lists[name].append(ar)
+    return PartitionReport(
+        thresholds=thresholds or {"beta_sup": 0.1, "beta_conf": 0.8, "pi_min": 0.5},
+        arec=[ar for _, ar in rules],
+        missing=list(missing),
+        alignment=dict(alignment or {}),
+        **lists,
+    )
+
+
+_CATEGORIES = ("known_high_strength", "known_low_strength", "novel_high_strength",
+               "contradictory", "low_strength_residue")
+_TOKENS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=";&\n=<>≤∈"),
+    min_size=1, max_size=4,
+).filter(lambda t: t != "ANY" and t.strip() == t)
+_ITEMS = st.one_of(
+    st.builds(eq_item, _TOKENS, _TOKENS),
+    st.builds(label_item, _TOKENS),
+    st.builds(lambda a, lo, w: interval_item(a, lo, lo + w), _TOKENS,
+              st.floats(-1e3, 1e3), st.floats(0.5, 1e3)),
+)
+_NUMBERS = st.one_of(st.floats(), st.integers(-5, 5), st.booleans())
+_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+_ANNOTATED = st.builds(
+    lambda ante, cons, sup, conf, rel, m, c: AnnotatedRule(
+        AssociationRule(frozenset(ante), frozenset(cons), sup, conf, rel), m, c),
+    st.lists(_ITEMS, max_size=3), st.lists(_ITEMS, max_size=2),
+    _NUMBERS, _NUMBERS, _NUMBERS, st.none() | _TEXT, st.none() | _TEXT,
+)
+
+
+class TestReportJsonOracle:
+    def test_default_pipeline_report(self, tmp_path):
+        expert_file = Path(__file__).resolve().parents[1] / "docs" / "expert.example.json"
+        config = load_config(overrides={
+            "out": str(tmp_path), "partition": {"expert_rules": str(expert_file)},
+        })
+        run_pipeline(config)
+        base = ingest_expert_rules(expert_file)
+        mined_rules, alignment = align_cluster_labels(
+            read_rules_csv(tmp_path / "mined_rules.csv"), base.rules)
+        report = partition(mined_rules, base)
+        report.alignment = alignment
+        assert len(report.arec) > 1000 and report.missing
+        expected = _oracle_json(report).encode("utf-8")
+        assert (tmp_path / "report.json").read_bytes() == expected
+        _assert_matches_oracle(report, tmp_path / "again.json")
+
+    def test_empty_rule_lists(self, tmp_path):
+        report = partition([], OntologyRuleBase())
+        assert report.arec == [] and report.missing == []
+        _assert_matches_oracle(report, tmp_path / "report.json")
+
+    def test_non_ascii_escapes_alignment_and_missing(self, tmp_path):
+        r = mined(["TI_max∈(300,500]", "IN_max≤2.5", 'SP_max=F"z\\'], 'P\\3"00', rel=0.9)
+        low = mined(["ROI=frontal"], "CLUSTER=C1", rel=0.1)
+        report = _report(
+            [("known_high_strength", AnnotatedRule(r, matched_expert='id "1" \\ é')),
+             ("contradictory", AnnotatedRule(low, contradicted_expert="veto\t∈")),
+             ("low_strength_residue", AnnotatedRule(low))],
+            alignment={"C2": 'P\\3"00', "C1": "N1"},
+            missing=[expert('m "1"', ["TI_max∈(300,500]"], "P300"),
+                     expert("m2", [], "P300", negated=True)],
+        )
+        _assert_matches_oracle(report, tmp_path / "report.json")
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert "∈" in text and "≤" in text
+
+    def test_nan_reliability_and_int_support(self, tmp_path):
+        nan_rel = AssociationRule(frozenset([parse_item("a=1")]),
+                                  frozenset([parse_item("L")]), 0.5, 1.0, float("nan"))
+        int_sup = AssociationRule(frozenset([parse_item("b=2")]),
+                                  frozenset([parse_item("L")]), 1, 1.0, 0.75)
+        report = _report([("low_strength_residue", AnnotatedRule(nan_rel)),
+                          ("novel_high_strength", AnnotatedRule(int_sup))])
+        _assert_matches_oracle(report, tmp_path / "report.json")
+        text = (tmp_path / "report.json").read_text(encoding="utf-8")
+        assert '"reliability": NaN,' in text and '"support": 1\n' in text
+
+    @settings(max_examples=60, deadline=None)
+    @given(rules=st.lists(st.tuples(st.sampled_from(_CATEGORIES), _ANNOTATED), max_size=6),
+           alignment=st.dictionaries(_TEXT, _TEXT, max_size=3),
+           beta=_NUMBERS)
+    def test_random_reports(self, tmp_path_factory, rules, alignment, beta):
+        report = _report(rules, alignment=alignment,
+                         thresholds={"beta_sup": beta, "beta_conf": 0.8, "pi_min": 0.5})
+        _assert_matches_oracle(report, tmp_path_factory.mktemp("r") / "report.json")

@@ -399,3 +399,30 @@ class TestRulesCsv:
         assert again == rules
         write_rules_csv(again, second)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("metrics", [
+        "nan;1.0;0.5",     # support nan
+        "0.5;1.0;inf",     # reliability inf
+        "1.7;1.0;0.5",     # support above 1
+        "0.5;-3;0.5",      # confidence below 0
+    ])
+    def test_metric_outside_unit_interval_names_line(self, tmp_path, metrics):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "antecedent;consequent;support;confidence;reliability\n"
+            "a=1;b=2;0.5;1.0;0.5\n"
+            f"a=1;c=3;{metrics}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=r"not a number in \[0, 1\]") as err:
+            read_rules_csv(path)
+        assert err.value.line == 3
+
+    def test_unit_interval_bounds_accepted(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(
+            "antecedent;consequent;support;confidence;reliability\na=1;b=2;0.0;1.0;-0.0\n",
+            encoding="utf-8",
+        )
+        (rule,) = read_rules_csv(path)
+        assert (rule.support, rule.confidence) == (0.0, 1.0)
