@@ -19,8 +19,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scipy.special import betaincinv
-
 from .errors import ConfigError, MissingInputError
 
 Row = dict[str, float | str]
@@ -235,6 +233,9 @@ def _grow(
 
 def _pessimistic_errors(n: int, errors: int, cf: float) -> float:
     """n times the one-sided binomial upper confidence bound on the error rate."""
+    # imported here so that `import nof` does not load scipy.special
+    from scipy.special import betaincinv
+
     if n == 0:
         return 0.0
     if errors >= n:

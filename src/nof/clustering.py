@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage as _scipy_linkage
-from scipy.special import logsumexp
 
 from .errors import ConfigError, MissingInputError, NumericalError
 from .features import CATEGORICAL_COLUMNS, FactorSummary, NUMERIC_COLUMNS
@@ -240,6 +238,9 @@ def _m_step(
 def _em_single(
     X: np.ndarray, k: int, config: EMConfig, rng: np.random.Generator
 ) -> ClusterModel:
+    # scipy is imported where it is used, so `import nof` stays cheap
+    from scipy.special import logsumexp
+
     n, d = X.shape
     floor = _floor_value(X, config)
     idx = rng.choice(n, size=k, replace=False)
@@ -314,6 +315,8 @@ def em_predict(
     model: ClusterModel, X: ObservationMatrix | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assignments and responsibilities for new rows under a fitted model."""
+    from scipy.special import logsumexp
+
     data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.means.shape[1]:
         raise ConfigError(
@@ -340,7 +343,12 @@ def bic(model: ClusterModel, n: int) -> float:
 def select_k(
     X: ObservationMatrix | np.ndarray, k_max: int, config: EMConfig | None = None
 ) -> ClusterModel:
-    """Fit k = 1..k_max and keep the lowest-BIC model (ties to smaller k)."""
+    """Fit k = 1..k_max and keep the lowest-BIC model (ties to smaller k).
+
+    A k > 1 fit whose hard assignment leaves some component with fewer than
+    two rows is skipped: a one-row component on the floored covariance has
+    unbounded likelihood, so BIC would drift towards k = n.
+    """
     data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
     n = data.shape[0]
     if k_max < 1:
@@ -348,6 +356,8 @@ def select_k(
     best: tuple[float, ClusterModel] | None = None
     for k in range(1, min(k_max, n) + 1):
         model = em_fit(data, k, config)
+        if k > 1 and np.bincount(model.assignments, minlength=k).min() < 2:
+            continue
         score = bic(model, n)
         if best is None or score < best[0]:
             best = (score, model)
@@ -512,6 +522,8 @@ def agglomerative_hierarchy(
     non-decreasing, each merge's children ordered by smallest member index.
     The result is deterministic for a given input order; exactly tied
     distances merge in scipy's order."""
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+
     if linkage not in _LINKAGES:
         raise ConfigError(f"unknown linkage {linkage!r}; pick one of {_LINKAGES}")
     data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
@@ -522,7 +534,7 @@ def agglomerative_hierarchy(
         raise ConfigError("need at least one observation")
     nodes = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
     merges: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
-    links = _scipy_linkage(data, linkage) if n > 1 else np.empty((0, 4))
+    links = scipy_linkage(data, linkage) if n > 1 else np.empty((0, 4))
     for i, j, d, _ in links:
         a, b = nodes[int(i)], nodes[int(j)]
         if min(a.indices) > min(b.indices):

@@ -398,6 +398,14 @@ def _stage_classify(config: dict, paths: dict[str, Path]) -> list[Path]:
     return [paths["tree"], paths["class_rules_json"], paths["class_rules_txt"]]
 
 
+def _expert_base(config: dict) -> ontology.OntologyRuleBase:
+    """The expert rule base named by partition.expert_rules, or an empty one."""
+    path = config["partition"]["expert_rules"]
+    if path is None:
+        return ontology.OntologyRuleBase()
+    return ontology.ingest_expert_rules(Path(path))
+
+
 def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
     cfg = config["mine"]
     _require(paths["summary_clustered"], "clustered summary (run cluster first)")
@@ -407,13 +415,27 @@ def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
         raise MissingInputError(f"{paths['summary_clustered']} lacks a CLUSTER column")
     tree = classification.tree_from_json(paths["tree"])
     split_points = classification.all_split_points(tree)
+    # Cut each numeric attribute at the expert intervals' finite endpoints
+    # too, so an expert interval is a union of mined intervals rather than
+    # lying inside a wider one (or inside the catch-all attr=ANY).
+    expert_rules = _expert_base(config).rules
+    for item in (i for e in expert_rules for i in e.antecedent):
+        if item.kind == "interval" and item.attribute in split_points:
+            cuts = {v for v in (item.lo, item.hi) if np.isfinite(v)}
+            split_points[item.attribute] = sorted(cuts.union(split_points[item.attribute]))
     records: list[dict[str, float | str]] = []
     for row, cluster in zip(rows, clusters):
         rec = dict(row.as_row())
         if cfg["include_cluster"]:
             rec["CLUSTER"] = cluster
         records.append(rec)
-    transactions = rulemining.discretize(records, split_points)
+    # Items the expert rules name stay even when every row holds them, so
+    # matching against those rules stays exact; CLUSTER stays so a one-cluster
+    # run still reports its cluster rules.
+    named = {i.attribute for e in expert_rules for i in (*e.antecedent, e.consequent)}
+    transactions = rulemining.drop_universal_items(
+        rulemining.discretize(records, split_points), named | {"CLUSTER"}
+    )
     itemsets = rulemining.apriori(
         transactions, float(cfg["beta_sup"]), max_len=cfg["max_len"]
     )
@@ -431,10 +453,7 @@ def _stage_partition(config: dict, paths: dict[str, Path]) -> list[Path]:
     cfg = config["partition"]
     _require(paths["mined_rules"], "mined rules (run mine first)")
     mined = rulemining.read_rules_csv(paths["mined_rules"])
-    if cfg["expert_rules"] is not None:
-        base = ontology.ingest_expert_rules(Path(cfg["expert_rules"]))
-    else:
-        base = ontology.OntologyRuleBase()
+    base = _expert_base(config)
     for key in ("beta_sup", "beta_conf", "pi_min"):
         if cfg[key] is not None:
             setattr(base, key, float(cfg[key]))
@@ -477,6 +496,9 @@ def run_stage(stage: str, config: dict) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     paths = artifact_paths(out)
     inputs = [paths[key] for key in _STAGE_INPUTS[stage] if paths[key].exists()]
+    expert = config["partition"]["expert_rules"]
+    if stage in ("mine", "partition") and expert is not None:
+        inputs.append(Path(expert))
     started = time.perf_counter()
     outputs = _STAGE_FN[stage](config, paths)
     entry = {

@@ -5,11 +5,15 @@ categorical values pass through as ``attr=value`` items and numeric values
 fall into the half-open interval ``(lo, hi]`` between consecutive decision
 tree split points (with infinite sentinels, rendered ``attr<=hi`` /
 ``attr>lo``; an attribute with no split points yields the catch-all
-``attr=ANY``). Itemsets are mined with the classic level-wise join/prune;
-support is counted on per-item transaction bitmasks (bit t set when
-transaction t holds the item), so a candidate's count is the popcount of the
-AND of its two parents' masks. Rules carry support, confidence, and the
-reliability measure ``|confidence - support(consequent)|``.
+``attr=ANY``). Items that every transaction holds (such as ``attr=ANY``)
+are dropped before mining, unless their attribute is kept on purpose: they
+cannot change a support or a confidence, yet every frequent itemset would
+be copied with and without each of them. Itemsets are mined with the
+classic level-wise join/prune; support is counted on per-item transaction
+bitmasks (bit t set when transaction t holds the item), so a candidate's
+count is the popcount of the AND of its two parents' masks. Rules carry
+support, confidence, and the reliability measure
+``|confidence - support(consequent)|``.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import csv
 import itertools
 import math
 import re
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -149,6 +154,23 @@ def discretize(
             raise ConfigError(f"row {i} produced duplicate items")
         out.append(tx)
     return out
+
+
+def drop_universal_items(
+    transactions: list[Transaction], keep_attributes: Collection[str] = ()
+) -> list[Transaction]:
+    """Remove every item that all transactions hold, except items of the
+    attributes in keep_attributes.
+
+    Dropping an item held everywhere leaves the support of every itemset
+    without it unchanged, so rules mined afterwards carry the supports and
+    confidences computed over the full transactions.
+    """
+    if not transactions:
+        return []
+    universal = {i for i in frozenset.intersection(*transactions)
+                 if i.attribute not in keep_attributes}
+    return [tx - universal for tx in transactions]
 
 
 def _support_count(candidate: frozenset[Item], transactions: list[Transaction]) -> int:

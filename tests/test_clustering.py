@@ -233,6 +233,23 @@ class TestSelectK:
         expected = -2 * model.log_likelihood + p * np.log(len(X))
         assert bic(model, len(X)) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pattern_pair_not_split_into_singletons(self, seed):
+        # rows 0/1 and 2/3 each hold one pattern, identical but for a
+        # condition column; one-row components would have unbounded
+        # likelihood on the floored covariance and win BIC at k = n
+        X = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0],
+                      [-2.0, 0.0, 0.0], [-2.0, 0.0, 1.0]])
+        model = select_k(X, 4, EMConfig(seed=seed))
+        assert model.k == 2
+        assert model.assignments[0] == model.assignments[1]
+        assert model.assignments[2] == model.assignments[3]
+
+    def test_no_chosen_component_below_two_rows(self):
+        X, _ = two_blobs(seed=15, n=12)
+        model = select_k(X, 6, EMConfig(seed=0))
+        assert np.bincount(model.assignments, minlength=model.k).min() >= 2
+
 
 ONE_D = np.array([[0.0], [1.0], [10.0], [11.0]])
 

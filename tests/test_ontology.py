@@ -587,8 +587,10 @@ _ANNOTATED = st.builds(
 class TestReportJsonOracle:
     def test_default_pipeline_report(self, tmp_path):
         expert_file = Path(__file__).resolve().parents[1] / "docs" / "expert.example.json"
+        # the complete itemset lattice keeps the report above 1,000 rules
         config = load_config(overrides={
             "out": str(tmp_path), "partition": {"expert_rules": str(expert_file)},
+            "mine": {"max_len": None},
         })
         run_pipeline(config)
         base = ingest_expert_rules(expert_file)

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from nof import classification
 from nof.cli import main
 from nof.errors import ConfigError, MissingInputError
 from nof.pipeline import (
@@ -13,7 +15,10 @@ from nof.pipeline import (
     load_config,
     run_pipeline,
     run_stage,
+    sha256_file,
 )
+
+EXPERT_EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "expert.example.json"
 
 
 def small_overrides(out):
@@ -213,6 +218,75 @@ class TestStages:
         assert a != b
 
 
+@pytest.fixture(scope="module")
+def expert_run(tmp_path_factory):
+    """`nof pipeline` with the default config and the shipped expert base."""
+    out = tmp_path_factory.mktemp("expert_run")
+    assert main(["pipeline", "--out", str(out),
+                 "--set", f"partition.expert_rules={EXPERT_EXAMPLE}"]) == 0
+    return out
+
+
+def mined_items(out):
+    with open(out / "mined_rules.csv", encoding="utf-8") as fh:
+        next(fh)
+        return {item for line in fh for side in line.split(";")[:2]
+                for item in side.split("&")}
+
+
+class TestExpertAwareMining:
+    def test_default_run_mines_no_catch_all_item(self, expert_run):
+        items = mined_items(expert_run)
+        assert items
+        assert not [i for i in items if i.endswith("=ANY")]
+        assert "MOD=visual" not in items and "EVENT=stimon" not in items
+
+    def test_manifest_records_expert_file_for_mine_and_partition(self, expert_run):
+        manifest = json.loads((expert_run / "run.json").read_text())
+        inputs = {s["stage"]: s["inputs"] for s in manifest["stages"]}
+        digest = sha256_file(EXPERT_EXAMPLE)
+        for stage in ("mine", "partition"):
+            assert inputs[stage][EXPERT_EXAMPLE.name] == digest
+        assert EXPERT_EXAMPLE.name not in inputs["classify"]
+
+    def test_expert_named_universal_item_kept_and_matched(self, tmp_path):
+        expert = tmp_path / "expert.json"
+        expert.write_text(json.dumps({
+            "thresholds": {"beta_sup": 0.2, "beta_conf": 0.8, "pi_min": 0.3},
+            "rules": [{"id": "p300_visual",
+                       "if": ["TI_max∈(300,500]", "SP_max_ROI=frontal", "MOD=visual"],
+                       "then": "P300"}],
+        }, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "run"
+        run_pipeline(load_config(overrides={
+            "out": str(out), "partition": {"expert_rules": str(expert)}}))
+        assert "MOD=visual" in mined_items(out)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        known = [r for r in report["known_high_strength"]
+                 if r["matched_expert"] == "p300_visual"]
+        assert known and known[0]["consequent"] == ["P300"]
+        assert "MOD=visual" in known[0]["antecedent"]
+
+    def test_unsplit_attribute_cut_at_expert_endpoints(self, tmp_path):
+        # one cluster: the tree is a single leaf and splits nothing
+        overrides = {"out": str(tmp_path), "cluster": {"k": 1},
+                     "partition": {"expert_rules": str(EXPERT_EXAMPLE)}}
+        run_pipeline(load_config(overrides=overrides))
+        tree = classification.tree_from_json(tmp_path / "tree.json")
+        assert classification.all_split_points(tree)["TI_max"] == []
+        items = mined_items(tmp_path)
+        assert "TI_max∈(300,500]" in items
+        assert "CLUSTER=C1" in items
+
+        # without the expert base nothing cuts TI_max, and its catch-all
+        # item is dropped
+        overrides["partition"] = {"expert_rules": None}
+        run_stage("mine", load_config(overrides=overrides))
+        items = mined_items(tmp_path)
+        assert not [i for i in items if i.startswith("TI_max")]
+        assert "CLUSTER=C1" in items
+
+
 class TestCli:
     def test_cli_stage_and_exit_codes(self, tmp_path):
         out = tmp_path / "cli_run"
@@ -266,10 +340,11 @@ class TestCli:
         assert (tmp_path / "from_cfg" / "montage.csv").exists()
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, nof; print('scipy.stats' in sys.modules)"
+        code = ("import sys, nof; print(sorted(m for m in ('scipy.stats', 'scipy.special',"
+                " 'scipy.cluster') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "nof.cli", "--help"],

@@ -11,6 +11,7 @@ from nof.rulemining import (
     AssociationRule,
     apriori,
     discretize,
+    drop_universal_items,
     eq_item,
     generate_rules,
     interval_item,
@@ -227,6 +228,47 @@ class TestApriori:
             assert support == sum(1 for t in txs if itemset <= t) / n
             for item in itemset:
                 assert len(itemset) == 1 or itemset - {item} in out
+
+
+class TestDropUniversalItems:
+    @staticmethod
+    def rows(seed, n=12):
+        rng = np.random.default_rng(seed)
+        return [{"MOD": "visual", "ROI": str(rng.choice(["frontal", "occipital"])),
+                 "STIM": str(rng.choice(["s1", "s2", "s3"])),
+                 "TI_max": float(rng.uniform(0, 600)), "IN_max": float(rng.normal())}
+                for _ in range(n)]
+
+    def test_universal_items_dropped(self):
+        txs = discretize(self.rows(0), {"TI_max": [300.0], "IN_max": []})
+        out = drop_universal_items(txs)
+        dropped = {parse_item("MOD=visual"), parse_item("IN_max=ANY")}
+        assert frozenset.intersection(*txs) == dropped
+        assert out == [t - dropped for t in txs]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rules_keep_metrics_of_full_transactions(self, seed):
+        txs = discretize(self.rows(seed), {"TI_max": [300.0], "IN_max": []})
+        universal = frozenset.intersection(*txs)
+        full = generate_rules(apriori(txs, 0.2), 0.6, txs)
+        reduced = drop_universal_items(txs)
+        rules = generate_rules(apriori(reduced, 0.2), 0.6, reduced)
+        assert rules
+        # the same rules, support, confidence and reliability equal to the
+        # last bit, minus those that mention a dropped item
+        assert rules == [r for r in full
+                         if universal.isdisjoint(r.antecedent | r.consequent)]
+
+    def test_kept_attributes_survive(self):
+        txs = discretize(self.rows(1), {"TI_max": [300.0], "IN_max": []})
+        out = drop_universal_items(txs, keep_attributes={"MOD"})
+        assert all(parse_item("MOD=visual") in t for t in out)
+        assert all(parse_item("IN_max=ANY") not in t for t in out)
+
+    def test_unchanged_when_nothing_to_drop(self):
+        assert drop_universal_items([tx(A, B), tx(B, C)], {"I"}) == [tx(A, B), tx(B, C)]
+        assert drop_universal_items([tx(A), tx(B)]) == [tx(A), tx(B)]
+        assert drop_universal_items([]) == []
 
 
 class TestGenerateRules:
