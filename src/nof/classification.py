@@ -549,9 +549,6 @@ def tree_to_json(tree: DecisionTree, path: str | Path) -> None:
             "prune_cf": tree.config.prune_cf,
             "missing": tree.config.missing,
         },
-        "split_points": {
-            attr: pts for attr, pts in all_split_points(tree).items()
-        },
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)

@@ -30,12 +30,8 @@ DEFAULT_CONFIG: dict = {
     "out": "nof_out",
     "synth": {
         "preset": "two_pattern",
-        "fs": 250.0,
-        "n_timepoints": 250,
-        "t0": 0.0,
         "n_trials": 100,
         "noise_std": 1.0,
-        "jitter": 0.1,
         "seed": None,
         "conditions": [
             {"EVENT": "stimon", "STIM": "s1", "MOD": "visual"},
@@ -44,40 +40,22 @@ DEFAULT_CONFIG: dict = {
     },
     "decompose": {
         "n_components": 4,
-        "contrast": "tanh",
-        "tol": 1e-6,
-        "max_iter": 500,
         "seed": None,
     },
     "extract": {
         "template": {"kind": "roi", "roi": "frontal", "value": 1.0},
-        "mean_channels": None,
-        "group_by": ["EVENT", "STIM", "MOD"],
     },
     "cluster": {
         "k": None,
         "k_max": 6,
-        "covariance": "diag",
-        "n_restarts": 4,
-        "tol": 1e-8,
-        "max_iter": 300,
-        "cov_floor": 1e-6,
-        "pca_components": None,
-        "scale": True,
         "seed": None,
         "hierarchy": "divisive",
         "classes_leaf_count": None,
     },
-    "classify": {
-        "min_leaf": 1,
-        "max_depth": None,
-        "prune_cf": 0.25,
-    },
+    "classify": {},
     "mine": {
         "beta_sup": 0.2,
         "beta_conf": 0.8,
-        "include_cluster": True,
-        "single_consequent": True,
         # itemset-size cap: near-identical transactions make the complete
         # lattice combinatorial; null mines it anyway
         "max_len": 4,
@@ -87,7 +65,6 @@ DEFAULT_CONFIG: dict = {
         "beta_sup": None,
         "beta_conf": None,
         "pi_min": None,
-        "align_clusters": True,
     },
 }
 
@@ -174,12 +151,6 @@ def _checksums(paths: list[Path]) -> dict[str, str]:
     return {str(p.name): sha256_file(p) for p in sorted(paths)}
 
 
-def _require(path: Path, what: str) -> Path:
-    if not path.exists():
-        raise MissingInputError(f"{what} missing: {path}")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # artifact paths
 # ---------------------------------------------------------------------------
@@ -213,18 +184,15 @@ def artifact_paths(out: Path) -> dict[str, Path]:
 def _stage_synth(config: dict, paths: dict[str, Path]) -> list[Path]:
     cfg = config["synth"]
     montage = testbed.default_montage()
-    fs = float(cfg["fs"])
-    n_tp = int(cfg["n_timepoints"])
-    t0 = float(cfg["t0"])
     if cfg["preset"] == "two_pattern":
-        _, templates = testbed.two_pattern_preset(montage, fs, n_tp, t0)
+        _, templates = testbed.two_pattern_preset(montage)
     elif cfg["preset"] == "p300_only":
-        templates = [testbed.p300_template(montage, fs, n_tp, t0)]
+        templates = [testbed.p300_template(montage)]
     else:
         raise ConfigError(f"unknown synth preset {cfg['preset']!r}")
     epochs = testbed.generate_dataset(
         templates=templates,
-        mixing_noise=float(cfg["jitter"]),
+        mixing_noise=0.1,
         noise_std=float(cfg["noise_std"]),
         n_trials=int(cfg["n_trials"]),
         seed=_stage_seed(config, "synth", 0),
@@ -246,18 +214,10 @@ def _stage_synth(config: dict, paths: dict[str, Path]) -> list[Path]:
 
 
 def _stage_decompose(config: dict, paths: dict[str, Path]) -> list[Path]:
-    cfg = config["decompose"]
-    _require(paths["epochs_meta"], "epoch container (run synth first)")
     epochs = testbed.EpochTensor.load(paths["epochs"])
-    white = decomposition.center_and_whiten(epochs, cfg["n_components"])
+    white = decomposition.center_and_whiten(epochs, config["decompose"]["n_components"])
     dec = decomposition.fastica(
-        white,
-        decomposition.FastIcaConfig(
-            contrast=cfg["contrast"],
-            tol=float(cfg["tol"]),
-            max_iter=int(cfg["max_iter"]),
-            seed=_stage_seed(config, "decompose", 1),
-        ),
+        white, decomposition.FastIcaConfig(seed=_stage_seed(config, "decompose", 1))
     )
     _atomic_write(paths["decomposition"], lambda p: dec.to_json(p))
     return [paths["decomposition"]]
@@ -273,9 +233,8 @@ def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
             [value if montage.roi_of[c] == roi else 0.0 for c in montage.channels]
         )
     if isinstance(cfg, dict) and cfg.get("kind") == "csv":
-        path = _require(Path(cfg["path"]), "template CSV")
         weights: dict[str, float] = {}
-        with open(path, newline="") as fh:
+        with open(cfg["path"], newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["channel", "weight"]:
@@ -289,58 +248,20 @@ def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
     raise ConfigError(f"unsupported template spec: {cfg!r}")
 
 
-def _resolve_channels(montage: testbed.ChannelMontage, cfg) -> tuple[str, ...] | None:
-    if cfg is None:
-        return None
-    if isinstance(cfg, dict) and "roi" in cfg:
-        chans = montage.channels_in(cfg["roi"])
-        if not chans:
-            raise ConfigError(f"no channels in ROI {cfg['roi']!r}")
-        return chans
-    if isinstance(cfg, list):
-        for c in cfg:
-            if c not in montage.channels:
-                raise ConfigError(f"unknown channel {c!r} in mean_channels")
-        return tuple(cfg)
-    raise ConfigError(f"unsupported mean_channels spec: {cfg!r}")
-
-
 def _stage_extract(config: dict, paths: dict[str, Path]) -> list[Path]:
-    cfg = config["extract"]
-    _require(paths["epochs_meta"], "epoch container (run synth first)")
-    _require(paths["decomposition"], "decomposition (run decompose first)")
     epochs = testbed.EpochTensor.load(paths["epochs"])
     dec = decomposition.FactorDecomposition.from_json(paths["decomposition"])
-    template = _resolve_template(epochs.montage, cfg["template"])
-    rows = features.summarize_dataset(
-        dec,
-        epochs,
-        template,
-        mean_channel_set=_resolve_channels(epochs.montage, cfg["mean_channels"]),
-        group_by=tuple(cfg["group_by"]),
-    )
+    template = _resolve_template(epochs.montage, config["extract"]["template"])
+    rows = features.summarize_dataset(dec, epochs, template)
     _atomic_write(paths["summary"], lambda p: features.write_summary_csv(rows, p))
     return [paths["summary"]]
 
 
 def _stage_cluster(config: dict, paths: dict[str, Path]) -> list[Path]:
     cfg = config["cluster"]
-    _require(paths["summary"], "summary table (run extract first)")
     rows, _ = features.read_summary_csv(paths["summary"])
-    om = clustering.encode_observations(
-        rows,
-        clustering.EncodingConfig(
-            scale=bool(cfg["scale"]), pca_components=cfg["pca_components"]
-        ),
-    )
-    em_config = clustering.EMConfig(
-        seed=_stage_seed(config, "cluster", 2),
-        tol=float(cfg["tol"]),
-        max_iter=int(cfg["max_iter"]),
-        n_restarts=int(cfg["n_restarts"]),
-        cov_floor=float(cfg["cov_floor"]),
-        covariance=cfg["covariance"],
-    )
+    om = clustering.encode_observations(rows)
+    em_config = clustering.EMConfig(seed=_stage_seed(config, "cluster", 2))
     if cfg["k"] is not None:
         model = clustering.em_fit(om, int(cfg["k"]), em_config)
     else:
@@ -375,22 +296,12 @@ def _stage_cluster(config: dict, paths: dict[str, Path]) -> list[Path]:
 
 
 def _stage_classify(config: dict, paths: dict[str, Path]) -> list[Path]:
-    cfg = config["classify"]
-    _require(paths["summary_clustered"], "clustered summary (run cluster first)")
     rows, clusters = features.read_summary_csv(paths["summary_clustered"])
     if clusters is None:
         raise MissingInputError(
             f"{paths['summary_clustered']} lacks a CLUSTER column (run cluster first)"
         )
-    tree = classification.build_tree(
-        [r.as_row() for r in rows],
-        clusters,
-        classification.TreeConfig(
-            min_leaf=int(cfg["min_leaf"]),
-            max_depth=cfg["max_depth"],
-            prune_cf=cfg["prune_cf"],
-        ),
-    )
+    tree = classification.build_tree([r.as_row() for r in rows], clusters)
     rules = classification.extract_rules(tree)
     _atomic_write(paths["tree"], lambda p: classification.tree_to_json(tree, p))
     _atomic_write(paths["class_rules_json"], lambda p: classification.rules_to_json(rules, p))
@@ -408,8 +319,6 @@ def _expert_base(config: dict) -> ontology.OntologyRuleBase:
 
 def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
     cfg = config["mine"]
-    _require(paths["summary_clustered"], "clustered summary (run cluster first)")
-    _require(paths["tree"], "decision tree (run classify first)")
     rows, clusters = features.read_summary_csv(paths["summary_clustered"])
     if clusters is None:
         raise MissingInputError(f"{paths['summary_clustered']} lacks a CLUSTER column")
@@ -423,12 +332,7 @@ def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
         if item.kind == "interval" and item.attribute in split_points:
             cuts = {v for v in (item.lo, item.hi) if np.isfinite(v)}
             split_points[item.attribute] = sorted(cuts.union(split_points[item.attribute]))
-    records: list[dict[str, float | str]] = []
-    for row, cluster in zip(rows, clusters):
-        rec = dict(row.as_row())
-        if cfg["include_cluster"]:
-            rec["CLUSTER"] = cluster
-        records.append(rec)
+    records = [{**row.as_row(), "CLUSTER": cluster} for row, cluster in zip(rows, clusters)]
     # Items the expert rules name stay even when every row holds them, so
     # matching against those rules stays exact; CLUSTER stays so a one-cluster
     # run still reports its cluster rules.
@@ -439,27 +343,19 @@ def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
     itemsets = rulemining.apriori(
         transactions, float(cfg["beta_sup"]), max_len=cfg["max_len"]
     )
-    rules = rulemining.generate_rules(
-        itemsets,
-        float(cfg["beta_conf"]),
-        transactions,
-        single_consequent=bool(cfg["single_consequent"]),
-    )
+    rules = rulemining.generate_rules(itemsets, float(cfg["beta_conf"]), transactions)
     _atomic_write(paths["mined_rules"], lambda p: rulemining.write_rules_csv(rules, p))
     return [paths["mined_rules"]]
 
 
 def _stage_partition(config: dict, paths: dict[str, Path]) -> list[Path]:
     cfg = config["partition"]
-    _require(paths["mined_rules"], "mined rules (run mine first)")
     mined = rulemining.read_rules_csv(paths["mined_rules"])
     base = _expert_base(config)
     for key in ("beta_sup", "beta_conf", "pi_min"):
         if cfg[key] is not None:
             setattr(base, key, float(cfg[key]))
-    alignment: dict[str, str] = {}
-    if cfg["align_clusters"]:
-        mined, alignment = ontology.align_cluster_labels(mined, base.rules)
+    mined, alignment = ontology.align_cluster_labels(mined, base.rules)
     report = ontology.partition(mined, base)
     report.alignment = alignment
     _atomic_write(paths["report_json"], lambda p: ontology.report_to_json(report, p))
@@ -477,15 +373,55 @@ _STAGE_FN = {
     "partition": _stage_partition,
 }
 
-_STAGE_INPUTS = {
+# Each stage's input files, checked before the stage runs and checksummed in
+# run.json: an artifact key with the stage that writes it, or a config key
+# (producer None) naming a file the user supplies, an input only when set.
+_STAGE_INPUTS: dict[str, tuple[tuple[str, str | None], ...]] = {
     "synth": (),
-    "decompose": ("epochs_meta", "epochs_data"),
-    "extract": ("epochs_meta", "epochs_data", "decomposition"),
-    "cluster": ("summary",),
-    "classify": ("summary_clustered",),
-    "mine": ("summary_clustered", "tree"),
-    "partition": ("mined_rules",),
+    "decompose": (("epochs_meta", "synth"), ("epochs_data", "synth")),
+    "extract": (
+        ("epochs_meta", "synth"),
+        ("epochs_data", "synth"),
+        ("decomposition", "decompose"),
+        ("extract.template", None),
+    ),
+    "cluster": (("summary", "extract"),),
+    "classify": (("summary_clustered", "cluster"),),
+    "mine": (
+        ("summary_clustered", "cluster"),
+        ("tree", "classify"),
+        ("partition.expert_rules", None),
+    ),
+    "partition": (("mined_rules", "mine"), ("partition.expert_rules", None)),
 }
+
+
+def _config_file(config: dict, key: str) -> Path | None:
+    """The file a `section.key` config value names, or None when unset. A
+    template spec names a file only when its kind is csv."""
+    section, name = key.split(".")
+    value = config[section][name]
+    if isinstance(value, dict):
+        value = value.get("path") if value.get("kind") == "csv" else None
+    return None if value is None else Path(value)
+
+
+def _stage_inputs(stage: str, config: dict, paths: dict[str, Path]) -> list[Path]:
+    """The stage's input files; raises MissingInputError naming an absent one."""
+    inputs = []
+    for key, producer in _STAGE_INPUTS[stage]:
+        if producer is None:
+            path = _config_file(config, key)
+            if path is None:
+                continue
+            if not path.exists():
+                raise MissingInputError(f"file named by {key} not found: {path}")
+        else:
+            path = paths[key]
+            if not path.exists():
+                raise MissingInputError(f"{path.name} missing: {path} (run {producer} first)")
+        inputs.append(path)
+    return inputs
 
 
 def run_stage(stage: str, config: dict) -> dict:
@@ -495,10 +431,7 @@ def run_stage(stage: str, config: dict) -> dict:
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     paths = artifact_paths(out)
-    inputs = [paths[key] for key in _STAGE_INPUTS[stage] if paths[key].exists()]
-    expert = config["partition"]["expert_rules"]
-    if stage in ("mine", "partition") and expert is not None:
-        inputs.append(Path(expert))
+    inputs = _stage_inputs(stage, config, paths)
     started = time.perf_counter()
     outputs = _STAGE_FN[stage](config, paths)
     entry = {

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,19 @@ class TestSerialization:
         assert again.kinds == tree.kinds
         for row in rows:
             assert classify(again, row) == classify(tree, row)
+
+    def test_file_without_split_points_and_legacy_file_load(self, tmp_path):
+        tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS)
+        path = tmp_path / "tree.json"
+        tree_to_json(tree, path)
+        doc = json.loads(path.read_text())
+        assert "split_points" not in doc
+        # files written before the key was dropped still load
+        doc["split_points"] = all_split_points(tree)
+        path.write_text(json.dumps(doc))
+        again = tree_from_json(path)
+        assert again.root == tree.root
+        assert all_split_points(again) == all_split_points(tree)
 
     def test_condition_render(self):
         assert Condition("TI_max", ">", 350.0).render() == "TI_max > 350"

@@ -1,14 +1,16 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nof import classification
+from nof import classification, testbed
 from nof.cli import main
 from nof.errors import ConfigError, MissingInputError
 from nof.pipeline import (
+    DEFAULT_CONFIG,
     STAGES,
     artifact_checksums,
     artifact_paths,
@@ -18,7 +20,23 @@ from nof.pipeline import (
     sha256_file,
 )
 
-EXPERT_EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "expert.example.json"
+ROOT = Path(__file__).resolve().parents[1]
+EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
+
+# Stage parameters the pipeline leaves at the library's defaults
+# (FastIcaConfig, EMConfig, EncodingConfig, TreeConfig, summarize_dataset,
+# generate_rules, the testbed presets); none of them is a config key.
+NOT_CONFIG_KEYS = [
+    ("synth", "fs"), ("synth", "t0"), ("synth", "n_timepoints"), ("synth", "jitter"),
+    ("decompose", "contrast"), ("decompose", "tol"), ("decompose", "max_iter"),
+    ("extract", "mean_channels"), ("extract", "group_by"),
+    ("cluster", "covariance"), ("cluster", "n_restarts"), ("cluster", "tol"),
+    ("cluster", "max_iter"), ("cluster", "cov_floor"), ("cluster", "pca_components"),
+    ("cluster", "scale"),
+    ("classify", "min_leaf"), ("classify", "max_depth"), ("classify", "prune_cf"),
+    ("mine", "include_cluster"), ("mine", "single_consequent"),
+    ("partition", "align_clusters"),
+]
 
 
 def small_overrides(out):
@@ -82,6 +100,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,key", NOT_CONFIG_KEYS)
+    def test_library_default_is_not_a_config_key(self, section, key):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides={section: {key: 1}})
+
+    def test_readme_names_only_config_keys(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        pattern = rf"\b({'|'.join(STAGES)})\.(\w+(?:/\w+)*)"
+        named = {(section, key) for section, keys in re.findall(pattern, readme)
+                 for key in keys.split("/")}
+        assert ("partition", "expert_rules") in named
+        unknown = sorted(f"{s}.{k}" for s, k in named if k not in DEFAULT_CONFIG[s])
+        assert not unknown, f"README names config keys that do not exist: {unknown}"
+
     def test_config_round_trips_through_json(self, tmp_path):
         config = load_config(overrides=small_overrides(tmp_path))
         path = tmp_path / "dump.json"
@@ -117,6 +149,29 @@ class TestStages:
         config = load_config(overrides={"out": str(tmp_path / "fresh")})
         with pytest.raises(MissingInputError, match="mined_rules.csv"):
             run_stage("partition", config)
+
+    def test_classify_without_clustered_summary_names_cluster_stage(self, tmp_path):
+        config = load_config(overrides={"out": str(tmp_path / "fresh")})
+        with pytest.raises(MissingInputError,
+                           match=r"summary_clustered\.csv.*run cluster first"):
+            run_stage("classify", config)
+
+    def test_manifest_records_template_csv_for_extract(self, tmp_path):
+        template = tmp_path / "template.csv"
+        template.write_text("channel,weight\n" + "".join(
+            f"{c},{1.0 if i % 2 else 0.0}\n"
+            for i, c in enumerate(testbed.default_montage().channels)))
+        overrides = small_overrides(tmp_path / "run")
+        overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
+        config = load_config(overrides=overrides)
+        for stage in ("synth", "decompose", "extract"):
+            run_stage(stage, config)
+        manifest = json.loads((tmp_path / "run" / "run.json").read_text())
+        inputs = {s["stage"]: s["inputs"] for s in manifest["stages"]}
+        assert inputs["extract"]["template.csv"] == sha256_file(template)
+        template.unlink()
+        with pytest.raises(MissingInputError, match="extract.template"):
+            run_stage("extract", config)
 
     def test_unknown_stage_rejected(self, tmp_path):
         config = load_config(overrides={"out": str(tmp_path)})
