@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import FactorDecomposition
-from .errors import ConfigError, MissingInputError
+from .errors import ConfigError, MissingInputError, ParseError
 from .testbed import EpochTensor, METADATA_KEYS
 
 COLUMNS = (
@@ -294,7 +294,9 @@ def read_summary_csv(path: str | Path) -> tuple[list[FactorSummary], list[str] |
             raise ConfigError(f"unexpected summary columns: {header}")
         rows: list[FactorSummary] = []
         clusters: list[str] = []
-        for rec in reader:
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(rec)}", line=lineno)
             named = dict(zip(header, rec))
             rows.append(
                 FactorSummary(

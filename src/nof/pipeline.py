@@ -2,9 +2,11 @@
 
 Seven stages (synth, decompose, extract, cluster, classify, mine, partition)
 communicate only through documented files under the output directory, so any
-stage can be re-run in isolation as long as its inputs are on disk. Artifacts
-are written atomically (temp file + rename) and their checksums recorded in
-run.json; identical config and seed reproduce artifacts byte for byte.
+stage can be re-run in isolation as long as its inputs are on disk. A stage
+writes into a staging directory; only after it succeeds are its outputs moved
+into place and its run.json entry, with their checksums, written, so a stage
+that fails leaves the previous files unchanged. Identical config and seed
+reproduce artifacts byte for byte.
 """
 from __future__ import annotations
 
@@ -22,8 +24,6 @@ import numpy as np
 
 from . import classification, clustering, decomposition, features, ontology, rulemining, testbed
 from .errors import ConfigError, MissingInputError, NofError
-
-STAGES = ("synth", "decompose", "extract", "cluster", "classify", "mine", "partition")
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -109,35 +109,24 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         extra = set(config[section]) - set(DEFAULT_CONFIG[section])
         if extra:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(extra)}")
-    if not isinstance(config["seed"], int):
-        raise ConfigError("seed must be an integer")
+    seeds = {"seed": config["seed"]}
+    seeds.update((f"{s}.seed", config[s]["seed"]) for s in ("synth", "decompose", "cluster")
+                 if config[s]["seed"] is not None)
+    for key, seed in seeds.items():
+        # bool is a subclass of int, and `true` would run as seed 1
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"{key} must be an integer")
     return config
 
 
 def _stage_seed(config: dict, stage: str, offset: int) -> int:
-    explicit = config.get(stage, {}).get("seed")
-    return int(explicit) if explicit is not None else int(config["seed"]) + offset
+    explicit = config[stage]["seed"]
+    return explicit if explicit is not None else config["seed"] + offset
 
 
 # ---------------------------------------------------------------------------
-# atomic writes and checksums
+# checksums and artifact paths
 # ---------------------------------------------------------------------------
-
-def _atomic_write(path: Path, writer) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    os.close(fd)
-    try:
-        writer(Path(tmp))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def write_text_atomic(path: Path, text: str) -> None:
-    _atomic_write(path, lambda p: p.write_text(text, encoding="utf-8"))
-
 
 def sha256_file(path: Path) -> str:
     h = hashlib.sha256()
@@ -150,10 +139,6 @@ def sha256_file(path: Path) -> str:
 def _checksums(paths: list[Path]) -> dict[str, str]:
     return {str(p.name): sha256_file(p) for p in sorted(paths)}
 
-
-# ---------------------------------------------------------------------------
-# artifact paths
-# ---------------------------------------------------------------------------
 
 def artifact_paths(out: Path) -> dict[str, Path]:
     return {
@@ -178,10 +163,11 @@ def artifact_paths(out: Path) -> dict[str, Path]:
 
 
 # ---------------------------------------------------------------------------
-# stage implementations (each returns a list of output paths)
+# stage implementations: each reads its inputs from `paths` and writes its
+# outputs to the same keys of `staged`, which run_stage then publishes
 # ---------------------------------------------------------------------------
 
-def _stage_synth(config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_synth(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["synth"]
     montage = testbed.default_montage()
     if cfg["preset"] == "two_pattern":
@@ -199,28 +185,17 @@ def _stage_synth(config: dict, paths: dict[str, Path]) -> list[Path]:
         montage=montage,
         conditions=[dict(c) for c in cfg["conditions"]],
     )
-    _atomic_write(paths["montage"], lambda p: montage.save_csv(p))
-    # the epoch container is a directory; its two member files are staged in a
-    # throwaway directory and moved into place one by one
-    paths["epochs"].mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(dir=paths["epochs"].parent, prefix=".epochs."))
-    try:
-        epochs.save(staging)
-        os.replace(staging / "meta.json", paths["epochs_meta"])
-        os.replace(staging / "data.npy", paths["epochs_data"])
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return [paths["montage"], paths["epochs_meta"], paths["epochs_data"]]
+    montage.save_csv(staged["montage"])
+    epochs.save(staged["epochs"])
 
 
-def _stage_decompose(config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     epochs = testbed.EpochTensor.load(paths["epochs"])
     white = decomposition.center_and_whiten(epochs, config["decompose"]["n_components"])
     dec = decomposition.fastica(
         white, decomposition.FastIcaConfig(seed=_stage_seed(config, "decompose", 1))
     )
-    _atomic_write(paths["decomposition"], lambda p: dec.to_json(p))
-    return [paths["decomposition"]]
+    dec.to_json(staged["decomposition"])
 
 
 def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
@@ -239,8 +214,14 @@ def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
             header = next(reader, None)
             if header != ["channel", "weight"]:
                 raise ConfigError("template CSV header must be 'channel,weight'")
-            for row in reader:
-                weights[row[0]] = float(row[1])
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    channel, weight = row
+                    weights[channel] = float(weight)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"template CSV line {lineno}: expected channel,weight, got {row}"
+                    ) from exc
         missing = [c for c in montage.channels if c not in weights]
         if missing:
             raise ConfigError(f"template CSV lacks channels: {missing}")
@@ -248,17 +229,25 @@ def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
     raise ConfigError(f"unsupported template spec: {cfg!r}")
 
 
-def _stage_extract(config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_extract(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     epochs = testbed.EpochTensor.load(paths["epochs"])
     dec = decomposition.FactorDecomposition.from_json(paths["decomposition"])
     template = _resolve_template(epochs.montage, config["extract"]["template"])
     rows = features.summarize_dataset(dec, epochs, template)
-    _atomic_write(paths["summary"], lambda p: features.write_summary_csv(rows, p))
-    return [paths["summary"]]
+    features.write_summary_csv(rows, staged["summary"])
 
 
-def _stage_cluster(config: dict, paths: dict[str, Path]) -> list[Path]:
+_HIERARCHIES = ("divisive", "agglomerative:single", "agglomerative:complete",
+                "agglomerative:average")
+
+
+def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["cluster"]
+    hierarchy = cfg["hierarchy"]
+    if hierarchy not in _HIERARCHIES:
+        raise ConfigError(
+            f"unknown cluster.hierarchy {hierarchy!r}; pick one of {', '.join(_HIERARCHIES)}"
+        )
     rows, _ = features.read_summary_csv(paths["summary"])
     om = clustering.encode_observations(rows)
     em_config = clustering.EMConfig(seed=_stage_seed(config, "cluster", 2))
@@ -266,36 +255,23 @@ def _stage_cluster(config: dict, paths: dict[str, Path]) -> list[Path]:
         model = clustering.em_fit(om, int(cfg["k"]), em_config)
     else:
         model = clustering.select_k(om, int(cfg["k_max"]), em_config)
-    _atomic_write(paths["cluster_model"], lambda p: model.to_json(p))
-    _atomic_write(
-        paths["summary_clustered"],
-        lambda p: features.write_summary_csv(rows, p, clusters=model.labels()),
-    )
-    hierarchy = cfg["hierarchy"]
+    model.to_json(staged["cluster_model"])
+    features.write_summary_csv(rows, staged["summary_clustered"], clusters=model.labels())
     if hierarchy == "divisive":
         taxonomy = clustering.divisive_hierarchy(
             om, clustering.DivisiveConfig(seed=_stage_seed(config, "cluster", 2))
         )
-    elif hierarchy.startswith("agglomerative"):
-        linkage = hierarchy.split(":", 1)[1] if ":" in hierarchy else "single"
-        taxonomy = clustering.agglomerative_hierarchy(om, linkage)
     else:
-        raise ConfigError(f"unknown hierarchy {hierarchy!r}")
-    _atomic_write(paths["taxonomy"], lambda p: taxonomy.to_json(p))
+        taxonomy = clustering.agglomerative_hierarchy(om, hierarchy.split(":")[1])
+    taxonomy.to_json(staged["taxonomy"])
     leaf_count = cfg["classes_leaf_count"]
     if leaf_count is None:
         leaf_count = min(model.k, len(taxonomy.leaves()))
     classes = clustering.taxonomy_to_classes(taxonomy, leaf_count=int(leaf_count))
-    _atomic_write(paths["classes"], lambda p: clustering.classes_to_json(classes, p))
-    return [
-        paths["cluster_model"],
-        paths["summary_clustered"],
-        paths["taxonomy"],
-        paths["classes"],
-    ]
+    clustering.classes_to_json(classes, staged["classes"])
 
 
-def _stage_classify(config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_classify(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     rows, clusters = features.read_summary_csv(paths["summary_clustered"])
     if clusters is None:
         raise MissingInputError(
@@ -303,10 +279,9 @@ def _stage_classify(config: dict, paths: dict[str, Path]) -> list[Path]:
         )
     tree = classification.build_tree([r.as_row() for r in rows], clusters)
     rules = classification.extract_rules(tree)
-    _atomic_write(paths["tree"], lambda p: classification.tree_to_json(tree, p))
-    _atomic_write(paths["class_rules_json"], lambda p: classification.rules_to_json(rules, p))
-    write_text_atomic(paths["class_rules_txt"], classification.rules_to_text(rules))
-    return [paths["tree"], paths["class_rules_json"], paths["class_rules_txt"]]
+    classification.tree_to_json(tree, staged["tree"])
+    classification.rules_to_json(rules, staged["class_rules_json"])
+    staged["class_rules_txt"].write_text(classification.rules_to_text(rules), encoding="utf-8")
 
 
 def _expert_base(config: dict) -> ontology.OntologyRuleBase:
@@ -317,7 +292,7 @@ def _expert_base(config: dict) -> ontology.OntologyRuleBase:
     return ontology.ingest_expert_rules(Path(path))
 
 
-def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["mine"]
     rows, clusters = features.read_summary_csv(paths["summary_clustered"])
     if clusters is None:
@@ -344,11 +319,10 @@ def _stage_mine(config: dict, paths: dict[str, Path]) -> list[Path]:
         transactions, float(cfg["beta_sup"]), max_len=cfg["max_len"]
     )
     rules = rulemining.generate_rules(itemsets, float(cfg["beta_conf"]), transactions)
-    _atomic_write(paths["mined_rules"], lambda p: rulemining.write_rules_csv(rules, p))
-    return [paths["mined_rules"]]
+    rulemining.write_rules_csv(rules, staged["mined_rules"])
 
 
-def _stage_partition(config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_partition(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["partition"]
     mined = rulemining.read_rules_csv(paths["mined_rules"])
     base = _expert_base(config)
@@ -358,42 +332,31 @@ def _stage_partition(config: dict, paths: dict[str, Path]) -> list[Path]:
     mined, alignment = ontology.align_cluster_labels(mined, base.rules)
     report = ontology.partition(mined, base)
     report.alignment = alignment
-    _atomic_write(paths["report_json"], lambda p: ontology.report_to_json(report, p))
-    write_text_atomic(paths["report_txt"], ontology.report_to_text(report))
-    return [paths["report_json"], paths["report_txt"]]
+    ontology.report_to_json(report, staged["report_json"])
+    staged["report_txt"].write_text(ontology.report_to_text(report), encoding="utf-8")
 
 
-_STAGE_FN = {
-    "synth": _stage_synth,
-    "decompose": _stage_decompose,
-    "extract": _stage_extract,
-    "cluster": _stage_cluster,
-    "classify": _stage_classify,
-    "mine": _stage_mine,
-    "partition": _stage_partition,
+# Every stage once, in run order: its function, its input files and its
+# output artifacts. An input is either an artifact key, written by the stage
+# that lists it as an output, or a `section.key` config value naming a file
+# the user supplies, an input only when set. Inputs are checked before the
+# stage runs, and inputs and outputs are checksummed in run.json.
+_STAGES = {
+    "synth": (_stage_synth, (), ("montage", "epochs_meta", "epochs_data")),
+    "decompose": (_stage_decompose, ("epochs_meta", "epochs_data"), ("decomposition",)),
+    "extract": (_stage_extract, ("epochs_meta", "epochs_data", "decomposition",
+                                 "extract.template"), ("summary",)),
+    "cluster": (_stage_cluster, ("summary",),
+                ("cluster_model", "summary_clustered", "taxonomy", "classes")),
+    "classify": (_stage_classify, ("summary_clustered",),
+                 ("tree", "class_rules_json", "class_rules_txt")),
+    "mine": (_stage_mine, ("summary_clustered", "tree", "partition.expert_rules"),
+             ("mined_rules",)),
+    "partition": (_stage_partition, ("mined_rules", "partition.expert_rules"),
+                  ("report_json", "report_txt")),
 }
-
-# Each stage's input files, checked before the stage runs and checksummed in
-# run.json: an artifact key with the stage that writes it, or a config key
-# (producer None) naming a file the user supplies, an input only when set.
-_STAGE_INPUTS: dict[str, tuple[tuple[str, str | None], ...]] = {
-    "synth": (),
-    "decompose": (("epochs_meta", "synth"), ("epochs_data", "synth")),
-    "extract": (
-        ("epochs_meta", "synth"),
-        ("epochs_data", "synth"),
-        ("decomposition", "decompose"),
-        ("extract.template", None),
-    ),
-    "cluster": (("summary", "extract"),),
-    "classify": (("summary_clustered", "cluster"),),
-    "mine": (
-        ("summary_clustered", "cluster"),
-        ("tree", "classify"),
-        ("partition.expert_rules", None),
-    ),
-    "partition": (("mined_rules", "mine"), ("partition.expert_rules", None)),
-}
+STAGES = tuple(_STAGES)
+_PRODUCER = {key: stage for stage, (_, _, outputs) in _STAGES.items() for key in outputs}
 
 
 def _config_file(config: dict, key: str) -> Path | None:
@@ -402,15 +365,21 @@ def _config_file(config: dict, key: str) -> Path | None:
     section, name = key.split(".")
     value = config[section][name]
     if isinstance(value, dict):
-        value = value.get("path") if value.get("kind") == "csv" else None
-    return None if value is None else Path(value)
+        if value.get("kind") != "csv":
+            return None
+        value = value.get("path")
+    elif value is None:
+        return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must name a file, got {value!r}")
+    return Path(value)
 
 
-def _stage_inputs(stage: str, config: dict, paths: dict[str, Path]) -> list[Path]:
+def _stage_inputs(keys: tuple[str, ...], config: dict, paths: dict[str, Path]) -> list[Path]:
     """The stage's input files; raises MissingInputError naming an absent one."""
     inputs = []
-    for key, producer in _STAGE_INPUTS[stage]:
-        if producer is None:
+    for key in keys:
+        if key not in _PRODUCER:
             path = _config_file(config, key)
             if path is None:
                 continue
@@ -419,41 +388,53 @@ def _stage_inputs(stage: str, config: dict, paths: dict[str, Path]) -> list[Path
         else:
             path = paths[key]
             if not path.exists():
-                raise MissingInputError(f"{path.name} missing: {path} (run {producer} first)")
+                raise MissingInputError(
+                    f"{path.name} missing: {path} (run {_PRODUCER[key]} first)"
+                )
         inputs.append(path)
     return inputs
 
 
 def run_stage(stage: str, config: dict) -> dict:
-    """Execute one stage, update run.json, and return its manifest entry."""
-    if stage not in _STAGE_FN:
+    """Execute one stage, update run.json, and return its manifest entry.
+
+    The stage writes into a staging directory under the output directory.
+    Only when it returns are its outputs moved into place, followed by
+    run.json, so a stage that fails leaves every file as it was.
+    """
+    if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
+    fn, input_keys, output_keys = _STAGES[stage]
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     paths = artifact_paths(out)
-    inputs = _stage_inputs(stage, config, paths)
+    inputs = _stage_inputs(input_keys, config, paths)
     started = time.perf_counter()
-    outputs = _STAGE_FN[stage](config, paths)
-    entry = {
-        "stage": stage,
-        "inputs": _checksums(inputs),
-        "outputs": _checksums(outputs),
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
-    _update_manifest(paths["manifest"], entry)
+    staging = Path(tempfile.mkdtemp(dir=out, prefix=f".{stage}."))
+    try:
+        staged = artifact_paths(staging)
+        fn(config, paths, staged)
+        manifest = paths["manifest"]
+        stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
+        outputs = [paths[key] for key in output_keys]
+        for key, path in zip(output_keys, outputs):
+            if path.parent != out:  # epochs/, absent before the first synth
+                path.parent.mkdir(exist_ok=True)
+            os.replace(staged[key], path)
+        entry = {
+            "stage": stage,
+            "inputs": _checksums(inputs),
+            "outputs": _checksums(outputs),
+            "wall_time_s": round(time.perf_counter() - started, 6),
+        }
+        order = {name: i for i, name in enumerate(STAGES)}
+        stages = [s for s in stages if s["stage"] != stage] + [entry]
+        stages.sort(key=lambda s: order.get(s["stage"], 99))
+        staged["manifest"].write_text(json.dumps({"stages": stages}, indent=2, sort_keys=True))
+        os.replace(staged["manifest"], manifest)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return entry
-
-
-def _update_manifest(path: Path, entry: dict) -> None:
-    stages: list[dict] = []
-    if path.exists():
-        with open(path) as fh:
-            stages = json.load(fh).get("stages", [])
-    stages = [s for s in stages if s["stage"] != entry["stage"]]
-    stages.append(entry)
-    order = {name: i for i, name in enumerate(STAGES)}
-    stages.sort(key=lambda s: order.get(s["stage"], 99))
-    write_text_atomic(path, json.dumps({"stages": stages}, indent=2, sort_keys=True))
 
 
 def run_pipeline(config: dict) -> list[dict]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nof.decomposition import FactorDecomposition, FastIcaConfig, center_and_whiten, fastica
-from nof.errors import ConfigError
+from nof.errors import ConfigError, ParseError
 from nof.features import (
     COLUMNS,
     FactorSummary,
@@ -341,4 +341,15 @@ class TestSummaryCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
+            read_summary_csv(path)
+
+    @pytest.mark.parametrize("clusters", [None, ["C1", "C2"]])
+    @pytest.mark.parametrize("edit", ["drop", "extra"])
+    def test_row_field_count_must_match_header(self, tmp_path, clusters, edit):
+        path = tmp_path / "summary.csv"
+        write_summary_csv(self._rows(), path, clusters=clusters)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] if edit == "drop" else lines[2] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 3: expected"):
             read_summary_csv(path)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nof import classification, testbed
+from nof import classification, clustering, testbed
 from nof.cli import main
 from nof.errors import ConfigError, MissingInputError
 from nof.pipeline import (
@@ -113,6 +113,16 @@ class TestConfig:
         assert ("partition", "expert_rules") in named
         unknown = sorted(f"{s}.{k}" for s, k in named if k not in DEFAULT_CONFIG[s])
         assert not unknown, f"README names config keys that do not exist: {unknown}"
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"seed": True}, "seed"),
+        ({"synth": {"seed": True}}, "synth.seed"),
+        ({"decompose": {"seed": False}}, "decompose.seed"),
+        ({"cluster": {"seed": "3"}}, "cluster.seed"),
+    ])
+    def test_seed_must_be_an_integer(self, overrides, key):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be an integer"):
+            load_config(overrides=overrides)
 
     def test_config_round_trips_through_json(self, tmp_path):
         config = load_config(overrides=small_overrides(tmp_path))
@@ -273,6 +283,72 @@ class TestStages:
         assert a != b
 
 
+def snapshot(out):
+    """Every artifact's checksum, run.json's bytes and the entries of `out`."""
+    return (artifact_checksums(out), (out / "run.json").read_bytes(),
+            sorted(p.name for p in out.iterdir()))
+
+
+@pytest.fixture(scope="module")
+def published_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("published")
+    run_pipeline(load_config(overrides=small_overrides(out)))
+    return out
+
+
+class TestPublication:
+    """A stage publishes its outputs and its run.json entry together, and
+    only when it succeeds."""
+
+    def test_only_artifacts_are_left_in_out(self, published_run):
+        out = published_run
+        expected = {p.relative_to(out).parts[0] for p in artifact_paths(out).values()}
+        assert {p.name for p in out.iterdir()} == expected
+
+    def test_failed_cluster_changes_nothing(self, published_run):
+        out = published_run
+        before = snapshot(out)
+        overrides = small_overrides(out)
+        overrides["seed"] = 6
+        overrides["cluster"] = {"k": 2, "classes_leaf_count": 99}
+        with pytest.raises(ConfigError, match="leaf_count"):
+            run_stage("cluster", load_config(overrides=overrides))
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("hierarchy", ["agglomerative-average", "agglomerative",
+                                           "agglomerative:ward", 3])
+    def test_unknown_hierarchy_rejected_before_em(self, published_run, monkeypatch,
+                                                  hierarchy):
+        def fail(*args, **kwargs):
+            raise AssertionError("EM ran")
+
+        monkeypatch.setattr(clustering, "em_fit", fail)
+        monkeypatch.setattr(clustering, "select_k", fail)
+        out = published_run
+        before = snapshot(out)
+        overrides = small_overrides(out)
+        overrides["cluster"] = {"k": 2, "hierarchy": hierarchy}
+        with pytest.raises(ConfigError, match="cluster.hierarchy"):
+            run_stage("cluster", load_config(overrides=overrides))
+        assert snapshot(out) == before
+
+    def test_rerun_replaces_outputs_and_manifest_entry(self, tmp_path):
+        overrides = small_overrides(tmp_path)
+        config = load_config(overrides=overrides)
+        for stage in ("synth", "decompose", "extract"):
+            run_stage(stage, config)
+        overrides["synth"] = {"n_trials": 30}
+        entry = run_stage("synth", load_config(overrides=overrides))
+        manifest = json.loads((tmp_path / "run.json").read_text())
+        assert [s["stage"] for s in manifest["stages"]] == ["synth", "decompose", "extract"]
+        assert manifest["stages"][0] == entry
+        paths = artifact_paths(tmp_path)
+        assert entry["outputs"]["data.npy"] == sha256_file(paths["epochs_data"])
+        assert testbed.EpochTensor.load(paths["epochs"]).data.shape[0] == 30
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "montage.csv", "epochs", "decomposition.json", "summary.csv", "run.json"}
+
+
 @pytest.fixture(scope="module")
 def expert_run(tmp_path_factory):
     """`nof pipeline` with the default config and the shipped expert base."""
@@ -359,6 +435,25 @@ class TestCli:
         assert main(["synth", "--set", "seed=abc", "--out", str(out)]) == 3
         # numerical failure (components beyond data rank) -> 4
         assert main(["decompose", *base, "--set", "decompose.n_components=40"]) == 4
+
+    def test_cli_csv_template_without_path_is_config_error(self, published_run, capsys):
+        before = snapshot(published_run)
+        code = main(["extract", "--out", str(published_run),
+                     "--set", 'extract.template={"kind":"csv"}'])
+        assert code == 3
+        assert "extract.template" in capsys.readouterr().err
+        assert snapshot(published_run) == before
+
+    def test_cli_csv_template_short_row_names_its_line(self, published_run, tmp_path, capsys):
+        template = tmp_path / "template.csv"
+        channels = testbed.default_montage().channels
+        template.write_text("channel,weight\n" + f"{channels[0]},1.0\n{channels[1]}\n")
+        before = snapshot(published_run)
+        code = main(["extract", "--out", str(published_run), "--set",
+                     f'extract.template={{"kind":"csv","path":"{template}"}}'])
+        assert code == 3
+        assert "line 3" in capsys.readouterr().err
+        assert snapshot(published_run) == before
 
     def test_cli_set_value_then_nested_key_conflicts(self, tmp_path, capsys):
         code = main(["mine", "--out", str(tmp_path),
