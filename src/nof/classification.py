@@ -26,10 +26,7 @@ Row = dict[str, float | str]
 
 @dataclass
 class TreeConfig:
-    min_leaf: int = 1
-    max_depth: int | None = None
-    prune_cf: float | None = 0.25
-    missing: str = "error"          # "error" or "majority"
+    prune_cf: float | None = 0.25   # None grows the tree unpruned
 
 
 @dataclass
@@ -105,7 +102,7 @@ class _Candidate:
 
 
 def _numeric_candidates(
-    attr: str, attr_index: int, rows: list[Row], labels: list[str], min_leaf: int
+    attr: str, attr_index: int, rows: list[Row], labels: list[str]
 ) -> list[_Candidate]:
     pairs = sorted(zip((float(r[attr]) for r in rows), labels))
     values = sorted({v for v, _ in pairs})
@@ -115,8 +112,6 @@ def _numeric_candidates(
         thr = (lo + hi) / 2.0
         left = Counter(lab for v, lab in pairs if v <= thr)
         right = Counter(lab for v, lab in pairs if v > thr)
-        if min(sum(left.values()), sum(right.values())) < min_leaf:
-            continue
         gain, split_info = _branch_stats(parent, [left, right])
         if split_info <= 0:
             continue
@@ -125,7 +120,7 @@ def _numeric_candidates(
 
 
 def _categorical_candidate(
-    attr: str, attr_index: int, rows: list[Row], labels: list[str], min_leaf: int
+    attr: str, attr_index: int, rows: list[Row], labels: list[str]
 ) -> list[_Candidate]:
     values = sorted({str(r[attr]) for r in rows})
     if len(values) < 2:
@@ -134,8 +129,6 @@ def _categorical_candidate(
         Counter(lab for r, lab in zip(rows, labels) if str(r[attr]) == v)
         for v in values
     ]
-    if sum(1 for b in branches if sum(b.values()) >= min_leaf) < 2:
-        return []
     gain, split_info = _branch_stats(Counter(labels), branches)
     if split_info <= 0:
         return []
@@ -152,14 +145,13 @@ def _best_split(
     labels: list[str],
     attributes: tuple[str, ...],
     kinds: dict[str, str],
-    min_leaf: int,
 ) -> _Candidate | None:
     per_attr: list[tuple[int, list[_Candidate]]] = []
     for idx, attr in enumerate(attributes):
         if kinds[attr] == "numeric":
-            cands = _numeric_candidates(attr, idx, rows, labels, min_leaf)
+            cands = _numeric_candidates(attr, idx, rows, labels)
         else:
-            cands = _categorical_candidate(attr, idx, rows, labels, min_leaf)
+            cands = _categorical_candidate(attr, idx, rows, labels)
         if cands:
             per_attr.append((idx, cands))
     if not per_attr:
@@ -193,13 +185,11 @@ def _grow(
     labels: list[str],
     attributes: tuple[str, ...],
     kinds: dict[str, str],
-    config: TreeConfig,
-    depth: int,
 ) -> Leaf | Split:
     counts = Counter(labels)
-    if len(counts) == 1 or (config.max_depth is not None and depth >= config.max_depth):
+    if len(counts) == 1:
         return _make_leaf(labels)
-    cand = _best_split(rows, labels, attributes, kinds, config.min_leaf)
+    cand = _best_split(rows, labels, attributes, kinds)
     if cand is None:
         return _make_leaf(labels)
     node = Split(
@@ -211,12 +201,8 @@ def _grow(
     if cand.threshold is not None:
         le = [i for i, r in enumerate(rows) if float(r[cand.attribute]) <= cand.threshold]
         gt = [i for i, r in enumerate(rows) if float(r[cand.attribute]) > cand.threshold]
-        node.children["le"] = _grow(
-            [rows[i] for i in le], [labels[i] for i in le], attributes, kinds, config, depth + 1
-        )
-        node.children["gt"] = _grow(
-            [rows[i] for i in gt], [labels[i] for i in gt], attributes, kinds, config, depth + 1
-        )
+        node.children["le"] = _grow([rows[i] for i in le], [labels[i] for i in le], attributes, kinds)
+        node.children["gt"] = _grow([rows[i] for i in gt], [labels[i] for i in gt], attributes, kinds)
     else:
         values = sorted({str(r[cand.attribute]) for r in rows})
         sizes: dict[str, int] = {}
@@ -224,7 +210,7 @@ def _grow(
             sel = [i for i, r in enumerate(rows) if str(r[cand.attribute]) == v]
             sizes[v] = len(sel)
             node.children[v] = _grow(
-                [rows[i] for i in sel], [labels[i] for i in sel], attributes, kinds, config, depth + 1
+                [rows[i] for i in sel], [labels[i] for i in sel], attributes, kinds
             )
         top = max(sizes.values())
         node.majority_value = min(v for v, s in sizes.items() if s == top)
@@ -302,7 +288,7 @@ def build_tree(
             if r[attr] is None:
                 raise ConfigError(f"missing value for attribute {attr!r} in row {i}")
     kinds = infer_kinds(rows, attributes)
-    root = _grow(rows, labels, attributes, kinds, config, depth=0)
+    root = _grow(rows, labels, attributes, kinds)
     if config.prune_cf:
         root, _ = _prune(root, config.prune_cf)
     else:
@@ -332,17 +318,6 @@ def classify(tree: DecisionTree, row: Row) -> str:
     node = tree.root
     while isinstance(node, Split):
         if node.attribute not in row or row[node.attribute] is None:
-            if tree.config.missing == "majority":
-                if node.is_numeric:
-                    key = max(sorted(node.children), key=lambda k: node.children[k].n)
-                else:
-                    key = node.majority_value
-                warnings.warn(
-                    f"missing value for {node.attribute!r}; routing to majority child",
-                    UserWarning,
-                )
-                node = node.children[key]
-                continue
             raise ConfigError(f"row lacks a value for attribute {node.attribute!r}")
         if node.is_numeric:
             node = node.children["le" if float(row[node.attribute]) <= node.threshold else "gt"]
@@ -543,15 +518,11 @@ def tree_to_json(tree: DecisionTree, path: str | Path) -> None:
         "kinds": tree.kinds,
         "n_rows": tree.n_rows,
         "class_labels": list(tree.class_labels),
-        "config": {
-            "min_leaf": tree.config.min_leaf,
-            "max_depth": tree.config.max_depth,
-            "prune_cf": tree.config.prune_cf,
-            "missing": tree.config.missing,
-        },
+        "config": {"prune_cf": tree.config.prune_cf},
     }
+    # json.dumps encodes in C; json.dump always runs the pure-Python encoder
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
 
 
 def tree_from_json(path: str | Path) -> DecisionTree:
@@ -560,19 +531,15 @@ def tree_from_json(path: str | Path) -> DecisionTree:
         raise MissingInputError(f"tree file not found: {path}")
     with open(path) as fh:
         doc = json.load(fh)
-    cfg = doc["config"]
     return DecisionTree(
         root=_node_undoc(doc["root"]),
         attributes=tuple(doc["attributes"]),
         kinds=dict(doc["kinds"]),
         n_rows=int(doc["n_rows"]),
         class_labels=tuple(doc["class_labels"]),
-        config=TreeConfig(
-            min_leaf=int(cfg["min_leaf"]),
-            max_depth=cfg["max_depth"],
-            prune_cf=cfg["prune_cf"],
-            missing=cfg["missing"],
-        ),
+        # files written before the config held only prune_cf still load;
+        # their other config keys are ignored
+        config=TreeConfig(prune_cf=doc["config"]["prune_cf"]),
     )
 
 
@@ -594,4 +561,4 @@ def rules_to_json(rules: list[ClassificationRule], path: str | Path) -> None:
         for r in rules
     ]
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))

@@ -6,7 +6,8 @@ fixed or chosen by BIC. Hierarchies come in a divisive flavour (recursive
 2-means) and an agglomerative flavour (single/complete/average linkage, read
 off scipy's linkage matrix; exact distance ties merge in scipy's deterministic
 order), both producing the same binary-tree taxonomy type, which can be cut
-into ordered classes for the ontology export.
+into ordered classes for the ontology export. Every clustering function takes
+a plain observations x attributes array, such as `encode_observations(rows).X`.
 """
 from __future__ import annotations
 
@@ -31,28 +32,18 @@ class EncodingConfig:
     numeric: tuple[str, ...] = NUMERIC_COLUMNS
     categorical: tuple[str, ...] = CATEGORICAL_COLUMNS
     scale: bool = True
-    pca_components: int | None = None
 
 
 @dataclass
 class ObservationMatrix:
     """Numeric matrix over encoded summary attributes, with the scaling
-    (and optional PCA projection) recorded so the encoding is auditable."""
+    recorded so the encoding is auditable."""
 
     X: np.ndarray
     columns: tuple[str, ...]
     scale_mean: np.ndarray
     scale_std: np.ndarray        # 1.0 recorded for columns left unscaled
     scaled_columns: tuple[str, ...]
-    pca_loadings: np.ndarray | None = None
-
-    @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.X.shape[1]
 
 
 def encode_observations(
@@ -88,34 +79,12 @@ def encode_observations(
                 scaled.append(names[i])
         X = X.copy()
         X[:, :n_num] = (X[:, :n_num] - mean[:n_num]) / std[:n_num]
-    om = ObservationMatrix(
+    return ObservationMatrix(
         X=X,
         columns=tuple(names),
         scale_mean=mean,
         scale_std=std,
         scaled_columns=tuple(scaled),
-    )
-    if config.pca_components is not None:
-        om = project_pca(om, config.pca_components)
-    return om
-
-
-def project_pca(om: ObservationMatrix, n_components: int) -> ObservationMatrix:
-    """Project the encoded matrix onto its top principal components."""
-    if n_components < 1 or n_components > om.n_cols:
-        raise ConfigError(f"pca_components must lie in [1, {om.n_cols}]")
-    Xc = om.X - om.X.mean(axis=0)
-    cov = (Xc.T @ Xc) / max(om.n_rows - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:n_components]
-    loadings = eigvecs[:, order]
-    return ObservationMatrix(
-        X=Xc @ loadings,
-        columns=tuple(f"PC{i + 1}" for i in range(n_components)),
-        scale_mean=om.scale_mean,
-        scale_std=om.scale_std,
-        scaled_columns=om.scaled_columns,
-        pca_loadings=loadings,
     )
 
 
@@ -123,13 +92,18 @@ def project_pca(om: ObservationMatrix, n_components: int) -> ObservationMatrix:
 # EM Gaussian mixture
 # ---------------------------------------------------------------------------
 
+# EM stops when the log-likelihood gains less than _EM_TOL, or after
+# _EM_MAX_ITER iterations; covariance eigenvalues are floored at _COV_FLOOR
+# times the mean per-attribute variance of the data.
+_EM_TOL = 1e-8
+_EM_MAX_ITER = 300
+_COV_FLOOR = 1e-6
+
+
 @dataclass
 class EMConfig:
     seed: int = 0
-    tol: float = 1e-8
-    max_iter: int = 300
     n_restarts: int = 4
-    cov_floor: float = 1e-6      # scaled by mean total variance of the data
     covariance: str = "diag"     # "diag" or "full"
 
 
@@ -164,8 +138,9 @@ class ClusterModel:
             "converged": self.converged,
             "covariance_type": self.covariance_type,
         }
+        # json.dumps encodes in C; json.dump always runs the pure-Python encoder
         with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ClusterModel":
@@ -206,11 +181,11 @@ def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.nda
     return out
 
 
-def _floor_value(X: np.ndarray, config: EMConfig) -> float:
+def _floor_value(X: np.ndarray) -> float:
     total_var = float(np.sum(X.var(axis=0)))
     d = X.shape[1]
     base = total_var / d if total_var > 0 else 1.0
-    return config.cov_floor * base
+    return _COV_FLOOR * base
 
 
 def _m_step(
@@ -242,7 +217,7 @@ def _em_single(
     from scipy.special import logsumexp
 
     n, d = X.shape
-    floor = _floor_value(X, config)
+    floor = _floor_value(X)
     idx = rng.choice(n, size=k, replace=False)
     means = X[idx].copy()
     base_var = np.maximum(X.var(axis=0), floor)
@@ -252,7 +227,7 @@ def _em_single(
     history: list[float] = []
     converged = False
     resp = None
-    for _ in range(config.max_iter):
+    for _ in range(_EM_MAX_ITER):
         log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, covs)
         log_norm = logsumexp(log_joint, axis=1)
         ll = float(log_norm.sum())
@@ -260,7 +235,7 @@ def _em_single(
             raise NumericalError(
                 f"EM log-likelihood decreased ({history[-1]} -> {ll})"
             )
-        if history and ll - history[-1] < config.tol:
+        if history and ll - history[-1] < _EM_TOL:
             history.append(ll)
             converged = True
             break
@@ -288,11 +263,11 @@ def _em_single(
     )
 
 
-def em_fit(X: ObservationMatrix | np.ndarray, k: int, config: EMConfig | None = None) -> ClusterModel:
+def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterModel:
     """Best-of-restarts EM fit; restarts are independently seeded and ties
     resolve to the lowest restart index."""
     config = config or EMConfig()
-    data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
+    data = np.asarray(X, dtype=float)
     if data.ndim != 2:
         raise ConfigError("observations must form a 2-D matrix")
     n = data.shape[0]
@@ -311,13 +286,11 @@ def em_fit(X: ObservationMatrix | np.ndarray, k: int, config: EMConfig | None = 
     return best
 
 
-def em_predict(
-    model: ClusterModel, X: ObservationMatrix | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def em_predict(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assignments and responsibilities for new rows under a fitted model."""
     from scipy.special import logsumexp
 
-    data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
+    data = np.asarray(X, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.means.shape[1]:
         raise ConfigError(
             f"dimension mismatch: model expects {model.means.shape[1]} columns"
@@ -340,16 +313,14 @@ def bic(model: ClusterModel, n: int) -> float:
     return -2.0 * model.log_likelihood + p * float(np.log(n))
 
 
-def select_k(
-    X: ObservationMatrix | np.ndarray, k_max: int, config: EMConfig | None = None
-) -> ClusterModel:
+def select_k(X: np.ndarray, k_max: int, config: EMConfig | None = None) -> ClusterModel:
     """Fit k = 1..k_max and keep the lowest-BIC model (ties to smaller k).
 
     A k > 1 fit whose hard assignment leaves some component with fewer than
     two rows is skipped: a one-row component on the floored covariance has
     unbounded likelihood, so BIC would drift towards k = n.
     """
-    data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
+    data = np.asarray(X, dtype=float)
     n = data.shape[0]
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
@@ -410,11 +381,9 @@ class Taxonomy:
             return d
 
         with open(path, "w") as fh:
-            json.dump(
-                {"method": self.method, "n": self.n, "root": doc(self.root)},
-                fh,
-                sort_keys=True,
-            )
+            fh.write(json.dumps(
+                {"method": self.method, "n": self.n, "root": doc(self.root)}, sort_keys=True
+            ))
 
 
 def _sse(X: np.ndarray) -> float:
@@ -423,23 +392,23 @@ def _sse(X: np.ndarray) -> float:
     return float(np.sum((X - X.mean(axis=0)) ** 2))
 
 
+# A divisive split must cut a node's SSE by at least this fraction; each
+# split keeps the best of _SPLIT_RESTARTS 2-means runs.
+_MIN_IMPROVEMENT = 1e-3
+_SPLIT_RESTARTS = 4
+
+
 @dataclass
 class DivisiveConfig:
-    max_depth: int | None = None
-    min_leaf: int = 1
     seed: int = 0
-    min_improvement: float = 1e-3   # required fractional SSE reduction
-    n_restarts: int = 4
 
 
-def _two_means(
-    X: np.ndarray, rng: np.random.Generator, min_leaf: int, n_restarts: int
-) -> np.ndarray | None:
-    """Best 2-means labeling by total SSE, or None if no admissible split."""
+def _two_means(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Best 2-means labeling by total SSE; both sides are nonempty."""
     n = X.shape[0]
     best_labels = None
     best_sse = np.inf
-    for _ in range(max(n_restarts, 1)):
+    for _ in range(_SPLIT_RESTARTS):
         centers = X[rng.choice(n, size=2, replace=False)].copy()
         labels = np.zeros(n, dtype=int)
         for _ in range(100):
@@ -455,8 +424,6 @@ def _two_means(
                 centers[side] = X[labels == side].mean(axis=0)
             if not changed:
                 break
-        if min(np.sum(labels == 0), np.sum(labels == 1)) < min_leaf:
-            continue
         sse = _sse(X[labels == 0]) + _sse(X[labels == 1])
         if sse < best_sse:
             best_sse = sse
@@ -464,15 +431,13 @@ def _two_means(
     return best_labels
 
 
-def divisive_hierarchy(
-    X: ObservationMatrix | np.ndarray, config: DivisiveConfig | None = None
-) -> Taxonomy:
+def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> Taxonomy:
     """Top-down taxonomy: recursively split by 2-means until the split stops
-    paying for itself (fractional SSE reduction below min_improvement), the
-    depth or leaf-size limits bite, or a node has no scatter left. Node
-    heights are the node SSEs, monotone from root to leaves."""
+    paying for itself (fractional SSE reduction below _MIN_IMPROVEMENT) or a
+    node has no scatter left. Node heights are the node SSEs, monotone from
+    root to leaves."""
     config = config or DivisiveConfig()
-    data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
+    data = np.asarray(X, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
     n = data.shape[0]
@@ -480,43 +445,34 @@ def divisive_hierarchy(
         raise ConfigError("need at least one observation")
     counter = [0]
 
-    def build(indices: tuple[int, ...], depth: int) -> TaxNode:
+    def build(indices: tuple[int, ...]) -> TaxNode:
         sub = data[list(indices)]
         height = _sse(sub)
         node = TaxNode(indices=indices, height=height)
-        if (
-            len(indices) < 2 * config.min_leaf
-            or len(indices) < 2
-            or height == 0.0
-            or (config.max_depth is not None and depth >= config.max_depth)
-        ):
+        if len(indices) < 2 or height == 0.0:
             return node
         rng = np.random.default_rng([config.seed, counter[0]])
         counter[0] += 1
-        labels = _two_means(sub, rng, config.min_leaf, config.n_restarts)
-        if labels is None:
-            return node
+        labels = _two_means(sub, rng)
         child_sse = _sse(sub[labels == 0]) + _sse(sub[labels == 1])
-        if (height - child_sse) < config.min_improvement * height:
+        if (height - child_sse) < _MIN_IMPROVEMENT * height:
             return node
         left_idx = tuple(indices[i] for i in range(len(indices)) if labels[i] == 0)
         right_idx = tuple(indices[i] for i in range(len(indices)) if labels[i] == 1)
         if min(left_idx) > min(right_idx):
             left_idx, right_idx = right_idx, left_idx
-        node.left = build(left_idx, depth + 1)
-        node.right = build(right_idx, depth + 1)
+        node.left = build(left_idx)
+        node.right = build(right_idx)
         return node
 
-    root = build(tuple(range(n)), 0)
+    root = build(tuple(range(n)))
     return Taxonomy(root=root, n=n, method="divisive")
 
 
 _LINKAGES = ("single", "complete", "average")
 
 
-def agglomerative_hierarchy(
-    X: ObservationMatrix | np.ndarray, linkage: str = "single"
-) -> Taxonomy:
+def agglomerative_hierarchy(X: np.ndarray, linkage: str = "single") -> Taxonomy:
     """Bottom-up taxonomy under single/complete/average linkage on Euclidean
     distances, built from scipy's linkage matrix: n-1 merges, heights
     non-decreasing, each merge's children ordered by smallest member index.
@@ -526,7 +482,7 @@ def agglomerative_hierarchy(
 
     if linkage not in _LINKAGES:
         raise ConfigError(f"unknown linkage {linkage!r}; pick one of {_LINKAGES}")
-    data = X.X if isinstance(X, ObservationMatrix) else np.asarray(X, dtype=float)
+    data = np.asarray(X, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
     n = data.shape[0]
@@ -582,7 +538,6 @@ def taxonomy_to_classes(
     taxonomy: Taxonomy,
     height: float | None = None,
     leaf_count: int | None = None,
-    root_name: str = "ROOT",
 ) -> list[TaxonomyClass]:
     """Cut the taxonomy and emit ordered class declarations.
 
@@ -604,12 +559,10 @@ def taxonomy_to_classes(
             )
         nodes = _cut_by_count(taxonomy.root, leaf_count)
     nodes.sort(key=lambda nd: min(nd.indices))
-    classes = [
-        TaxonomyClass(name=root_name, parent=None, members=tuple(range(taxonomy.n)))
-    ]
+    classes = [TaxonomyClass(name="ROOT", parent=None, members=tuple(range(taxonomy.n)))]
     for i, nd in enumerate(nodes):
         classes.append(
-            TaxonomyClass(name=f"C{i + 1}", parent=root_name, members=tuple(sorted(nd.indices)))
+            TaxonomyClass(name=f"C{i + 1}", parent="ROOT", members=tuple(sorted(nd.indices)))
         )
     return classes
 

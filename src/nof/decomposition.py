@@ -2,14 +2,15 @@
 
 Trials are concatenated along time before decomposition. Only the model is
 stored; factor activations are recomputed from it and the epochs. The FastICA
-variant is the symmetric (parallel) fixed-point iteration with a tanh or cubic
-contrast, fully deterministic for a fixed seed.
+variant is the symmetric (parallel) fixed-point iteration with the tanh
+(log-cosh) contrast, one factor per whitened component, fully deterministic
+for a fixed seed.
 """
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from .errors import ConfigError, MissingInputError, NumericalError
 from .testbed import EpochTensor
 
 _RANK_RTOL = 1e-10
+# FastICA stops once every unmixing row turns by less than this between iterations
+_ICA_TOL = 1e-6
 
 
 @dataclass
@@ -111,11 +114,8 @@ def center_and_whiten(
 
 @dataclass
 class FastIcaConfig:
-    contrast: str = "tanh"   # "tanh" (log-cosh negentropy proxy) or "cube"
-    tol: float = 1e-6
     max_iter: int = 500
     seed: int = 0
-    n_factors: int | None = None
 
 
 @dataclass
@@ -174,8 +174,9 @@ class FactorDecomposition:
             "n_trials": self.n_trials,
             "n_timepoints": self.n_timepoints,
         }
+        # json.dumps encodes in C; json.dump always runs the pure-Python encoder
         with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
+            fh.write(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FactorDecomposition":
@@ -205,15 +206,6 @@ def _mat_undoc(doc: dict) -> np.ndarray:
     return np.asarray(doc["data"], dtype=float).reshape(doc["shape"], order="C")
 
 
-def _contrast_tanh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = np.tanh(u)
-    return g, (1.0 - g**2).mean(axis=1)
-
-
-def _contrast_cube(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return u**3, (3.0 * u**2).mean(axis=1)
-
-
 def _sym_decorrelate(W: np.ndarray) -> np.ndarray:
     # W <- (W W^T)^{-1/2} W, keeping all rows mutually orthonormal.
     s, u = np.linalg.eigh(W @ W.T)
@@ -223,41 +215,29 @@ def _sym_decorrelate(W: np.ndarray) -> np.ndarray:
 
 
 def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorDecomposition:
-    """Symmetric fixed-point ICA on whitened data.
+    """Symmetric fixed-point ICA on whitened data, one factor per whitened
+    component.
 
     Returns the decomposition in channel space; non-convergence keeps the
     best iterate, flags converged=False and emits a warning.
     """
     config = config or FastIcaConfig()
     Z = white.whitened
-    m, n_samples = Z.shape
-    k = m if config.n_factors is None else int(config.n_factors)
-    if k < 1:
-        raise ConfigError("need at least one factor")
-    if k > m:
-        raise ConfigError(
-            f"requested {k} factors but only {m} whitened components exist"
-        )
+    k, n_samples = Z.shape
     if n_samples < k:
-        raise ConfigError("fewer samples than requested factors")
-    if config.contrast == "tanh":
-        contrast = _contrast_tanh
-    elif config.contrast == "cube":
-        contrast = _contrast_cube
-    else:
-        raise ConfigError(f"unknown contrast {config.contrast!r}")
+        raise ConfigError("fewer samples than whitened components")
 
     rng = np.random.default_rng(config.seed)
-    W = _sym_decorrelate(rng.standard_normal((k, m)))
+    W = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
     n_iter = config.max_iter
     for it in range(1, config.max_iter + 1):
-        U = W @ Z
-        g, g_prime = contrast(U)
+        g = np.tanh(W @ Z)
+        g_prime = (1.0 - g**2).mean(axis=1)
         W_new = _sym_decorrelate((g @ Z.T) / n_samples - g_prime[:, None] * W)
         lim = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", W_new, W)) - 1.0)))
         W = W_new
-        if lim < config.tol:
+        if lim < _ICA_TOL:
             converged = True
             n_iter = it
             break

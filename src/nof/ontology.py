@@ -307,6 +307,15 @@ def _parse_consequent(raw, text: str) -> tuple[Item, bool]:
     return item, negated
 
 
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _is_number(value) -> bool:
+    # bool is a subclass of int, and `true` would read as 1.0
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     """Read the expert rule base JSON, validating item vocabulary.
 
@@ -327,25 +336,43 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     if not isinstance(doc, dict):
         raise ParseError("expert rule file must hold a JSON object", line=1)
 
-    thresholds = dict(DEFAULT_THRESHOLDS)
-    thresholds.update(doc.get("thresholds", {}))
-    attributes = tuple(doc.get("attributes", DEFAULT_ATTRIBUTES))
+    def expect(ok: bool, key: str, shape: str, rule_id: str | None = None) -> None:
+        if not ok:
+            name = key if rule_id is None else f"{key} of rule {rule_id!r}"
+            raise ParseError(
+                f"{name} must be {shape}", line=_find_line(text, f'"{rule_id or key}"')
+            )
+
+    thresholds = doc.get("thresholds", {})
+    expect(isinstance(thresholds, dict) and all(map(_is_number, thresholds.values())),
+           "thresholds", "an object of numbers")
+    thresholds = {**DEFAULT_THRESHOLDS, **thresholds}
+    attributes = doc.get("attributes", list(DEFAULT_ATTRIBUTES))
+    expect(_list_of(attributes, str), "attributes", "a list of strings")
+    attributes = tuple(attributes)
     declared = set(attributes)
 
+    raw_classes = doc.get("classes", [])
+    expect(_list_of(raw_classes, dict) and all("name" in c for c in raw_classes),
+           "classes", "a list of objects with a name")
     classes = [
         OntologyClass(
             name=c["name"],
             parent=c.get("parent"),
             members=tuple(c.get("members", ())),
         )
-        for c in doc.get("classes", [])
+        for c in raw_classes
     ]
 
+    raw_rules = doc.get("rules", [])
+    expect(_list_of(raw_rules, dict), "rules", "a list of objects")
     rules: list[ExpertRule] = []
-    for i, raw_rule in enumerate(doc.get("rules", [])):
+    for i, raw_rule in enumerate(raw_rules):
         rule_id = str(raw_rule.get("id", f"R{i + 1}"))
+        items = raw_rule.get("if", [])
+        expect(_list_of(items, str), "if", "a list of strings", rule_id)
         antecedent: set[Item] = set()
-        for raw in raw_rule.get("if", []):
+        for raw in items:
             try:
                 item = parse_item(raw)
             except (ConfigError, ValueError) as exc:

@@ -73,6 +73,37 @@ DEFAULT_CONFIG: dict = {
 # config handling
 # ---------------------------------------------------------------------------
 
+# Numeric config keys: the types each accepts, and whether null is allowed.
+# No key accepts a boolean: bool is a subclass of int, and `true` would run as 1.
+_INT, _REAL = (int,), (int, float)
+_NUMERIC_KEYS = {
+    "seed": (_INT, False),
+    "synth.seed": (_INT, True),
+    "synth.n_trials": (_INT, False),
+    "synth.noise_std": (_REAL, False),
+    "decompose.seed": (_INT, True),
+    "decompose.n_components": (_REAL, True),
+    "cluster.seed": (_INT, True),
+    "cluster.k": (_INT, True),
+    "cluster.k_max": (_INT, False),
+    "cluster.classes_leaf_count": (_INT, True),
+    "mine.beta_sup": (_REAL, False),
+    "mine.beta_conf": (_REAL, False),
+    "mine.max_len": (_INT, True),
+    "partition.beta_sup": (_REAL, True),
+    "partition.beta_conf": (_REAL, True),
+    "partition.pi_min": (_REAL, True),
+}
+
+
+def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> None:
+    if value is None and nullable:
+        return
+    if not isinstance(value, types) or isinstance(value, bool):
+        kind = "an integer" if types is _INT else "a number"
+        raise ConfigError(f"{key} must be {kind}{' or null' if nullable else ''}, got {value!r}")
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -109,13 +140,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         extra = set(config[section]) - set(DEFAULT_CONFIG[section])
         if extra:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(extra)}")
-    seeds = {"seed": config["seed"]}
-    seeds.update((f"{s}.seed", config[s]["seed"]) for s in ("synth", "decompose", "cluster")
-                 if config[s]["seed"] is not None)
-    for key, seed in seeds.items():
-        # bool is a subclass of int, and `true` would run as seed 1
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"{key} must be an integer")
+    for key, (types, nullable) in _NUMERIC_KEYS.items():
+        node = config
+        for part in key.split("."):
+            node = node[part]
+        _check_number(key, node, types, nullable)
+    template = config["extract"]["template"]
+    if isinstance(template, dict) and template.get("kind") == "roi":
+        _check_number("extract.template.value", template.get("value", 1.0), _REAL, False)
     return config
 
 
@@ -180,7 +212,7 @@ def _stage_synth(config: dict, paths: dict[str, Path], staged: dict[str, Path]) 
         templates=templates,
         mixing_noise=0.1,
         noise_std=float(cfg["noise_std"]),
-        n_trials=int(cfg["n_trials"]),
+        n_trials=cfg["n_trials"],
         seed=_stage_seed(config, "synth", 0),
         montage=montage,
         conditions=[dict(c) for c in cfg["conditions"]],
@@ -249,25 +281,25 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
             f"unknown cluster.hierarchy {hierarchy!r}; pick one of {', '.join(_HIERARCHIES)}"
         )
     rows, _ = features.read_summary_csv(paths["summary"])
-    om = clustering.encode_observations(rows)
+    X = clustering.encode_observations(rows).X
     em_config = clustering.EMConfig(seed=_stage_seed(config, "cluster", 2))
     if cfg["k"] is not None:
-        model = clustering.em_fit(om, int(cfg["k"]), em_config)
+        model = clustering.em_fit(X, cfg["k"], em_config)
     else:
-        model = clustering.select_k(om, int(cfg["k_max"]), em_config)
+        model = clustering.select_k(X, cfg["k_max"], em_config)
     model.to_json(staged["cluster_model"])
     features.write_summary_csv(rows, staged["summary_clustered"], clusters=model.labels())
     if hierarchy == "divisive":
         taxonomy = clustering.divisive_hierarchy(
-            om, clustering.DivisiveConfig(seed=_stage_seed(config, "cluster", 2))
+            X, clustering.DivisiveConfig(seed=_stage_seed(config, "cluster", 2))
         )
     else:
-        taxonomy = clustering.agglomerative_hierarchy(om, hierarchy.split(":")[1])
+        taxonomy = clustering.agglomerative_hierarchy(X, hierarchy.split(":")[1])
     taxonomy.to_json(staged["taxonomy"])
     leaf_count = cfg["classes_leaf_count"]
     if leaf_count is None:
         leaf_count = min(model.k, len(taxonomy.leaves()))
-    classes = clustering.taxonomy_to_classes(taxonomy, leaf_count=int(leaf_count))
+    classes = clustering.taxonomy_to_classes(taxonomy, leaf_count=leaf_count)
     clustering.classes_to_json(classes, staged["classes"])
 
 

@@ -232,12 +232,6 @@ class TestClassify:
         with pytest.raises(ConfigError):
             classify(tree, {})
 
-    def test_missing_attribute_majority_routing_when_configured(self):
-        tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS,
-                          TreeConfig(missing="majority"))
-        with pytest.warns(UserWarning, match="missing"):
-            assert classify(tree, {}) in {"A", "B"}
-
 
 class TestExtractRules:
     def test_single_leaf_rule(self):
@@ -387,6 +381,23 @@ class TestSerialization:
         again = tree_from_json(path)
         assert again.root == tree.root
         assert all_split_points(again) == all_split_points(tree)
+
+    def test_config_holds_only_prune_cf_and_old_config_keys_are_ignored(self, tmp_path):
+        rows = [{"x": float(i % 5), "c": "uv"[i % 2]} for i in range(12)]
+        labels = ["A" if i % 5 < 2 or i % 2 else "B" for i in range(12)]
+        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        path = tmp_path / "tree.json"
+        tree_to_json(tree, path)
+        doc = json.loads(path.read_text())
+        assert doc["config"] == {"prune_cf": None}
+        # files written while the tree config had more keys still load
+        doc["config"].update(min_leaf=1, max_depth=None, missing="error")
+        path.write_text(json.dumps(doc))
+        again = tree_from_json(path)
+        assert again.config == TreeConfig(prune_cf=None)
+        assert all_split_points(tree)["x"]
+        assert all_split_points(again) == all_split_points(tree)
+        assert [classify(again, r) for r in rows] == [classify(tree, r) for r in rows]
 
     def test_condition_render(self):
         assert Condition("TI_max", ">", 350.0).render() == "TI_max > 350"

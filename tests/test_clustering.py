@@ -14,7 +14,6 @@ from nof.clustering import (
     em_fit,
     em_predict,
     encode_observations,
-    project_pca,
     select_k,
     taxonomy_to_classes,
 )
@@ -83,20 +82,6 @@ class TestEncoding:
         a = em_fit(X, 2, EMConfig(seed=1))
         b = em_fit(om_scaled.X, 2, EMConfig(seed=1))
         assert np.array_equal(a.assignments, b.assignments)
-
-    def test_pca_projection(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(30, 4))
-        om = encode_observations([summary_row() for _ in range(2)])
-        reduced = project_pca(
-            type(om)(X=X, columns=("a", "b", "c", "d"),
-                     scale_mean=np.zeros(4), scale_std=np.ones(4), scaled_columns=()),
-            2,
-        )
-        assert reduced.X.shape == (30, 2)
-        assert reduced.columns == ("PC1", "PC2")
-        with pytest.raises(ConfigError):
-            project_pca(reduced, 5)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ConfigError):
@@ -172,7 +157,7 @@ class TestEmFit:
         X = rng.normal(size=(40, 3))
         X[:, 2] = 0.0  # degenerate dimension forces the floor to bite
         for cov_type in ("diag", "full"):
-            cfg = EMConfig(seed=0, covariance=cov_type, cov_floor=1e-6)
+            cfg = EMConfig(seed=0, covariance=cov_type)
             model = em_fit(X, 2, cfg)
             floor = 1e-6 * float(np.sum(X.var(axis=0))) / X.shape[1]
             for cov in model.covariances:
@@ -281,24 +266,6 @@ class TestDivisive:
                     walk(child)
 
         walk(tax.root)
-
-    def test_min_leaf_respected(self):
-        rng = np.random.default_rng(16)
-        tax = divisive_hierarchy(rng.normal(size=(12, 2)), DivisiveConfig(seed=0, min_leaf=3))
-        for leaf in tax.leaves():
-            assert len(leaf.indices) >= 3
-
-    def test_max_depth_respected(self):
-        rng = np.random.default_rng(17)
-        tax = divisive_hierarchy(rng.normal(size=(16, 2)),
-                                 DivisiveConfig(seed=0, max_depth=1))
-
-        def depth(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(tax.root) <= 1
 
 
 class TestAgglomerative:

@@ -467,6 +467,31 @@ class TestExpertRuleFile:
         with pytest.raises(ParseError, match="attribute"):
             ingest_expert_rules(path)
 
+    @pytest.mark.parametrize("change,key", [
+        ({"rules": ["x"]}, "rules"),
+        ({"rules": {"a": 1}}, "rules"),
+        ({"thresholds": [1, 2]}, "thresholds"),
+        ({"thresholds": {"beta_sup": True}}, "thresholds"),
+        ({"classes": [{"parent": None}]}, "classes"),
+        ({"attributes": "TI_max"}, "attributes"),
+        ({"attributes": ["TI_max", 3]}, "attributes"),
+    ])
+    def test_wrong_shape_names_its_key(self, tmp_path, change, key):
+        path = tmp_path / "expert.json"
+        path.write_text(json.dumps({**self._doc(), **change}, indent=1), encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"\b{key} must be"):
+            ingest_expert_rules(path)
+
+    @pytest.mark.parametrize("items", ["SP_max=Fz", [["SP_max=Fz"]]])
+    def test_antecedent_must_be_a_list_of_strings(self, tmp_path, items):
+        doc = self._doc()
+        doc["rules"][0]["if"] = items
+        path = tmp_path / "expert.json"
+        path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+        with pytest.raises(ParseError, match="if of rule 'p300_rule' must be") as err:
+            ingest_expert_rules(path)
+        assert '"p300_rule"' in path.read_text().splitlines()[err.value.line - 1]
+
     def test_threshold_range_validated(self, tmp_path):
         doc = self._doc()
         doc["thresholds"]["beta_sup"] = 2.0

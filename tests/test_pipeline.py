@@ -124,6 +124,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be an integer"):
             load_config(overrides=overrides)
 
+    def test_numeric_keys_accept_ints_floats_and_null_where_allowed(self):
+        config = load_config(overrides={
+            "synth": {"noise_std": 2},
+            "decompose": {"n_components": 0.9},
+            "mine": {"beta_sup": 1, "max_len": None},
+            "partition": {"beta_sup": 0.3, "pi_min": 0},
+            "extract": {"template": {"kind": "roi", "roi": "frontal", "value": 2}},
+        })
+        assert config["mine"]["max_len"] is None
+        assert load_config(overrides={"decompose": {"n_components": None}})
+
     def test_config_round_trips_through_json(self, tmp_path):
         config = load_config(overrides=small_overrides(tmp_path))
         path = tmp_path / "dump.json"
@@ -435,6 +446,21 @@ class TestCli:
         assert main(["synth", "--set", "seed=abc", "--out", str(out)]) == 3
         # numerical failure (components beyond data rank) -> 4
         assert main(["decompose", *base, "--set", "decompose.n_components=40"]) == 4
+
+    @pytest.mark.parametrize("setting", [
+        "synth.n_trials=true", "synth.n_trials=2.7", "synth.noise_std=true",
+        "decompose.n_components=true", "decompose.n_components=four", "cluster.k=true",
+        "cluster.k_max=2.5", "cluster.classes_leaf_count=false", "mine.beta_sup=true",
+        "mine.beta_conf=null", "mine.max_len=true", "partition.pi_min=true",
+        'extract.template={"kind":"roi","roi":"frontal","value":true}',
+    ])
+    def test_cli_rejects_a_numeric_key_of_the_wrong_type(self, tmp_path, capsys, setting):
+        key = setting.partition("=")[0]
+        if key == "extract.template":
+            key += ".value"
+        assert main(["synth", "--out", str(tmp_path), "--set", setting]) == 3
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "epochs").exists()
 
     def test_cli_csv_template_without_path_is_config_error(self, published_run, capsys):
         before = snapshot(published_run)
