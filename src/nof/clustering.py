@@ -1,13 +1,14 @@
 """Unsupervised grouping of summary rows.
 
-Flat clustering is a Gaussian mixture fitted by EM (diagonal covariances by
-default, full behind config, eigenvalue-floored); the cluster count can be
-fixed or chosen by BIC. Hierarchies come in a divisive flavour (recursive
-2-means) and an agglomerative flavour (single/complete/average linkage, read
-off scipy's linkage matrix; exact distance ties merge in scipy's deterministic
-order), both producing the same binary-tree taxonomy type, which can be cut
-into ordered classes for the ontology export. Every clustering function takes
-a plain observations x attributes array, such as `encode_observations(rows).X`.
+Flat clustering is a Gaussian mixture fitted by EM with eigenvalue-floored
+covariances, diagonal in the pipeline and full as a library option
+(`EMConfig.covariance`); the cluster count can be fixed or chosen by BIC.
+Hierarchies come in a divisive flavour (recursive 2-means) and an
+agglomerative flavour (single/complete/average linkage, read off scipy's
+linkage matrix; exact distance ties merge in scipy's deterministic order),
+both producing the same binary-tree taxonomy type, which can be cut into
+ordered classes for the ontology export. Every clustering function takes a
+plain observations x attributes array, such as `encode_observations(rows).X`.
 """
 from __future__ import annotations
 
@@ -70,14 +71,10 @@ def encode_observations(
     std = np.ones(X.shape[1])
     scaled: list[str] = []
     if config.scale and n_num:
-        mu = X[:, :n_num].mean(axis=0)
+        mean[:n_num] = X[:, :n_num].mean(axis=0)
         sd = X[:, :n_num].std(axis=0)
-        for i in range(n_num):
-            mean[i] = mu[i]
-            if sd[i] > 0:
-                std[i] = sd[i]
-                scaled.append(names[i])
-        X = X.copy()
+        std[:n_num] = np.where(sd > 0, sd, 1.0)
+        scaled = [c for c, v in zip(names, sd) if v > 0]
         X[:, :n_num] = (X[:, :n_num] - mean[:n_num]) / std[:n_num]
     return ObservationMatrix(
         X=X,
@@ -164,28 +161,50 @@ class ClusterModel:
 
 
 def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """n x k matrix of log N(x | mu_j, Sigma_j)."""
-    n, d = X.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    for j in range(k):
-        try:
-            chol = np.linalg.cholesky(covs[j])
-        except np.linalg.LinAlgError:
-            raise NumericalError(f"cluster {j} covariance is singular despite the floor")
-        diff = X - means[j]
-        sol = np.linalg.solve(chol, diff.T)
-        maha = np.sum(sol**2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, j] = -0.5 * (d * _LOG_2PI + logdet + maha)
+    """n x k matrix of log N(x | mu_j, Sigma_j), C-contiguous: a Fortran-ordered
+    one would send `_m_step`'s products down other BLAS kernels and move last bits."""
+    try:
+        chol = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        # the stacked call fails as a whole; name the first component that fails alone
+        for j, cov in enumerate(covs):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise NumericalError(f"cluster {j} covariance is singular despite the floor")
+        raise
+    sol = np.linalg.solve(chol, np.swapaxes(X[None, :, :] - means[:, None, :], 1, 2))
+    maha = np.sum(sol**2, axis=1)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return np.ascontiguousarray((-0.5 * (X.shape[1] * _LOG_2PI + logdet[:, None] + maha)).T)
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) by the arithmetic of scipy.special.logsumexp(a,
+    axis=1): the tied maxima are counted and left out of the shifted sum."""
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max)[:, 0]
+        bad = ~np.isfinite(out)     # e.g. an all -inf row: fall back to the direct sum
+        out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
     return out
+
+
+def _e_step(
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row log-likelihood and n x k responsibilities."""
+    log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, covs)
+    log_norm = _logsumexp(log_joint)
+    return log_norm, np.exp(log_joint - log_norm[:, None])
 
 
 def _floor_value(X: np.ndarray) -> float:
     total_var = float(np.sum(X.var(axis=0)))
-    d = X.shape[1]
-    base = total_var / d if total_var > 0 else 1.0
-    return _COV_FLOOR * base
+    return _COV_FLOOR * (total_var / X.shape[1] if total_var > 0 else 1.0)
 
 
 def _m_step(
@@ -195,60 +214,48 @@ def _m_step(
     nk = resp.sum(axis=0)
     weights = nk / n
     means = (resp.T @ X) / nk[:, None]
-    k = resp.shape[1]
-    covs = np.empty((k, d, d))
-    for j in range(k):
-        diff = X - means[j]
-        if covariance == "diag":
-            var = (resp[:, j] @ (diff**2)) / nk[j]
-            covs[j] = np.diag(np.maximum(var, floor))
-        else:
-            S = (diff * resp[:, j][:, None]).T @ diff / nk[j]
-            S = (S + S.T) / 2.0
-            eigvals, eigvecs = np.linalg.eigh(S)
-            covs[j] = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
+    diff = X[None, :, :] - means[:, None, :]           # k x n x d
+    if covariance == "diag":
+        var = np.matmul(resp.T[:, None, :], diff**2)[:, 0, :] / nk[:, None]
+        covs = np.zeros((len(nk), d, d))
+        covs[:, np.arange(d), np.arange(d)] = np.maximum(var, floor)
+    else:
+        S = np.matmul(np.swapaxes(diff * resp.T[:, :, None], 1, 2), diff) / nk[:, None, None]
+        S = (S + np.swapaxes(S, 1, 2)) / 2.0
+        eigvals, eigvecs = np.linalg.eigh(S)
+        covs = np.matmul(eigvecs * np.maximum(eigvals, floor)[:, None, :],
+                         np.swapaxes(eigvecs, 1, 2))
     return weights, means, covs
 
 
 def _em_single(
     X: np.ndarray, k: int, config: EMConfig, rng: np.random.Generator
 ) -> ClusterModel:
-    # scipy is imported where it is used, so `import nof` stays cheap
-    from scipy.special import logsumexp
-
-    n, d = X.shape
     floor = _floor_value(X)
-    idx = rng.choice(n, size=k, replace=False)
-    means = X[idx].copy()
-    base_var = np.maximum(X.var(axis=0), floor)
-    covs = np.stack([np.diag(base_var)] * k)
+    means = X[rng.choice(len(X), size=k, replace=False)]
+    covs = np.stack([np.diag(np.maximum(X.var(axis=0), floor))] * k)
     weights = np.full(k, 1.0 / k)
 
     history: list[float] = []
     converged = False
-    resp = None
     for _ in range(_EM_MAX_ITER):
-        log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, covs)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_norm, step_resp = _e_step(X, weights, means, covs)
         ll = float(log_norm.sum())
         if history and ll < history[-1] - 1e-9:
             raise NumericalError(
-                f"EM log-likelihood decreased ({history[-1]} -> {ll})"
+                f"EM log-likelihood decreased at iteration {len(history)} (k={k}, "
+                f"covariance={config.covariance!r}): {history[-1]} -> {ll}"
             )
-        if history and ll - history[-1] < _EM_TOL:
-            history.append(ll)
+        history.append(ll)
+        if len(history) > 1 and ll - history[-2] < _EM_TOL:
             converged = True
             break
-        history.append(ll)
-        resp = np.exp(log_joint - log_norm[:, None])
+        resp = step_resp
         weights, means, covs = _m_step(X, resp, floor, config.covariance)
-    if resp is None or not converged:
+    if not converged:
         # make assignments consistent with the final parameters
-        log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, covs)
-        log_norm = logsumexp(log_joint, axis=1)
-        if not converged:
-            history.append(float(log_norm.sum()))
-        resp = np.exp(log_joint - log_norm[:, None])
+        log_norm, resp = _e_step(X, weights, means, covs)
+        history.append(float(log_norm.sum()))
     return ClusterModel(
         k=k,
         weights=weights,
@@ -288,17 +295,10 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
 
 def em_predict(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assignments and responsibilities for new rows under a fitted model."""
-    from scipy.special import logsumexp
-
     data = np.asarray(X, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.means.shape[1]:
-        raise ConfigError(
-            f"dimension mismatch: model expects {model.means.shape[1]} columns"
-        )
-    log_joint = np.log(model.weights)[None, :] + _log_gaussians(
-        data, model.means, model.covariances
-    )
-    resp = np.exp(log_joint - logsumexp(log_joint, axis=1)[:, None])
+        raise ConfigError(f"dimension mismatch: model expects {model.means.shape[1]} columns")
+    _, resp = _e_step(data, model.weights, model.means, model.covariances)
     return np.argmax(resp, axis=1), resp
 
 

@@ -50,6 +50,59 @@ def assert_loglik_monotone(model, slack: float = 1e-9) -> None:
         assert curr >= prev - slack, f"log-likelihood decreased: {prev} -> {curr}"
 
 
+# Reference EM steps: one component at a time, and scipy's logsumexp.
+# Patched into nof.clustering in place of the stacked `_log_gaussians`,
+# `_m_step` and `_logsumexp`, they run the same EM, so the stacked code can be
+# held to bit-identical results.
+
+
+def loop_log_gaussians(X, means, covs):
+    """n x k matrix of log N(x | mu_j, Sigma_j), one component at a time."""
+    from nof.errors import NumericalError
+
+    n, d = X.shape
+    k = means.shape[0]
+    out = np.empty((n, k))
+    for j in range(k):
+        try:
+            chol = np.linalg.cholesky(covs[j])
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"cluster {j} covariance is singular despite the floor")
+        diff = X - means[j]
+        sol = np.linalg.solve(chol, diff.T)
+        maha = np.sum(sol**2, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+    return out
+
+
+def loop_m_step(X, resp, floor, covariance):
+    """M-step weights, means and floored covariances, one component at a time."""
+    n, d = X.shape
+    nk = resp.sum(axis=0)
+    weights = nk / n
+    means = (resp.T @ X) / nk[:, None]
+    k = resp.shape[1]
+    covs = np.empty((k, d, d))
+    for j in range(k):
+        diff = X - means[j]
+        if covariance == "diag":
+            var = (resp[:, j] @ (diff**2)) / nk[j]
+            covs[j] = np.diag(np.maximum(var, floor))
+        else:
+            S = (diff * resp[:, j][:, None]).T @ diff / nk[j]
+            S = (S + S.T) / 2.0
+            eigvals, eigvecs = np.linalg.eigh(S)
+            covs[j] = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
+    return weights, means, covs
+
+
+def scipy_logsumexp(a):
+    from scipy.special import logsumexp
+
+    return logsumexp(a, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # exhaustive 2-partition by SSE (divisive oracle)
 # ---------------------------------------------------------------------------

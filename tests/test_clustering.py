@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nof import clustering
 from nof.clustering import (
     ClusterModel,
     DivisiveConfig,
@@ -17,10 +20,18 @@ from nof.clustering import (
     select_k,
     taxonomy_to_classes,
 )
-from nof.errors import ConfigError
-from nof.features import FactorSummary
+from nof.errors import ConfigError, NumericalError
+from nof.features import FactorSummary, read_summary_csv
+from nof.pipeline import load_config, run_stage
 
-from helpers import adjusted_rand_index, assert_loglik_monotone, best_two_partition_by_sse
+from helpers import (
+    adjusted_rand_index,
+    assert_loglik_monotone,
+    best_two_partition_by_sse,
+    loop_log_gaussians,
+    loop_m_step,
+    scipy_logsumexp,
+)
 
 
 def summary_row(**kw):
@@ -234,6 +245,141 @@ class TestSelectK:
         X, _ = two_blobs(seed=15, n=12)
         model = select_k(X, 6, EMConfig(seed=0))
         assert np.bincount(model.assignments, minlength=model.k).min() >= 2
+
+
+# The benchmark workloads' summary tables: paper_default's 8 rows (n < d) and
+# many_rows' 16 conditions x 4 factors = 64 rows (n > d).
+MANY_CONDITIONS = [{"EVENT": e, "STIM": f"s{i}", "MOD": m}
+                   for e in ("stimon", "respon") for i in range(4)
+                   for m in ("visual", "auditory")]
+
+
+@pytest.fixture(scope="module")
+def testbed_tables(tmp_path_factory):
+    tables = {}
+    for name, seed, synth, shape in (
+        ("paper_default", 2, {}, (8, 29)),
+        ("many_rows", 0, {"n_trials": 160, "conditions": MANY_CONDITIONS}, (64, 30)),
+    ):
+        out = tmp_path_factory.mktemp(name)
+        config = load_config(overrides={"out": str(out), "seed": seed, "synth": synth})
+        for stage in ("synth", "decompose", "extract"):
+            run_stage(stage, config)
+        rows, _ = read_summary_csv(out / "summary.csv")
+        tables[name] = encode_observations(rows).X
+        assert tables[name].shape == shape
+    return tables
+
+
+def fit_or_error(fit):
+    try:
+        return fit()
+    except NumericalError as exc:
+        return str(exc)
+
+
+def assert_same_fit(got, want):
+    """Bit-identical ClusterModels, or the same error text."""
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for f in dataclasses.fields(ClusterModel):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b) and np.array_equal(a, b), f.name
+
+
+class TestStackedEmMatchesLoops:
+    """The stacked E- and M-steps and the numpy logsumexp give the same bits
+    as the per-component loops and scipy's logsumexp they replace."""
+
+    def test_log_gaussians_and_m_step(self, testbed_tables):
+        rng = np.random.default_rng(0)
+        for X in testbed_tables.values():
+            floor = clustering._floor_value(X)
+            for covariance in ("diag", "full"):
+                for k in range(1, 7):
+                    resp = rng.dirichlet(np.ones(k), size=len(X))
+                    got = clustering._m_step(X, resp, floor, covariance)
+                    want = loop_m_step(X, resp, floor, covariance)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+                    _, means, covs = want
+                    log_dens = clustering._log_gaussians(X, means, covs)
+                    assert log_dens.flags.c_contiguous
+                    assert np.array_equal(log_dens, loop_log_gaussians(X, means, covs))
+
+    def _fits(self, tables):
+        fits = []
+        for X in tables.values():
+            for covariance in ("diag", "full"):
+                config = EMConfig(covariance=covariance)
+                fits += [fit_or_error(lambda: em_fit(X, k, config)) for k in range(1, 7)]
+                fits.append(fit_or_error(lambda: select_k(X, 6, config)))
+        return fits
+
+    def test_em_fit_and_select_k(self, testbed_tables, monkeypatch):
+        stacked = self._fits(testbed_tables)
+        monkeypatch.setattr(clustering, "_log_gaussians", loop_log_gaussians)
+        monkeypatch.setattr(clustering, "_m_step", loop_m_step)
+        monkeypatch.setattr(clustering, "_logsumexp", scipy_logsumexp)
+        looped = self._fits(testbed_tables)
+        for got, want in zip(stacked, looped, strict=True):
+            assert_same_fit(got, want)
+        # both kinds of outcome are compared: fits and full-covariance failures
+        assert {type(f) for f in looped} == {ClusterModel, str}
+
+    def test_em_predict(self, testbed_tables):
+        X = testbed_tables["many_rows"]
+        model = em_fit(X, 4, EMConfig())
+        log_joint = np.log(model.weights) + loop_log_gaussians(
+            X, model.means, model.covariances)
+        resp = np.exp(log_joint - scipy_logsumexp(log_joint)[:, None])
+        assign, got = em_predict(model, X)
+        assert np.array_equal(got, resp)
+        assert np.array_equal(assign, np.argmax(resp, axis=1))
+
+    @pytest.mark.parametrize("case", ["normal", "ties", "neg_inf", "large"])
+    def test_logsumexp(self, case):
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(64, 6))
+        if case == "ties":
+            a = np.round(a)                      # many rows with tied maxima
+            a[:, 3] = a.max(axis=1)              # every row has at least two
+        elif case == "neg_inf":
+            a[:, 2] = -np.inf                    # a zero-weight component
+            a[0, :] = -np.inf
+        elif case == "large":
+            a = a * 1e4 + 1e4
+            a[::2, 1] = a[::2, 0]
+        assert np.array_equal(clustering._logsumexp(a), scipy_logsumexp(a))
+
+
+class TestEmErrors:
+    def test_singular_covariance_names_component(self):
+        model = ClusterModel(
+            k=2, weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
+            covariances=np.stack([np.eye(2), np.zeros((2, 2))]),
+            assignments=np.array([0, 1]), log_likelihood=0.0, n_iter=1,
+        )
+        with pytest.raises(NumericalError, match="^cluster 1 covariance is singular"):
+            em_predict(model, np.zeros((3, 2)))
+
+    def test_loglik_decrease_names_k_iteration_and_covariance(self, monkeypatch):
+        m_step = clustering._m_step
+        calls = []
+
+        def worse_second_step(X, resp, floor, covariance):
+            weights, means, covs = m_step(X, resp, floor, covariance)
+            calls.append(1)
+            return weights, means + 100.0 * (len(calls) == 2), covs
+
+        monkeypatch.setattr(clustering, "_m_step", worse_second_step)
+        X, _ = two_blobs(seed=3, n=30)
+        with pytest.raises(NumericalError, match=(
+                r"^EM log-likelihood decreased at iteration 2 "
+                r"\(k=2, covariance='diag'\): -?[0-9.]+ -> -?[0-9.]+$")):
+            em_fit(X, 2, EMConfig(n_restarts=1))
 
 
 ONE_D = np.array([[0.0], [1.0], [10.0], [11.0]])

@@ -522,6 +522,21 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_cluster_stage_leaves_scipy_special_unloaded(self, tmp_path):
+        config = load_config(overrides={
+            "out": str(tmp_path), "synth": {"n_trials": 24}, "decompose": {"n_components": 2}})
+        assert config["cluster"]["hierarchy"] == "divisive"
+        for stage in ("synth", "decompose", "extract"):
+            run_stage(stage, config)
+        code = ("import json, sys; from nof.pipeline import run_stage; "
+                "run_stage('cluster', json.loads(sys.argv[1])); "
+                "print('scipy.special' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert (tmp_path / "cluster_model.json").exists()
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "nof.cli", "--help"],
                               capture_output=True, text=True)
