@@ -1,8 +1,8 @@
 """Unsupervised grouping of summary rows.
 
-Flat clustering is a Gaussian mixture fitted by EM with eigenvalue-floored
-covariances, diagonal in the pipeline and full as a library option
-(`EMConfig.covariance`); the cluster count can be fixed or chosen by BIC.
+Flat clustering is a diagonal Gaussian mixture fitted by EM, with each
+component's density in closed form and its variances floored; the cluster
+count can be fixed, or chosen by BIC with the BIC of every k tried kept.
 Hierarchies come in a divisive flavour (recursive 2-means) and an
 agglomerative flavour (single/complete/average linkage, read off scipy's
 linkage matrix; exact distance ties merge in scipy's deterministic order),
@@ -13,7 +13,7 @@ plain observations x attributes array, such as `encode_observations(rows).X`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +90,8 @@ def encode_observations(
 # ---------------------------------------------------------------------------
 
 # EM stops when the log-likelihood gains less than _EM_TOL, or after
-# _EM_MAX_ITER iterations; covariance eigenvalues are floored at _COV_FLOOR
-# times the mean per-attribute variance of the data.
+# _EM_MAX_ITER iterations; variances are floored at _COV_FLOOR times the mean
+# per-attribute variance of the data.
 _EM_TOL = 1e-8
 _EM_MAX_ITER = 300
 _COV_FLOOR = 1e-6
@@ -101,7 +101,10 @@ _COV_FLOOR = 1e-6
 class EMConfig:
     seed: int = 0
     n_restarts: int = 4
-    covariance: str = "diag"     # "diag" or "full"
+
+
+# ClusterModel fields stored as JSON lists, with their element types
+_MODEL_ARRAYS = {"weights": float, "means": float, "variances": float, "assignments": int}
 
 
 @dataclass
@@ -109,32 +112,22 @@ class ClusterModel:
     k: int
     weights: np.ndarray              # simplex vector, length k
     means: np.ndarray                # k x d
-    covariances: np.ndarray          # k x d x d, positive definite
+    variances: np.ndarray            # k x d, floored
     assignments: np.ndarray          # argmax responsibility per row
     log_likelihood: float
     n_iter: int
     loglik_history: list[float] = field(default_factory=list)
     converged: bool = True
-    covariance_type: str = "diag"
+    # BIC per k tried by select_k, None for a k skipped by the two-row floor;
+    # empty for a fixed-k fit
+    bic_by_k: dict[int, float | None] = field(default_factory=dict)
 
     def labels(self) -> list[str]:
         return [f"C{a + 1}" for a in self.assignments]
 
     def to_json(self, path: str | Path) -> None:
-        doc = {
-            "k": self.k,
-            "weights": [float(v) for v in self.weights],
-            "means": [[float(v) for v in row] for row in self.means],
-            "covariances": [
-                [[float(v) for v in row] for row in cov] for cov in self.covariances
-            ],
-            "assignments": [int(a) for a in self.assignments],
-            "log_likelihood": self.log_likelihood,
-            "n_iter": self.n_iter,
-            "loglik_history": [float(v) for v in self.loglik_history],
-            "converged": self.converged,
-            "covariance_type": self.covariance_type,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update((name, doc[name].tolist()) for name in _MODEL_ARRAYS)
         # json.dumps encodes in C; json.dump always runs the pure-Python encoder
         with open(path, "w") as fh:
             fh.write(json.dumps(doc, sort_keys=True))
@@ -146,37 +139,26 @@ class ClusterModel:
             raise MissingInputError(f"cluster model not found: {path}")
         with open(path) as fh:
             doc = json.load(fh)
-        return cls(
-            k=int(doc["k"]),
-            weights=np.asarray(doc["weights"], dtype=float),
-            means=np.asarray(doc["means"], dtype=float),
-            covariances=np.asarray(doc["covariances"], dtype=float),
-            assignments=np.asarray(doc["assignments"], dtype=int),
-            log_likelihood=float(doc["log_likelihood"]),
-            n_iter=int(doc["n_iter"]),
-            loglik_history=[float(v) for v in doc["loglik_history"]],
-            converged=bool(doc["converged"]),
-            covariance_type=str(doc["covariance_type"]),
-        )
+        doc.update((name, np.asarray(doc[name], dtype=t)) for name, t in _MODEL_ARRAYS.items())
+        doc["bic_by_k"] = {int(k): bic for k, bic in doc["bic_by_k"].items()}
+        return cls(**doc)
 
 
-def _log_gaussians(X: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """n x k matrix of log N(x | mu_j, Sigma_j), C-contiguous: a Fortran-ordered
-    one would send `_m_step`'s products down other BLAS kernels and move last bits."""
-    try:
-        chol = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError:
-        # the stacked call fails as a whole; name the first component that fails alone
-        for j, cov in enumerate(covs):
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise NumericalError(f"cluster {j} covariance is singular despite the floor")
-        raise
-    sol = np.linalg.solve(chol, np.swapaxes(X[None, :, :] - means[:, None, :], 1, 2))
-    maha = np.sum(sol**2, axis=1)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return np.ascontiguousarray((-0.5 * (X.shape[1] * _LOG_2PI + logdet[:, None] + maha)).T)
+def _log_gaussians(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """n x k matrix of log N(x | mu_j, diag(var_j)) in closed form,
+    -1/2 (d log 2pi + 2 sum log sd + sum z^2) with z = (x - mu) * (1 / sd).
+
+    z is a C-ordered d x n x k array, so its squares are summed attribute by
+    attribute in order. With the reciprocal, this rounds as back-substitution
+    against the triangular factor diag(sd) does, bit for bit."""
+    bad = np.flatnonzero(~np.all(variances > 0, axis=1))
+    if bad.size:
+        raise NumericalError(
+            f"cluster {bad[0]} covariance is singular: a variance is not positive")
+    sd = np.sqrt(variances)
+    z = np.subtract(X.T[:, :, None], means.T[:, None, :], order="C") * (1.0 / sd).T[:, None, :]
+    maha = np.sum(z**2, axis=0)
+    return -0.5 * (X.shape[1] * _LOG_2PI + 2.0 * np.sum(np.log(sd), axis=1) + maha)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -194,10 +176,10 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _e_step(
-    X: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray
+    X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log-likelihood and n x k responsibilities."""
-    log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, covs)
+    log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, variances)
     log_norm = _logsumexp(log_joint)
     return log_norm, np.exp(log_joint - log_norm[:, None])
 
@@ -208,65 +190,52 @@ def _floor_value(X: np.ndarray) -> float:
 
 
 def _m_step(
-    X: np.ndarray, resp: np.ndarray, floor: float, covariance: str
+    X: np.ndarray, resp: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, d = X.shape
+    """Weights, means and floored variances."""
     nk = resp.sum(axis=0)
-    weights = nk / n
     means = (resp.T @ X) / nk[:, None]
     diff = X[None, :, :] - means[:, None, :]           # k x n x d
-    if covariance == "diag":
-        var = np.matmul(resp.T[:, None, :], diff**2)[:, 0, :] / nk[:, None]
-        covs = np.zeros((len(nk), d, d))
-        covs[:, np.arange(d), np.arange(d)] = np.maximum(var, floor)
-    else:
-        S = np.matmul(np.swapaxes(diff * resp.T[:, :, None], 1, 2), diff) / nk[:, None, None]
-        S = (S + np.swapaxes(S, 1, 2)) / 2.0
-        eigvals, eigvecs = np.linalg.eigh(S)
-        covs = np.matmul(eigvecs * np.maximum(eigvals, floor)[:, None, :],
-                         np.swapaxes(eigvecs, 1, 2))
-    return weights, means, covs
+    var = np.matmul(resp.T[:, None, :], diff**2)[:, 0, :] / nk[:, None]
+    return nk / X.shape[0], means, np.maximum(var, floor)
 
 
-def _em_single(
-    X: np.ndarray, k: int, config: EMConfig, rng: np.random.Generator
-) -> ClusterModel:
+def _em_single(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterModel:
     floor = _floor_value(X)
     means = X[rng.choice(len(X), size=k, replace=False)]
-    covs = np.stack([np.diag(np.maximum(X.var(axis=0), floor))] * k)
+    variances = np.tile(np.maximum(X.var(axis=0), floor), (k, 1))
     weights = np.full(k, 1.0 / k)
 
     history: list[float] = []
     converged = False
     for _ in range(_EM_MAX_ITER):
-        log_norm, step_resp = _e_step(X, weights, means, covs)
+        log_norm, step_resp = _e_step(X, weights, means, variances)
         ll = float(log_norm.sum())
         if history and ll < history[-1] - 1e-9:
             raise NumericalError(
-                f"EM log-likelihood decreased at iteration {len(history)} (k={k}, "
-                f"covariance={config.covariance!r}): {history[-1]} -> {ll}"
+                f"EM log-likelihood decreased at iteration {len(history)} (k={k}): "
+                f"{history[-1]} -> {ll}"
             )
         history.append(ll)
         if len(history) > 1 and ll - history[-2] < _EM_TOL:
             converged = True
             break
         resp = step_resp
-        weights, means, covs = _m_step(X, resp, floor, config.covariance)
+        weights, means, variances = _m_step(X, resp, floor)
     if not converged:
         # make assignments consistent with the final parameters
-        log_norm, resp = _e_step(X, weights, means, covs)
+        log_norm, resp = _e_step(X, weights, means, variances)
         history.append(float(log_norm.sum()))
     return ClusterModel(
         k=k,
         weights=weights,
         means=means,
-        covariances=covs,
+        variances=variances,
         assignments=np.argmax(resp, axis=1),
         log_likelihood=history[-1],
         n_iter=len(history),
         loglik_history=history,
         converged=converged,
-        covariance_type=config.covariance,
     )
 
 
@@ -282,12 +251,9 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
         raise ConfigError("k must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of observations ({n})")
-    if config.covariance not in ("diag", "full"):
-        raise ConfigError(f"unknown covariance type {config.covariance!r}")
     best: ClusterModel | None = None
     for r in range(max(config.n_restarts, 1)):
-        rng = np.random.default_rng([config.seed, r])
-        model = _em_single(data, k, config, rng)
+        model = _em_single(data, k, np.random.default_rng([config.seed, r]))
         if best is None or model.log_likelihood > best.log_likelihood:
             best = model
     return best
@@ -298,41 +264,41 @@ def em_predict(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarr
     data = np.asarray(X, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.means.shape[1]:
         raise ConfigError(f"dimension mismatch: model expects {model.means.shape[1]} columns")
-    _, resp = _e_step(data, model.weights, model.means, model.covariances)
+    _, resp = _e_step(data, model.weights, model.means, model.variances)
     return np.argmax(resp, axis=1), resp
 
 
-def _n_params(k: int, d: int, covariance: str) -> int:
-    cov_params = k * d if covariance == "diag" else k * d * (d + 1) // 2
-    return (k - 1) + k * d + cov_params
-
-
 def bic(model: ClusterModel, n: int) -> float:
-    d = model.means.shape[1]
-    p = _n_params(model.k, d, model.covariance_type)
+    """BIC with (k - 1) weights and k means and variances of d values each."""
+    p = (model.k - 1) + 2 * model.k * model.means.shape[1]
     return -2.0 * model.log_likelihood + p * float(np.log(n))
 
 
 def select_k(X: np.ndarray, k_max: int, config: EMConfig | None = None) -> ClusterModel:
-    """Fit k = 1..k_max and keep the lowest-BIC model (ties to smaller k).
+    """Fit k = 1..k_max and keep the lowest-BIC model (ties to smaller k),
+    with the BIC of every k tried in its `bic_by_k`.
 
     A k > 1 fit whose hard assignment leaves some component with fewer than
-    two rows is skipped: a one-row component on the floored covariance has
-    unbounded likelihood, so BIC would drift towards k = n.
+    two rows is skipped, its BIC recorded as None: a one-row component on
+    the floored variances has unbounded likelihood, so BIC would drift
+    towards k = n.
     """
     data = np.asarray(X, dtype=float)
     n = data.shape[0]
     if k_max < 1:
         raise ConfigError("k_max must be >= 1")
-    best: tuple[float, ClusterModel] | None = None
+    curve: dict[int, float | None] = {}
+    best: ClusterModel | None = None
     for k in range(1, min(k_max, n) + 1):
         model = em_fit(data, k, config)
         if k > 1 and np.bincount(model.assignments, minlength=k).min() < 2:
+            curve[k] = None
             continue
-        score = bic(model, n)
-        if best is None or score < best[0]:
-            best = (score, model)
-    return best[1]
+        curve[k] = bic(model, n)
+        if best is None or curve[k] < curve[best.k]:
+            best = model
+    best.bic_by_k = curve
+    return best
 
 
 # ---------------------------------------------------------------------------

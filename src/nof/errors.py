@@ -11,7 +11,8 @@ class NofError(Exception):
 
 
 class MissingInputError(NofError):
-    """A required input artifact (file or directory) does not exist."""
+    """A required input artifact (file or directory) does not exist, or is
+    stale: written from inputs that have changed since."""
 
 
 class ConfigError(NofError):

@@ -427,12 +427,33 @@ def _stage_inputs(keys: tuple[str, ...], config: dict, paths: dict[str, Path]) -
     return inputs
 
 
+def _check_fresh(input_keys: tuple[str, ...], paths: dict[str, Path],
+                 sums: dict[str, str], stages: list[dict]) -> None:
+    """Raise MissingInputError when an input artifact is stale: an artifact its
+    producer read, and that this stage reads too, has changed since. Files the
+    config names are not compared: swapping one, say the expert base before
+    re-running partition alone, is the user's call."""
+    artifacts = {paths[key].name for key in input_keys if key in _PRODUCER}
+    recorded = {s["stage"]: s["inputs"] for s in stages}
+    for key in input_keys:
+        producer = _PRODUCER.get(key)
+        for name, digest in recorded.get(producer, {}).items():
+            if name in artifacts and sums[name] != digest:
+                raise MissingInputError(
+                    f"{paths[key].name} is stale: {name} changed since {producer} ran "
+                    f"(run {producer} first)"
+                )
+
+
 def run_stage(stage: str, config: dict) -> dict:
     """Execute one stage, update run.json, and return its manifest entry.
 
     The stage writes into a staging directory under the output directory.
-    Only when it returns are its outputs moved into place, followed by
-    run.json, so a stage that fails leaves every file as it was.
+    Only when it returns, and its inputs are not stale (see _check_fresh),
+    are its outputs moved into place, followed by run.json, so a stage that
+    fails leaves every file as it was. The stage's own checks on its inputs
+    come first, so a mismatch it can name, such as a changed epoch shape,
+    is reported as that.
     """
     if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
@@ -442,12 +463,14 @@ def run_stage(stage: str, config: dict) -> dict:
     paths = artifact_paths(out)
     inputs = _stage_inputs(input_keys, config, paths)
     started = time.perf_counter()
+    input_sums = _checksums(inputs)
+    manifest = paths["manifest"]
+    stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
     staging = Path(tempfile.mkdtemp(dir=out, prefix=f".{stage}."))
     try:
         staged = artifact_paths(staging)
         fn(config, paths, staged)
-        manifest = paths["manifest"]
-        stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
+        _check_fresh(input_keys, paths, input_sums, stages)
         outputs = [paths[key] for key in output_keys]
         for key, path in zip(output_keys, outputs):
             if path.parent != out:  # epochs/, absent before the first synth
@@ -455,7 +478,7 @@ def run_stage(stage: str, config: dict) -> dict:
             os.replace(staged[key], path)
         entry = {
             "stage": stage,
-            "inputs": _checksums(inputs),
+            "inputs": input_sums,
             "outputs": _checksums(outputs),
             "wall_time_s": round(time.perf_counter() - started, 6),
         }

@@ -50,10 +50,10 @@ def assert_loglik_monotone(model, slack: float = 1e-9) -> None:
         assert curr >= prev - slack, f"log-likelihood decreased: {prev} -> {curr}"
 
 
-# Reference EM steps: one component at a time, and scipy's logsumexp.
-# Patched into nof.clustering in place of the stacked `_log_gaussians`,
-# `_m_step` and `_logsumexp`, they run the same EM, so the stacked code can be
-# held to bit-identical results.
+# Reference EM steps: one component at a time, the density through a
+# Cholesky factor, and scipy's logsumexp. Patched into nof.clustering in place
+# of the closed-form `_log_gaussians`, `_m_step` and `_logsumexp`, they run the
+# same EM, so the library can be held to bit-identical results.
 
 
 def loop_log_gaussians(X, means, covs):
@@ -76,25 +76,23 @@ def loop_log_gaussians(X, means, covs):
     return out
 
 
-def loop_m_step(X, resp, floor, covariance):
-    """M-step weights, means and floored covariances, one component at a time."""
+def loop_log_gaussians_diag(X, means, variances):
+    """`loop_log_gaussians` on the diagonal covariances the variances give."""
+    return loop_log_gaussians(X, means, np.stack([np.diag(v) for v in variances]))
+
+
+def loop_m_step(X, resp, floor):
+    """M-step weights, means and floored variances, one component at a time."""
     n, d = X.shape
     nk = resp.sum(axis=0)
     weights = nk / n
     means = (resp.T @ X) / nk[:, None]
     k = resp.shape[1]
-    covs = np.empty((k, d, d))
+    variances = np.empty((k, d))
     for j in range(k):
         diff = X - means[j]
-        if covariance == "diag":
-            var = (resp[:, j] @ (diff**2)) / nk[j]
-            covs[j] = np.diag(np.maximum(var, floor))
-        else:
-            S = (diff * resp[:, j][:, None]).T @ diff / nk[j]
-            S = (S + S.T) / 2.0
-            eigvals, eigvecs = np.linalg.eigh(S)
-            covs[j] = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
-    return weights, means, covs
+        variances[j] = np.maximum((resp[:, j] @ (diff**2)) / nk[j], floor)
+    return weights, means, variances
 
 
 def scipy_logsumexp(a):

@@ -28,7 +28,7 @@ from helpers import (
     adjusted_rand_index,
     assert_loglik_monotone,
     best_two_partition_by_sse,
-    loop_log_gaussians,
+    loop_log_gaussians_diag,
     loop_m_step,
     scipy_logsumexp,
 )
@@ -105,18 +105,9 @@ class TestEmFit:
         X = rng.normal(size=(40, 3)) * [1.0, 2.0, 0.5] + [0.0, 1.0, -2.0]
         model = em_fit(X, 1, EMConfig(seed=0))
         np.testing.assert_allclose(model.means[0], X.mean(axis=0), atol=1e-10)
-        np.testing.assert_allclose(
-            np.diag(model.covariances[0]), X.var(axis=0), atol=1e-10
-        )
+        np.testing.assert_allclose(model.variances[0], X.var(axis=0), atol=1e-10)
         assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
         assert_loglik_monotone(model)
-
-    def test_k1_full_covariance_closed_form(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(50, 2)) @ np.array([[1.0, 0.4], [0.0, 0.8]])
-        model = em_fit(X, 1, EMConfig(seed=0, covariance="full"))
-        mle = (X - X.mean(axis=0)).T @ (X - X.mean(axis=0)) / len(X)
-        np.testing.assert_allclose(model.covariances[0], mle, atol=1e-10)
 
     def test_two_gaussians_recovered(self):
         X, labels = two_blobs(seed=7)
@@ -153,11 +144,6 @@ class TestEmFit:
                 model = em_fit(X, k, EMConfig(seed=seed, n_restarts=2))
                 assert_loglik_monotone(model)
 
-    def test_full_covariance_fit(self):
-        X, labels = two_blobs(seed=10, n=60)
-        model = em_fit(X, 2, EMConfig(seed=0, covariance="full"))
-        assert adjusted_rand_index(model.assignments, labels) >= 0.99
-
     def test_duplicate_rows_survive_floor(self):
         X = np.ones((10, 2))
         model = em_fit(X, 1, EMConfig(seed=0))
@@ -167,12 +153,9 @@ class TestEmFit:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(40, 3))
         X[:, 2] = 0.0  # degenerate dimension forces the floor to bite
-        for cov_type in ("diag", "full"):
-            cfg = EMConfig(seed=0, covariance=cov_type)
-            model = em_fit(X, 2, cfg)
-            floor = 1e-6 * float(np.sum(X.var(axis=0))) / X.shape[1]
-            for cov in model.covariances:
-                assert np.linalg.eigvalsh(cov).min() >= floor * (1 - 1e-9)
+        model = em_fit(X, 2, EMConfig(seed=0))
+        floor = 1e-6 * float(np.sum(X.var(axis=0))) / X.shape[1]
+        assert model.variances.min() >= floor * (1 - 1e-9)
 
 
 class TestEmPredict:
@@ -181,7 +164,7 @@ class TestEmPredict:
             k=2,
             weights=np.array([0.5, 0.5]),
             means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
-            covariances=np.stack([np.eye(2), np.eye(2)]),
+            variances=np.ones((2, 2)),
             assignments=np.array([0, 1]),
             log_likelihood=0.0,
             n_iter=1,
@@ -233,7 +216,7 @@ class TestSelectK:
     def test_pattern_pair_not_split_into_singletons(self, seed):
         # rows 0/1 and 2/3 each hold one pattern, identical but for a
         # condition column; one-row components would have unbounded
-        # likelihood on the floored covariance and win BIC at k = n
+        # likelihood on the floored variances and win BIC at k = n
         X = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0],
                       [-2.0, 0.0, 0.0], [-2.0, 0.0, 1.0]])
         model = select_k(X, 4, EMConfig(seed=seed))
@@ -245,6 +228,15 @@ class TestSelectK:
         X, _ = two_blobs(seed=15, n=12)
         model = select_k(X, 6, EMConfig(seed=0))
         assert np.bincount(model.assignments, minlength=model.k).min() >= 2
+
+    def test_bic_by_k_records_every_k_tried(self):
+        X = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0],
+                      [-2.0, 0.0, 0.0], [-2.0, 0.0, 1.0]])
+        model = select_k(X, 6, EMConfig(seed=0))
+        # k = 5 and 6 exceed the 4 rows; k = 3 and 4 leave a one-row component
+        assert model.bic_by_k == {1: bic(em_fit(X, 1, EMConfig(seed=0)), 4),
+                                  2: bic(model, 4), 3: None, 4: None}
+        assert em_fit(X, 2, EMConfig(seed=0)).bic_by_k == {}
 
 
 # The benchmark workloads' summary tables: paper_default's 8 rows (n < d) and
@@ -271,69 +263,57 @@ def testbed_tables(tmp_path_factory):
     return tables
 
 
-def fit_or_error(fit):
-    try:
-        return fit()
-    except NumericalError as exc:
-        return str(exc)
-
-
 def assert_same_fit(got, want):
-    """Bit-identical ClusterModels, or the same error text."""
-    assert type(got) is type(want), (got, want)
-    if isinstance(want, str):
-        assert got == want
-        return
+    """Bit-identical ClusterModels."""
     for f in dataclasses.fields(ClusterModel):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        assert type(a) is type(b) and np.array_equal(a, b), f.name
+        assert type(a) is type(b), f.name
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
 
 
 class TestStackedEmMatchesLoops:
-    """The stacked E- and M-steps and the numpy logsumexp give the same bits
-    as the per-component loops and scipy's logsumexp they replace."""
+    """The closed-form E-step, the stacked M-step and the numpy logsumexp give
+    the same bits as the per-component Cholesky and M-step loops and scipy's
+    logsumexp in tests/helpers.py."""
 
     def test_log_gaussians_and_m_step(self, testbed_tables):
         rng = np.random.default_rng(0)
         for X in testbed_tables.values():
             floor = clustering._floor_value(X)
-            for covariance in ("diag", "full"):
-                for k in range(1, 7):
+            for k in range(1, 7):
+                for _ in range(12):
                     resp = rng.dirichlet(np.ones(k), size=len(X))
-                    got = clustering._m_step(X, resp, floor, covariance)
-                    want = loop_m_step(X, resp, floor, covariance)
+                    got = clustering._m_step(X, resp, floor)
+                    want = loop_m_step(X, resp, floor)
                     for a, b in zip(got, want):
                         assert np.array_equal(a, b)
-                    _, means, covs = want
-                    log_dens = clustering._log_gaussians(X, means, covs)
+                    _, means, variances = want
+                    log_dens = clustering._log_gaussians(X, means, variances)
                     assert log_dens.flags.c_contiguous
-                    assert np.array_equal(log_dens, loop_log_gaussians(X, means, covs))
+                    ref = loop_log_gaussians_diag(X, means, variances)
+                    assert np.array_equal(log_dens, ref)
 
     def _fits(self, tables):
         fits = []
         for X in tables.values():
-            for covariance in ("diag", "full"):
-                config = EMConfig(covariance=covariance)
-                fits += [fit_or_error(lambda: em_fit(X, k, config)) for k in range(1, 7)]
-                fits.append(fit_or_error(lambda: select_k(X, 6, config)))
+            fits += [em_fit(X, k) for k in range(1, 7)]
+            fits.append(select_k(X, 6))
         return fits
 
     def test_em_fit_and_select_k(self, testbed_tables, monkeypatch):
-        stacked = self._fits(testbed_tables)
-        monkeypatch.setattr(clustering, "_log_gaussians", loop_log_gaussians)
+        closed_form = self._fits(testbed_tables)
+        monkeypatch.setattr(clustering, "_log_gaussians", loop_log_gaussians_diag)
         monkeypatch.setattr(clustering, "_m_step", loop_m_step)
         monkeypatch.setattr(clustering, "_logsumexp", scipy_logsumexp)
         looped = self._fits(testbed_tables)
-        for got, want in zip(stacked, looped, strict=True):
+        for got, want in zip(closed_form, looped, strict=True):
             assert_same_fit(got, want)
-        # both kinds of outcome are compared: fits and full-covariance failures
-        assert {type(f) for f in looped} == {ClusterModel, str}
 
     def test_em_predict(self, testbed_tables):
         X = testbed_tables["many_rows"]
         model = em_fit(X, 4, EMConfig())
-        log_joint = np.log(model.weights) + loop_log_gaussians(
-            X, model.means, model.covariances)
+        log_joint = np.log(model.weights) + loop_log_gaussians_diag(
+            X, model.means, model.variances)
         resp = np.exp(log_joint - scipy_logsumexp(log_joint)[:, None])
         assign, got = em_predict(model, X)
         assert np.array_equal(got, resp)
@@ -359,26 +339,26 @@ class TestEmErrors:
     def test_singular_covariance_names_component(self):
         model = ClusterModel(
             k=2, weights=np.array([0.5, 0.5]), means=np.zeros((2, 2)),
-            covariances=np.stack([np.eye(2), np.zeros((2, 2))]),
+            variances=np.array([[1.0, 1.0], [1.0, 0.0]]),
             assignments=np.array([0, 1]), log_likelihood=0.0, n_iter=1,
         )
         with pytest.raises(NumericalError, match="^cluster 1 covariance is singular"):
             em_predict(model, np.zeros((3, 2)))
 
-    def test_loglik_decrease_names_k_iteration_and_covariance(self, monkeypatch):
+    def test_loglik_decrease_names_k_and_iteration(self, monkeypatch):
         m_step = clustering._m_step
         calls = []
 
-        def worse_second_step(X, resp, floor, covariance):
-            weights, means, covs = m_step(X, resp, floor, covariance)
+        def worse_second_step(X, resp, floor):
+            weights, means, variances = m_step(X, resp, floor)
             calls.append(1)
-            return weights, means + 100.0 * (len(calls) == 2), covs
+            return weights, means + 100.0 * (len(calls) == 2), variances
 
         monkeypatch.setattr(clustering, "_m_step", worse_second_step)
         X, _ = two_blobs(seed=3, n=30)
         with pytest.raises(NumericalError, match=(
                 r"^EM log-likelihood decreased at iteration 2 "
-                r"\(k=2, covariance='diag'\): -?[0-9.]+ -> -?[0-9.]+$")):
+                r"\(k=2\): -?[0-9.]+ -> -?[0-9.]+$")):
             em_fit(X, 2, EMConfig(n_restarts=1))
 
 
@@ -542,6 +522,9 @@ class TestModelSerialization:
         assert np.array_equal(again.assignments, model.assignments)
         assert again.log_likelihood == model.log_likelihood
         assert again.labels() == model.labels()
+        chosen = select_k(X, 3, EMConfig(seed=0))  # with a BIC curve
+        chosen.to_json(path)
+        assert_same_fit(ClusterModel.from_json(path), chosen)
 
     def test_taxonomy_json(self, tmp_path):
         tax = agglomerative_hierarchy(ONE_D, "single")

@@ -1,9 +1,12 @@
-"""The library's settable parameters, and imports that nothing uses."""
+"""The library's settable parameters, the cluster model's stored fields, and
+imports that nothing uses."""
 import ast
 import dataclasses
 import inspect
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nof import classification, clustering, decomposition
@@ -13,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "nof"
 # Each kept field has a caller: a pipeline stage, an acceptance criterion, or
 # a test that uses it as its reference path.
 CONFIG_FIELDS = [
-    (clustering.EMConfig, ("seed", "n_restarts", "covariance")),
+    (clustering.EMConfig, ("seed", "n_restarts")),
     (clustering.EncodingConfig, ("numeric", "categorical", "scale")),
     (clustering.DivisiveConfig, ("seed",)),
     (classification.TreeConfig, ("prune_cf",)),
@@ -24,6 +27,20 @@ CONFIG_FIELDS = [
 @pytest.mark.parametrize("cls,names", CONFIG_FIELDS, ids=[c.__name__ for c, _ in CONFIG_FIELDS])
 def test_config_fields_are_the_kept_set(cls, names):
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+
+# A diagonal mixture: what was fitted, and the BIC curve select_k computed.
+CLUSTER_MODEL_FIELDS = ("k", "weights", "means", "variances", "assignments", "log_likelihood",
+                        "n_iter", "loglik_history", "converged", "bic_by_k")
+
+
+def test_cluster_model_fields_and_json_keys(tmp_path):
+    assert tuple(f.name for f in dataclasses.fields(clustering.ClusterModel)) \
+        == CLUSTER_MODEL_FIELDS
+    model = clustering.em_fit(np.arange(12.0).reshape(6, 2), 2)
+    model.to_json(tmp_path / "cluster_model.json")
+    doc = json.loads((tmp_path / "cluster_model.json").read_text())
+    assert sorted(doc) == sorted(CLUSTER_MODEL_FIELDS)
 
 
 def test_taxonomy_cut_takes_no_root_name():

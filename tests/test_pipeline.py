@@ -237,6 +237,32 @@ class TestStages:
         with pytest.raises(ConfigError, match="epoch tensor shape"):
             run_stage("extract", config)
 
+    def test_extract_rejects_epochs_resynthesized_at_another_seed(self, tmp_path):
+        # same shape, new data: only run.json shows the unmixing is stale
+        out = tmp_path / "reseeded"
+        overrides = small_overrides(out)
+        for stage in ("synth", "decompose"):
+            run_stage(stage, load_config(overrides=overrides))
+        run_stage("synth", load_config(overrides={**overrides, "seed": 6}))
+        before = snapshot(out)
+        with pytest.raises(MissingInputError, match=(
+                r"^decomposition\.json is stale: data\.npy changed since decompose ran "
+                r"\(run decompose first\)$")):
+            run_stage("extract", load_config(overrides=overrides))
+        assert snapshot(out) == before
+        assert main(["extract", "--out", str(out), "--seed", "5"]) == 2
+
+    def test_mine_rejects_tree_grown_before_cluster_reran(self, tmp_path):
+        overrides = small_overrides(tmp_path)
+        run_pipeline(load_config(overrides=overrides))
+        overrides["cluster"] = {"k": 3}
+        run_stage("cluster", load_config(overrides=overrides))
+        with pytest.raises(MissingInputError, match=(
+                r"^tree\.json is stale: summary_clustered\.csv changed since classify ran")):
+            run_stage("mine", load_config(overrides=overrides))
+        run_stage("classify", load_config(overrides=overrides))
+        run_stage("mine", load_config(overrides=overrides))
+
     def test_bic_and_agglomerative_config_branch(self, tmp_path):
         out = tmp_path / "bic_branch"
         config = load_config(overrides={
