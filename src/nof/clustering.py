@@ -13,7 +13,7 @@ plain observations x attributes array, such as `encode_observations(rows).X`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -534,9 +534,5 @@ def taxonomy_to_classes(
 
 
 def classes_to_json(classes: list[TaxonomyClass], path: str | Path) -> None:
-    doc = [
-        {"name": c.name, "parent": c.parent, "members": list(c.members)}
-        for c in classes
-    ]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps([asdict(c) for c in classes], sort_keys=True))

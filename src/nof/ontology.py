@@ -18,11 +18,10 @@ adopted.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .clustering import TaxonomyClass
 from .errors import ConfigError, MissingInputError, ParseError
 from .features import COLUMNS
 from .rulemining import AssociationRule, Item, label_item, parse_item
@@ -47,17 +46,10 @@ class ExpertRule:
         return f"{ante} -> {cons}"
 
 
-@dataclass(frozen=True)
-class OntologyClass:
-    name: str
-    parent: str | None = None
-    members: tuple[int, ...] = ()
-
-
 @dataclass
 class OntologyRuleBase:
     rules: list[ExpertRule] = field(default_factory=list)
-    classes: list[OntologyClass] = field(default_factory=list)
+    classes: list[TaxonomyClass] = field(default_factory=list)
     beta_sup: float = DEFAULT_THRESHOLDS["beta_sup"]
     beta_conf: float = DEFAULT_THRESHOLDS["beta_conf"]
     pi_min: float = DEFAULT_THRESHOLDS["pi_min"]
@@ -356,7 +348,7 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     expect(_list_of(raw_classes, dict) and all("name" in c for c in raw_classes),
            "classes", "a list of objects with a name")
     classes = [
-        OntologyClass(
+        TaxonomyClass(
             name=c["name"],
             parent=c.get("parent"),
             members=tuple(c.get("members", ())),
@@ -422,10 +414,7 @@ def export_rule_base(base: OntologyRuleBase, path: str | Path) -> None:
             "pi_min": base.pi_min,
         },
         "attributes": list(base.attributes),
-        "classes": [
-            {"name": c.name, "parent": c.parent, "members": list(c.members)}
-            for c in base.classes
-        ],
+        "classes": [asdict(c) for c in base.classes],
         "rules": [
             {
                 "id": r.rule_id,
@@ -441,67 +430,21 @@ def export_rule_base(base: OntologyRuleBase, path: str | Path) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
 
 
-# The five annotated-rule lists make up almost all of report.json, and
-# json.dump with indent runs its pure-Python encoder, so these entries are
-# written from one template. Every piece is encoded the way json.dump(indent=2,
-# sort_keys=True, ensure_ascii=False) encodes it, so the file is the same.
-_RULE_LISTS = (
-    "contradictory",
-    "known_high_strength",
-    "known_low_strength",
-    "low_strength_residue",
-    "novel_high_strength",
-)
-
-# the first field is the separator before the entry
-_RULE_TEMPLATE = (
-    '{}{{\n      "antecedent": {},\n      "confidence": {},\n      "consequent": {},'
-    '\n      "contradicted_expert": {},\n      "matched_expert": {},'
-    '\n      "reliability": {},\n      "support": {}\n    }}'
-)
-
-_JSON_NULL = json.dumps(None)
-
-
-def _json_scalar(value) -> str:
-    """`value` as json.dumps writes it: finite floats through float.__repr__,
-    strings through json's C string encoder, None as json.dumps(None), and
-    anything else (NaN, infinities, ints, bools) through json.dumps itself."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return _JSON_NULL
-    return json.dumps(value)
-
-
-def _write_rule_list(fh, rules: list[AnnotatedRule], items_json) -> None:
-    if not rules:
-        fh.write("[]")
-        return
-    sep = "[\n    "
-    for ar in rules:
-        r = ar.rule
-        ante, cons = r.sort_key()
-        fh.write(
-            _RULE_TEMPLATE.format(
-                sep,
-                items_json(ante),
-                _json_scalar(r.confidence),
-                items_json(cons),
-                _json_scalar(ar.contradicted_expert),
-                _json_scalar(ar.matched_expert),
-                _json_scalar(r.reliability),
-                _json_scalar(r.support),
-            )
-        )
-        sep = ",\n    "
-    fh.write("\n  ]")
+def _annotated_doc(ar: AnnotatedRule) -> dict:
+    ante, cons = ar.rule.sort_key()
+    return {
+        "antecedent": ante,
+        "consequent": cons,
+        "support": ar.rule.support,
+        "confidence": ar.rule.confidence,
+        "reliability": ar.rule.reliability,
+        "matched_expert": ar.matched_expert,
+        "contradicted_expert": ar.contradicted_expert,
+    }
 
 
 def report_to_json(report: PartitionReport, path: str | Path) -> None:
-    """Write the report as indented JSON with sorted keys."""
+    """Write the report as compact JSON with sorted keys."""
     doc = {
         "thresholds": report.thresholds,
         "alignment": report.alignment,
@@ -518,31 +461,12 @@ def report_to_json(report: PartitionReport, path: str | Path) -> None:
             {"id": e.rule_id, "rule": e.render()} for e in report.missing
         ],
     }
-    # rules repeat the same antecedents and consequents thousands of times
-    encoded: dict[tuple[str, ...], str] = {}
-
-    def items_json(items: tuple[str, ...]) -> str:
-        text = encoded.get(items)
-        if text is None:
-            text = encoded[items] = (
-                "[\n        " + ",\n        ".join(map(encode_basestring, items)) + "\n      ]"
-                if items
-                else "[]"
-            )
-        return text
-
+    for name in ("known_high_strength", "known_low_strength", "novel_high_strength",
+                 "contradictory", "low_strength_residue"):
+        doc[name] = [_annotated_doc(ar) for ar in getattr(report, name)]
+    # json.dumps encodes in C; json.dump always runs the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        sep = "{\n  "
-        for key in sorted((*doc, *_RULE_LISTS)):
-            fh.write(f"{sep}{encode_basestring(key)}: ")
-            if key in doc:
-                part = json.dumps(doc[key], indent=2, sort_keys=True, ensure_ascii=False)
-                # nest the small part one level deeper; JSON strings hold no raw newline
-                fh.write(part.replace("\n", "\n  "))
-            else:
-                _write_rule_list(fh, getattr(report, key), items_json)
-            sep = ",\n  "
-        fh.write("\n}")
+        fh.write(json.dumps(doc, sort_keys=True, ensure_ascii=False))
 
 
 def report_to_text(report: PartitionReport) -> str:

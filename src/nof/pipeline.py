@@ -427,21 +427,38 @@ def _stage_inputs(keys: tuple[str, ...], config: dict, paths: dict[str, Path]) -
     return inputs
 
 
+def _upstream(keys: tuple[str, ...]) -> set[str]:
+    """The stages that wrote the artifacts `keys`, and every stage upstream."""
+    found: set[str] = set()
+    todo = [_PRODUCER[key] for key in keys if key in _PRODUCER]
+    while todo:
+        stage = todo.pop()
+        if stage not in found:
+            found.add(stage)
+            todo.extend(_PRODUCER[key] for key in _STAGES[stage][1] if key in _PRODUCER)
+    return found
+
+
 def _check_fresh(input_keys: tuple[str, ...], paths: dict[str, Path],
                  sums: dict[str, str], stages: list[dict]) -> None:
-    """Raise MissingInputError when an input artifact is stale: an artifact its
-    producer read, and that this stage reads too, has changed since. Files the
-    config names are not compared: swapping one, say the expert base before
-    re-running partition alone, is the user's call."""
-    artifacts = {paths[key].name for key in input_keys if key in _PRODUCER}
-    recorded = {s["stage"]: s["inputs"] for s in stages}
-    for key in input_keys:
-        producer = _PRODUCER.get(key)
-        for name, digest in recorded.get(producer, {}).items():
-            if name in artifacts and sums[name] != digest:
+    """Raise MissingInputError when an input artifact is stale: some stage
+    upstream of it read an artifact that has changed since. An artifact this
+    stage reads is current as `sums` hashed it; any other as its producer last
+    recorded it in run.json. The error names the earliest such stage, the one
+    to run again. Files the config names are not compared: swapping one, say
+    the expert base before re-running partition alone, is the user's call."""
+    producer = {paths[key].name: stage for key, stage in _PRODUCER.items()}
+    recorded = {s["stage"]: s for s in stages}
+    current = {name: digest for s in stages for name, digest in s["outputs"].items()}
+    current.update(sums)
+    upstream = _upstream(input_keys)
+    for stage in (s for s in STAGES if s in upstream and s in recorded):
+        for name, digest in recorded[stage]["inputs"].items():
+            if name in producer and current.get(name, digest) != digest:
+                key = next(k for k in input_keys if stage in _upstream((k,)))
                 raise MissingInputError(
-                    f"{paths[key].name} is stale: {name} changed since {producer} ran "
-                    f"(run {producer} first)"
+                    f"{paths[key].name} is stale: {name} changed since {stage} ran "
+                    f"(run {stage} first)"
                 )
 
 

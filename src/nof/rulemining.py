@@ -187,6 +187,8 @@ def apriori(
     """
     if not 0 < beta_sup <= 1:
         raise ConfigError(f"beta_sup must lie in (0, 1], got {beta_sup}")
+    if max_len is not None and max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     if not transactions:
         raise ConfigError("transaction list must be nonempty")
     n = len(transactions)

@@ -293,7 +293,7 @@ class EpochTensor:
             "trials": self.trial_info,
         }
         with open(directory / "meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write(json.dumps(meta, sort_keys=True))
         np.save(directory / "data.npy", np.ascontiguousarray(self.data, dtype=np.float64))
 
     @classmethod

@@ -360,6 +360,7 @@ def test_criterion_08_end_to_end_knowledge_recovery(tmp_path):
     _ok(8, "end-to-end known/novel/contradictory knowledge recovery")
 
 
+@pytest.mark.filterwarnings("ignore:fastica did not converge:RuntimeWarning")
 def test_criterion_08_recovery_across_seeds(tmp_path):
     """The default config with the shipped expert base, seeds 0-19 at 100
     trials: the planted rule is known with high strength in at least 18 of

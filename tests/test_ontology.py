@@ -1,4 +1,3 @@
-import io
 import json
 from pathlib import Path
 
@@ -7,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nof.clustering import TaxonomyClass
 from nof.errors import ConfigError, MissingInputError, ParseError
 from nof.ontology import (
     AnnotatedRule,
     ExpertRule,
-    OntologyClass,
     OntologyRuleBase,
     PartitionReport,
     align_cluster_labels,
@@ -418,7 +417,7 @@ class TestExpertRuleFile:
         path = tmp_path / "expert.json"
         path.write_text(json.dumps(self._doc(), ensure_ascii=False), encoding="utf-8")
         base = ingest_expert_rules(path)
-        base.classes = [OntologyClass("ROOT", None, (0, 1)), OntologyClass("C1", "ROOT", (0,))]
+        base.classes = [TaxonomyClass("ROOT", None, (0, 1)), TaxonomyClass("C1", "ROOT", (0,))]
         out = tmp_path / "exported.json"
         export_rule_base(base, out)
         again = ingest_expert_rules(out)
@@ -530,8 +529,8 @@ class TestReportOutput:
 
 
 def _oracle_json(report) -> str:
-    """report.json as json.dump(indent=2, sort_keys=True, ensure_ascii=False)
-    writes it, from a document this test builds itself."""
+    """report.json as json.dumps(sort_keys=True, ensure_ascii=False) writes
+    it, from a document this test builds itself."""
     def annotated(ar):
         ante, cons = ar.rule.sort_key()
         return {
@@ -561,9 +560,7 @@ def _oracle_json(report) -> str:
     for name in ("known_high_strength", "known_low_strength", "novel_high_strength",
                  "contradictory", "low_strength_residue"):
         doc[name] = [annotated(ar) for ar in getattr(report, name)]
-    fh = io.StringIO()
-    json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
-    return fh.getvalue()
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False)
 
 
 def _assert_matches_oracle(report, path):
@@ -657,7 +654,7 @@ class TestReportJsonOracle:
                           ("novel_high_strength", AnnotatedRule(int_sup))])
         _assert_matches_oracle(report, tmp_path / "report.json")
         text = (tmp_path / "report.json").read_text(encoding="utf-8")
-        assert '"reliability": NaN,' in text and '"support": 1\n' in text
+        assert '"reliability": NaN,' in text and '"support": 1}' in text
 
     @settings(max_examples=60, deadline=None)
     @given(rules=st.lists(st.tuples(st.sampled_from(_CATEGORIES), _ANNOTATED), max_size=6),

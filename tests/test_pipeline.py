@@ -252,6 +252,32 @@ class TestStages:
         assert snapshot(out) == before
         assert main(["extract", "--out", str(out), "--seed", "5"]) == 2
 
+    def test_cluster_rejects_summary_extracted_before_synth_reran(self, tmp_path, capsys):
+        # cluster reads none of the files extract read: only the walk up
+        # run.json, through extract to decompose, finds the new epochs
+        out = tmp_path / "reseeded"
+        base = ["--out", str(out), "--set", "synth.n_trials=24",
+                "--set", "decompose.n_components=2", "--set", "cluster.k=2"]
+        assert main(["pipeline", "--seed", "5", *base]) == 0
+        assert main(["synth", "--seed", "6", *base]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["cluster", "--seed", "5", *base]) == 2
+        assert capsys.readouterr().err == (
+            "error: summary.csv is stale: data.npy changed since decompose ran "
+            "(run decompose first)\n")
+        assert snapshot(out) == before
+
+    def test_cluster_after_same_seed_synth_runs(self, tmp_path):
+        out = tmp_path / "same_seed"
+        base = ["--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
+                "--set", "decompose.n_components=2", "--set", "cluster.k=2"]
+        assert main(["pipeline", *base]) == 0
+        before = artifact_checksums(out)
+        assert main(["synth", *base]) == 0
+        assert main(["cluster", *base]) == 0
+        assert artifact_checksums(out) == before
+
     def test_mine_rejects_tree_grown_before_cluster_reran(self, tmp_path):
         overrides = small_overrides(tmp_path)
         run_pipeline(load_config(overrides=overrides))
@@ -402,6 +428,18 @@ def mined_items(out):
                 for item in side.split("&")}
 
 
+class TestArtifactEncoding:
+    def test_json_artifacts_are_compact_with_sorted_keys(self, expert_run):
+        artifacts = {str(p.relative_to(expert_run)): p for p in expert_run.rglob("*.json")
+                     if p.name != "run.json"}
+        assert sorted(artifacts) == [
+            "class_rules.json", "classes.json", "cluster_model.json", "decomposition.json",
+            "epochs/meta.json", "report.json", "taxonomy.json", "tree.json"]
+        for name, path in artifacts.items():
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False), name
+
+
 class TestExpertAwareMining:
     def test_default_run_mines_no_catch_all_item(self, expert_run):
         items = mined_items(expert_run)
@@ -487,6 +525,16 @@ class TestCli:
         assert main(["synth", "--out", str(tmp_path), "--set", setting]) == 3
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "epochs").exists()
+
+    @pytest.mark.parametrize("max_len", ["0", "-2"])
+    def test_cli_pipeline_rejects_max_len_below_one(self, tmp_path, capsys, max_len):
+        # before, mine returned the 1-itemsets and the report read "qualified rules: 0"
+        out = tmp_path / "max_len"
+        assert main(["pipeline", "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
+                     "--set", "decompose.n_components=2", "--set", "cluster.k=2",
+                     "--set", f"mine.max_len={max_len}"]) == 3
+        assert f"error: mine: max_len must be >= 1, got {max_len}" in capsys.readouterr().err
+        assert not (out / "mined_rules.csv").exists()
 
     def test_cli_csv_template_without_path_is_config_error(self, published_run, capsys):
         before = snapshot(published_run)

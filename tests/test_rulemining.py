@@ -212,6 +212,12 @@ class TestApriori:
         with pytest.raises(ConfigError):
             apriori([], 0.5)
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_max_len_below_one_rejected(self, max_len):
+        # before, the 1-itemsets came back as if max_len were 1
+        with pytest.raises(ConfigError, match="max_len must be >= 1, got"):
+            apriori([tx(A, B)] * 2, 0.5, max_len=max_len)
+
     @settings(max_examples=30, deadline=None)
     @given(
         picks=st.lists(
