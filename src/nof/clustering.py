@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .classification import Row
 from .errors import ConfigError, MissingInputError, NumericalError
-from .features import CATEGORICAL_COLUMNS, FactorSummary, NUMERIC_COLUMNS
+from .features import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -37,52 +38,34 @@ class EncodingConfig:
 
 @dataclass
 class ObservationMatrix:
-    """Numeric matrix over encoded summary attributes, with the scaling
-    recorded so the encoding is auditable."""
+    """Numeric matrix over encoded summary attributes, one name per column."""
 
     X: np.ndarray
     columns: tuple[str, ...]
-    scale_mean: np.ndarray
-    scale_std: np.ndarray        # 1.0 recorded for columns left unscaled
-    scaled_columns: tuple[str, ...]
 
 
 def encode_observations(
-    rows: list[FactorSummary], config: EncodingConfig | None = None
+    rows: list[Row], config: EncodingConfig | None = None
 ) -> ObservationMatrix:
     """Numeric columns z-scored (std > 0 only), categoricals one-hot."""
     config = config or EncodingConfig()
     if not rows:
         raise ConfigError("cannot encode an empty summary table")
-    dicts = [r.as_row() for r in rows]
     cols: list[np.ndarray] = []
     names: list[str] = []
     for c in config.numeric:
-        cols.append(np.array([float(d[c]) for d in dicts]))
+        cols.append(np.array([float(r[c]) for r in rows]))
         names.append(c)
     for c in config.categorical:
-        values = sorted({str(d[c]) for d in dicts})
-        for v in values:
-            cols.append(np.array([1.0 if str(d[c]) == v else 0.0 for d in dicts]))
+        for v in sorted({str(r[c]) for r in rows}):
+            cols.append(np.array([1.0 if str(r[c]) == v else 0.0 for r in rows]))
             names.append(f"{c}={v}")
     X = np.column_stack(cols) if cols else np.zeros((len(rows), 0))
     n_num = len(config.numeric)
-    mean = np.zeros(X.shape[1])
-    std = np.ones(X.shape[1])
-    scaled: list[str] = []
     if config.scale and n_num:
-        mean[:n_num] = X[:, :n_num].mean(axis=0)
         sd = X[:, :n_num].std(axis=0)
-        std[:n_num] = np.where(sd > 0, sd, 1.0)
-        scaled = [c for c, v in zip(names, sd) if v > 0]
-        X[:, :n_num] = (X[:, :n_num] - mean[:n_num]) / std[:n_num]
-    return ObservationMatrix(
-        X=X,
-        columns=tuple(names),
-        scale_mean=mean,
-        scale_std=std,
-        scaled_columns=tuple(scaled),
-    )
+        X[:, :n_num] = (X[:, :n_num] - X[:, :n_num].mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    return ObservationMatrix(X=X, columns=tuple(names))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Per-factor, per-condition summary attributes.
 
 Each factor x condition pair collapses to one row of 13 spatiotemporal
-attributes; the CSV of those rows is the contract between the front half of
-the pipeline (signal processing) and the back half (mining).
+attributes, a dict keyed by the names in COLUMNS, in that order (the decision
+tree breaks gain ties by it). summary.csv, those rows and nothing else, is the
+contract between the front half of the pipeline (signal processing) and the
+back half (mining); the cluster labels live in cluster_model.json.
 
 Definitions, since the attribute names alone do not fix formulas:
   * SP_max / SP_min are the argmax/argmin channels of the factor topography
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .classification import Row
 from .decomposition import FactorDecomposition
 from .errors import ConfigError, MissingInputError, ParseError
 from .testbed import EpochTensor, METADATA_KEYS
@@ -49,41 +51,6 @@ COLUMNS = (
 
 NUMERIC_COLUMNS = ("IN_min", "IN_max", "IN_mean", "SP_cor", "TI_max")
 CATEGORICAL_COLUMNS = tuple(c for c in COLUMNS if c not in NUMERIC_COLUMNS)
-
-
-@dataclass(frozen=True)
-class FactorSummary:
-    sp_max: str
-    sp_max_roi: str
-    sp_min: str
-    sp_min_roi: str
-    in_min: float
-    in_max: float
-    in_mean: float
-    roi: str
-    sp_cor: float
-    ti_max: float
-    event: str
-    stim: str
-    mod: str
-
-    def as_row(self) -> dict[str, float | str]:
-        """Column-name keyed view in the canonical CSV order."""
-        return {
-            "SP_max": self.sp_max,
-            "SP_max_ROI": self.sp_max_roi,
-            "SP_min": self.sp_min,
-            "SP_min_ROI": self.sp_min_roi,
-            "IN_min": self.in_min,
-            "IN_max": self.in_max,
-            "IN_mean": self.in_mean,
-            "ROI": self.roi,
-            "SP_cor": self.sp_cor,
-            "TI_max": self.ti_max,
-            "EVENT": self.event,
-            "STIM": self.stim,
-            "MOD": self.mod,
-        }
 
 
 def _argmax_with_tie_warning(values: np.ndarray, what: str) -> int:
@@ -167,7 +134,7 @@ def _summary_row(
     centered_avg: np.ndarray,
     template: np.ndarray,
     mean_idx: list[int],
-) -> FactorSummary:
+) -> Row:
     topo = dec.mixing[:, j]
     i_max = _argmax_with_tie_warning(topo, "topography argmax")
     i_min = _argmax_with_tie_warning(-topo, "topography argmin")
@@ -180,27 +147,23 @@ def _summary_row(
             f"factor {dec.factor_ids[j]} has an all-zero averaged activation", UserWarning
         )
     wave_at_max = topo[i_max] * avg_act
-    in_min = float(wave_at_max.min())
-    in_max = float(wave_at_max.max())
     peak = int(np.argmax(np.abs(wave_at_max)))
-    ti_max = float(epochs.t0 + peak * 1000.0 / epochs.fs)
-    in_mean = float(np.mean(np.outer(topo[mean_idx], avg_act)))
 
-    return FactorSummary(
-        sp_max=sp_max,
-        sp_max_roi=epochs.montage.roi(sp_max),
-        sp_min=sp_min,
-        sp_min_roi=epochs.montage.roi(sp_min),
-        in_min=in_min,
-        in_max=in_max,
-        in_mean=in_mean,
-        roi=epochs.montage.roi(sp_max),
-        sp_cor=_pearson(topo, template),
-        ti_max=ti_max,
-        event=_condition_value(condition, "EVENT", epochs, trials),
-        stim=_condition_value(condition, "STIM", epochs, trials),
-        mod=_condition_value(condition, "MOD", epochs, trials),
-    )
+    return {
+        "SP_max": sp_max,
+        "SP_max_ROI": epochs.montage.roi(sp_max),
+        "SP_min": sp_min,
+        "SP_min_ROI": epochs.montage.roi(sp_min),
+        "IN_min": float(wave_at_max.min()),
+        "IN_max": float(wave_at_max.max()),
+        "IN_mean": float(np.mean(np.outer(topo[mean_idx], avg_act))),
+        "ROI": epochs.montage.roi(sp_max),
+        "SP_cor": _pearson(topo, template),
+        "TI_max": float(epochs.t0 + peak * 1000.0 / epochs.fs),
+        "EVENT": _condition_value(condition, "EVENT", epochs, trials),
+        "STIM": _condition_value(condition, "STIM", epochs, trials),
+        "MOD": _condition_value(condition, "MOD", epochs, trials),
+    }
 
 
 def extract_summary(
@@ -210,7 +173,7 @@ def extract_summary(
     condition: dict[str, str],
     template: np.ndarray,
     mean_channel_set: list[str] | tuple[str, ...] | None = None,
-) -> FactorSummary:
+) -> Row:
     """One summary row for a factor under a metadata condition."""
     template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
     j = dec.factor_index(factor)
@@ -236,7 +199,7 @@ def summarize_dataset(
     template: np.ndarray,
     mean_channel_set: list[str] | tuple[str, ...] | None = None,
     group_by: tuple[str, ...] = METADATA_KEYS,
-) -> list[FactorSummary]:
+) -> list[Row]:
     """All factor x condition rows, factor-major, conditions sorted.
 
     Equal to `extract_summary` for every factor and condition, but each
@@ -260,61 +223,28 @@ def _fmt(value: float | str) -> str:
     return repr(float(value))
 
 
-def write_summary_csv(
-    rows: list[FactorSummary], path: str | Path, clusters: list[str] | None = None
-) -> None:
-    """Write the 13-column summary CSV; `clusters` appends a CLUSTER column."""
-    header = list(COLUMNS) + (["CLUSTER"] if clusters is not None else [])
-    if clusters is not None and len(clusters) != len(rows):
-        raise ConfigError("cluster labels must match row count")
+def write_summary_csv(rows: list[Row], path: str | Path) -> None:
+    """Write the 13-column summary CSV."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(header)
-        for i, row in enumerate(rows):
-            values = [_fmt(row.as_row()[c]) for c in COLUMNS]
-            if clusters is not None:
-                values.append(clusters[i])
-            w.writerow(values)
+        w.writerow(COLUMNS)
+        w.writerows([_fmt(row[c]) for c in COLUMNS] for row in rows)
 
 
-def read_summary_csv(path: str | Path) -> tuple[list[FactorSummary], list[str] | None]:
-    """Read a summary CSV, returning rows and the CLUSTER column if present."""
+def read_summary_csv(path: str | Path) -> list[Row]:
+    """Read a summary CSV back into rows, numeric columns as floats."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"summary file not found: {path}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header[: len(COLUMNS)]) != COLUMNS:
-            raise ConfigError(
-                f"summary header must start with {','.join(COLUMNS)}, got {header}"
-            )
-        has_cluster = header == list(COLUMNS) + ["CLUSTER"]
-        if not has_cluster and header != list(COLUMNS):
-            raise ConfigError(f"unexpected summary columns: {header}")
-        rows: list[FactorSummary] = []
-        clusters: list[str] = []
+        if header != list(COLUMNS):
+            raise ConfigError(f"summary header must be {','.join(COLUMNS)}, got {header}")
+        rows: list[Row] = []
         for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(rec)}", line=lineno)
-            named = dict(zip(header, rec))
-            rows.append(
-                FactorSummary(
-                    sp_max=named["SP_max"],
-                    sp_max_roi=named["SP_max_ROI"],
-                    sp_min=named["SP_min"],
-                    sp_min_roi=named["SP_min_ROI"],
-                    in_min=float(named["IN_min"]),
-                    in_max=float(named["IN_max"]),
-                    in_mean=float(named["IN_mean"]),
-                    roi=named["ROI"],
-                    sp_cor=float(named["SP_cor"]),
-                    ti_max=float(named["TI_max"]),
-                    event=named["EVENT"],
-                    stim=named["STIM"],
-                    mod=named["MOD"],
-                )
-            )
-            if has_cluster:
-                clusters.append(named["CLUSTER"])
-    return rows, (clusters if has_cluster else None)
+            if len(rec) != len(COLUMNS):
+                raise ParseError(f"expected {len(COLUMNS)} fields, got {len(rec)}", line=lineno)
+            rows.append({c: float(v) if c in NUMERIC_COLUMNS else v
+                         for c, v in zip(COLUMNS, rec)})
+    return rows

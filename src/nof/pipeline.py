@@ -32,7 +32,6 @@ DEFAULT_CONFIG: dict = {
         "preset": "two_pattern",
         "n_trials": 100,
         "noise_std": 1.0,
-        "seed": None,
         "conditions": [
             {"EVENT": "stimon", "STIM": "s1", "MOD": "visual"},
             {"EVENT": "stimon", "STIM": "s2", "MOD": "visual"},
@@ -40,7 +39,6 @@ DEFAULT_CONFIG: dict = {
     },
     "decompose": {
         "n_components": 4,
-        "seed": None,
     },
     "extract": {
         "template": {"kind": "roi", "roi": "frontal", "value": 1.0},
@@ -48,7 +46,6 @@ DEFAULT_CONFIG: dict = {
     "cluster": {
         "k": None,
         "k_max": 6,
-        "seed": None,
         "hierarchy": "divisive",
         "classes_leaf_count": None,
     },
@@ -73,27 +70,40 @@ DEFAULT_CONFIG: dict = {
 # config handling
 # ---------------------------------------------------------------------------
 
-# Numeric config keys: the types each accepts, and whether null is allowed.
-# No key accepts a boolean: bool is a subclass of int, and `true` would run as 1.
+# Numeric config keys: the types each accepts, whether null is allowed, and
+# the range a number must lie in, as a test and its wording. No key accepts a
+# boolean: bool is a subclass of int, and `true` would run as 1.
 _INT, _REAL = (int,), (int, float)
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_COUNT = (lambda v: v >= 1, ">= 1")
+_SHARE = (lambda v: 0 < v <= 1, "in (0, 1]")
 _NUMERIC_KEYS = {
-    "seed": (_INT, False),
-    "synth.seed": (_INT, True),
-    "synth.n_trials": (_INT, False),
-    "synth.noise_std": (_REAL, False),
-    "decompose.seed": (_INT, True),
-    "decompose.n_components": (_REAL, True),
-    "cluster.seed": (_INT, True),
-    "cluster.k": (_INT, True),
-    "cluster.k_max": (_INT, False),
-    "cluster.classes_leaf_count": (_INT, True),
-    "mine.beta_sup": (_REAL, False),
-    "mine.beta_conf": (_REAL, False),
-    "mine.max_len": (_INT, True),
-    "partition.beta_sup": (_REAL, True),
-    "partition.beta_conf": (_REAL, True),
-    "partition.pi_min": (_REAL, True),
+    "seed": (_INT, False, _NON_NEGATIVE),
+    "synth.n_trials": (_INT, False, _COUNT),
+    "synth.noise_std": (_REAL, False, _NON_NEGATIVE),
+    "decompose.n_components": (_REAL, True, (
+        lambda v: 0 < v <= 1 or v >= 1 and float(v).is_integer(),
+        "a count >= 1 or a variance fraction in (0, 1]")),
+    "cluster.k": (_INT, True, _COUNT),
+    "cluster.k_max": (_INT, False, _COUNT),
+    "cluster.classes_leaf_count": (_INT, True, _COUNT),
+    "mine.beta_sup": (_REAL, False, _SHARE),
+    "mine.beta_conf": (_REAL, False, _SHARE),
+    "mine.max_len": (_INT, True, _COUNT),
+    "partition.beta_sup": (_REAL, True, _SHARE),
+    "partition.beta_conf": (_REAL, True, _SHARE),
+    "partition.pi_min": (_REAL, True, (lambda v: 0 <= v <= 1, "in [0, 1]")),
 }
+
+# The synth presets, each giving the montage's source templates
+_PRESETS = {
+    "two_pattern": lambda montage: testbed.two_pattern_preset(montage)[1],
+    "p300_only": lambda montage: [testbed.p300_template(montage)],
+}
+_HIERARCHIES = ("divisive", "agglomerative:single", "agglomerative:complete",
+                "agglomerative:average")
+# Config keys that name one of a fixed set of choices
+_CHOICES = {"synth.preset": tuple(_PRESETS), "cluster.hierarchy": _HIERARCHIES}
 
 
 def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> None:
@@ -102,6 +112,12 @@ def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> N
     if not isinstance(value, types) or isinstance(value, bool):
         kind = "an integer" if types is _INT else "a number"
         raise ConfigError(f"{key} must be {kind}{' or null' if nullable else ''}, got {value!r}")
+
+
+def _lookup(config: dict, key: str):
+    """The value of a `seed` or `section.key` config key."""
+    section, _, name = key.rpartition(".")
+    return config[section][name] if section else config[name]
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -140,20 +156,19 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         extra = set(config[section]) - set(DEFAULT_CONFIG[section])
         if extra:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(extra)}")
-    for key, (types, nullable) in _NUMERIC_KEYS.items():
-        node = config
-        for part in key.split("."):
-            node = node[part]
-        _check_number(key, node, types, nullable)
+    for key, (types, nullable, (in_range, wording)) in _NUMERIC_KEYS.items():
+        value = _lookup(config, key)
+        _check_number(key, value, types, nullable)
+        if value is not None and not in_range(value):
+            raise ConfigError(f"{key} must be {wording}, got {value!r}")
+    for key, choices in _CHOICES.items():
+        value = _lookup(config, key)
+        if value not in choices:
+            raise ConfigError(f"unknown {key} {value!r}; pick one of {', '.join(choices)}")
     template = config["extract"]["template"]
     if isinstance(template, dict) and template.get("kind") == "roi":
         _check_number("extract.template.value", template.get("value", 1.0), _REAL, False)
     return config
-
-
-def _stage_seed(config: dict, stage: str, offset: int) -> int:
-    explicit = config[stage]["seed"]
-    return explicit if explicit is not None else config["seed"] + offset
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +195,6 @@ def artifact_paths(out: Path) -> dict[str, Path]:
         "epochs_data": out / "epochs" / "data.npy",
         "decomposition": out / "decomposition.json",
         "summary": out / "summary.csv",
-        "summary_clustered": out / "summary_clustered.csv",
         "cluster_model": out / "cluster_model.json",
         "taxonomy": out / "taxonomy.json",
         "classes": out / "classes.json",
@@ -202,18 +216,12 @@ def artifact_paths(out: Path) -> dict[str, Path]:
 def _stage_synth(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["synth"]
     montage = testbed.default_montage()
-    if cfg["preset"] == "two_pattern":
-        _, templates = testbed.two_pattern_preset(montage)
-    elif cfg["preset"] == "p300_only":
-        templates = [testbed.p300_template(montage)]
-    else:
-        raise ConfigError(f"unknown synth preset {cfg['preset']!r}")
     epochs = testbed.generate_dataset(
-        templates=templates,
+        templates=_PRESETS[cfg["preset"]](montage),
         mixing_noise=0.1,
         noise_std=float(cfg["noise_std"]),
         n_trials=cfg["n_trials"],
-        seed=_stage_seed(config, "synth", 0),
+        seed=config["seed"],
         montage=montage,
         conditions=[dict(c) for c in cfg["conditions"]],
     )
@@ -225,7 +233,7 @@ def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Pat
     epochs = testbed.EpochTensor.load(paths["epochs"])
     white = decomposition.center_and_whiten(epochs, config["decompose"]["n_components"])
     dec = decomposition.fastica(
-        white, decomposition.FastIcaConfig(seed=_stage_seed(config, "decompose", 1))
+        white, decomposition.FastIcaConfig(seed=config["seed"] + 1)
     )
     dec.to_json(staged["decomposition"])
 
@@ -269,32 +277,21 @@ def _stage_extract(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     features.write_summary_csv(rows, staged["summary"])
 
 
-_HIERARCHIES = ("divisive", "agglomerative:single", "agglomerative:complete",
-                "agglomerative:average")
-
-
 def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["cluster"]
-    hierarchy = cfg["hierarchy"]
-    if hierarchy not in _HIERARCHIES:
-        raise ConfigError(
-            f"unknown cluster.hierarchy {hierarchy!r}; pick one of {', '.join(_HIERARCHIES)}"
-        )
-    rows, _ = features.read_summary_csv(paths["summary"])
-    X = clustering.encode_observations(rows).X
-    em_config = clustering.EMConfig(seed=_stage_seed(config, "cluster", 2))
+    X = clustering.encode_observations(features.read_summary_csv(paths["summary"])).X
+    em_config = clustering.EMConfig(seed=config["seed"] + 2)
     if cfg["k"] is not None:
         model = clustering.em_fit(X, cfg["k"], em_config)
     else:
         model = clustering.select_k(X, cfg["k_max"], em_config)
     model.to_json(staged["cluster_model"])
-    features.write_summary_csv(rows, staged["summary_clustered"], clusters=model.labels())
-    if hierarchy == "divisive":
+    if cfg["hierarchy"] == "divisive":
         taxonomy = clustering.divisive_hierarchy(
-            X, clustering.DivisiveConfig(seed=_stage_seed(config, "cluster", 2))
+            X, clustering.DivisiveConfig(seed=config["seed"] + 2)
         )
     else:
-        taxonomy = clustering.agglomerative_hierarchy(X, hierarchy.split(":")[1])
+        taxonomy = clustering.agglomerative_hierarchy(X, cfg["hierarchy"].split(":")[1])
     taxonomy.to_json(staged["taxonomy"])
     leaf_count = cfg["classes_leaf_count"]
     if leaf_count is None:
@@ -303,13 +300,22 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     clustering.classes_to_json(classes, staged["classes"])
 
 
-def _stage_classify(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
-    rows, clusters = features.read_summary_csv(paths["summary_clustered"])
-    if clusters is None:
+def _clustered_rows(paths: dict[str, Path]) -> tuple[list[classification.Row], list[str]]:
+    """summary.csv's rows and the cluster label cluster_model.json gives each.
+    Differing row counts mean summary.csv changed since cluster ran; the
+    run.json walk would say so only after the stage, which cannot run."""
+    rows = features.read_summary_csv(paths["summary"])
+    labels = clustering.ClusterModel.from_json(paths["cluster_model"]).labels()
+    if len(labels) != len(rows):
         raise MissingInputError(
-            f"{paths['summary_clustered']} lacks a CLUSTER column (run cluster first)"
+            f"{paths['cluster_model'].name} is stale: it labels {len(labels)} rows, "
+            f"{paths['summary'].name} holds {len(rows)} (run cluster first)"
         )
-    tree = classification.build_tree([r.as_row() for r in rows], clusters)
+    return rows, labels
+
+
+def _stage_classify(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
+    tree = classification.build_tree(*_clustered_rows(paths))
     rules = classification.extract_rules(tree)
     classification.tree_to_json(tree, staged["tree"])
     classification.rules_to_json(rules, staged["class_rules_json"])
@@ -326,9 +332,7 @@ def _expert_base(config: dict) -> ontology.OntologyRuleBase:
 
 def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     cfg = config["mine"]
-    rows, clusters = features.read_summary_csv(paths["summary_clustered"])
-    if clusters is None:
-        raise MissingInputError(f"{paths['summary_clustered']} lacks a CLUSTER column")
+    rows, clusters = _clustered_rows(paths)
     tree = classification.tree_from_json(paths["tree"])
     split_points = classification.all_split_points(tree)
     # Cut each numeric attribute at the expert intervals' finite endpoints
@@ -339,7 +343,7 @@ def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -
         if item.kind == "interval" and item.attribute in split_points:
             cuts = {v for v in (item.lo, item.hi) if np.isfinite(v)}
             split_points[item.attribute] = sorted(cuts.union(split_points[item.attribute]))
-    records = [{**row.as_row(), "CLUSTER": cluster} for row, cluster in zip(rows, clusters)]
+    records = [{**row, "CLUSTER": cluster} for row, cluster in zip(rows, clusters)]
     # Items the expert rules name stay even when every row holds them, so
     # matching against those rules stays exact; CLUSTER stays so a one-cluster
     # run still reports its cluster rules.
@@ -378,11 +382,10 @@ _STAGES = {
     "decompose": (_stage_decompose, ("epochs_meta", "epochs_data"), ("decomposition",)),
     "extract": (_stage_extract, ("epochs_meta", "epochs_data", "decomposition",
                                  "extract.template"), ("summary",)),
-    "cluster": (_stage_cluster, ("summary",),
-                ("cluster_model", "summary_clustered", "taxonomy", "classes")),
-    "classify": (_stage_classify, ("summary_clustered",),
+    "cluster": (_stage_cluster, ("summary",), ("cluster_model", "taxonomy", "classes")),
+    "classify": (_stage_classify, ("summary", "cluster_model"),
                  ("tree", "class_rules_json", "class_rules_txt")),
-    "mine": (_stage_mine, ("summary_clustered", "tree", "partition.expert_rules"),
+    "mine": (_stage_mine, ("summary", "cluster_model", "tree", "partition.expert_rules"),
              ("mined_rules",)),
     "partition": (_stage_partition, ("mined_rules", "partition.expert_rules"),
                   ("report_json", "report_txt")),
@@ -394,8 +397,7 @@ _PRODUCER = {key: stage for stage, (_, _, outputs) in _STAGES.items() for key in
 def _config_file(config: dict, key: str) -> Path | None:
     """The file a `section.key` config value names, or None when unset. A
     template spec names a file only when its kind is csv."""
-    section, name = key.split(".")
-    value = config[section][name]
+    value = _lookup(config, key)
     if isinstance(value, dict):
         if value.get("kind") != "csv":
             return None

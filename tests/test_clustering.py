@@ -21,7 +21,7 @@ from nof.clustering import (
     taxonomy_to_classes,
 )
 from nof.errors import ConfigError, NumericalError
-from nof.features import FactorSummary, read_summary_csv
+from nof.features import COLUMNS, read_summary_csv
 from nof.pipeline import load_config, run_stage
 
 from helpers import (
@@ -34,12 +34,11 @@ from helpers import (
 )
 
 
-def summary_row(**kw):
-    base = dict(sp_max="Fz", sp_max_roi="frontal", sp_min="Oz", sp_min_roi="occipital",
-                in_min=-1.0, in_max=2.0, in_mean=0.5, roi="frontal", sp_cor=0.9,
-                ti_max=400.0, event="stimon", stim="s1", mod="visual")
-    base.update(kw)
-    return FactorSummary(**base)
+def summary_row(**columns):
+    row = dict(zip(COLUMNS, ("Fz", "frontal", "Oz", "occipital", -1.0, 2.0, 0.5,
+                             "frontal", 0.9, 400.0, "stimon", "s1", "visual")))
+    assert set(columns) <= set(row)
+    return {**row, **columns}
 
 
 def two_blobs(seed=0, n=100, sep=10.0):
@@ -53,9 +52,9 @@ def two_blobs(seed=0, n=100, sep=10.0):
 
 class TestEncoding:
     def test_one_hot_and_zscore(self):
-        rows = [summary_row(ti_max=100.0, event="e1"),
-                summary_row(ti_max=300.0, event="e2"),
-                summary_row(ti_max=200.0, event="e1")]
+        rows = [summary_row(TI_max=100.0, EVENT="e1"),
+                summary_row(TI_max=300.0, EVENT="e2"),
+                summary_row(TI_max=200.0, EVENT="e1")]
         om = encode_observations(rows)
         ti = om.X[:, list(om.columns).index("TI_max")]
         assert ti.mean() == pytest.approx(0.0, abs=1e-12)
@@ -67,17 +66,16 @@ class TestEncoding:
     def test_constant_numeric_column_not_scaled(self):
         rows = [summary_row(), summary_row()]
         om = encode_observations(rows)
-        assert "TI_max" not in om.scaled_columns
         ti = om.X[:, list(om.columns).index("TI_max")]
         assert np.array_equal(ti, np.zeros(2))  # centered only
 
     def test_scaling_invariance_of_memberships(self):
         rng = np.random.default_rng(3)
         rows = [
-            summary_row(in_min=float(rng.normal()), in_max=float(rng.normal() + 3),
-                        in_mean=float(rng.normal()), sp_cor=float(rng.uniform(-1, 1)),
-                        ti_max=float(rng.uniform(0, 1000)),
-                        event=("e1" if i % 2 else "e2"))
+            summary_row(IN_min=float(rng.normal()), IN_max=float(rng.normal() + 3),
+                        IN_mean=float(rng.normal()), SP_cor=float(rng.uniform(-1, 1)),
+                        TI_max=float(rng.uniform(0, 1000)),
+                        EVENT=("e1" if i % 2 else "e2"))
             for i in range(12)
         ]
         om_scaled = encode_observations(rows, EncodingConfig(scale=True))
@@ -257,7 +255,7 @@ def testbed_tables(tmp_path_factory):
         config = load_config(overrides={"out": str(out), "seed": seed, "synth": synth})
         for stage in ("synth", "decompose", "extract"):
             run_stage(stage, config)
-        rows, _ = read_summary_csv(out / "summary.csv")
+        rows = read_summary_csv(out / "summary.csv")
         tables[name] = encode_observations(rows).X
         assert tables[name].shape == shape
     return tables

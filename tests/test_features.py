@@ -7,7 +7,6 @@ from nof.decomposition import FactorDecomposition, FastIcaConfig, center_and_whi
 from nof.errors import ConfigError, ParseError
 from nof.features import (
     COLUMNS,
-    FactorSummary,
     conditions_of,
     extract_summary,
     read_summary_csv,
@@ -55,9 +54,9 @@ class TestExtractSummary:
         dec, epochs = manual_setup([[0.9], [0.1], [-0.4]], np.ones((1, 8)), m, n_trials=2)
         row = extract_summary(dec, epochs, "FA1", {"EVENT": "stimon"},
                               template=np.array([0.9, 0.1, -0.4]))
-        assert row.sp_max == "Fz" and row.sp_max_roi == "frontal"
-        assert row.sp_min == "Oz" and row.sp_min_roi == "occipital"
-        assert row.roi == "frontal"
+        assert row["SP_max"] == "Fz" and row["SP_max_ROI"] == "frontal"
+        assert row["SP_min"] == "Oz" and row["SP_min_ROI"] == "occipital"
+        assert row["ROI"] == "frontal"
 
     def test_latency_index_arithmetic(self):
         m = make_montage(TRIO)
@@ -65,7 +64,7 @@ class TestExtractSummary:
         act[0, 100] = 1.0
         dec, epochs = manual_setup([[1.0], [0.5], [0.2]], act, m, fs=250.0, t0=0.0)
         row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0.5, 0.2]))
-        assert row.ti_max == 400.0
+        assert row["TI_max"] == 400.0
 
     def test_latency_respects_t0(self):
         m = make_montage(TRIO)
@@ -73,14 +72,14 @@ class TestExtractSummary:
         act[0, 100] = 1.0
         dec, epochs = manual_setup([[1.0], [0.5], [0.2]], act, m, fs=250.0, t0=-200.0)
         row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0.5, 0.2]))
-        assert row.ti_max == 200.0
+        assert row["TI_max"] == 200.0
 
     def test_self_correlation_is_one(self):
         m = make_montage(TRIO)
         topo = np.array([0.9, 0.1, -0.4])
         dec, epochs = manual_setup(topo[:, None], np.ones((1, 8)), m, n_trials=2)
         row = extract_summary(dec, epochs, "FA1", {}, template=topo)
-        assert abs(row.sp_cor - 1.0) <= 1e-12
+        assert abs(row["SP_cor"] - 1.0) <= 1e-12
 
     def test_template_sign_flip_negates_correlation_exactly(self):
         m = make_montage(TRIO)
@@ -89,7 +88,7 @@ class TestExtractSummary:
         template = np.array([0.7, -0.2, 0.1])
         plus = extract_summary(dec, epochs, "FA1", {}, template=template)
         minus = extract_summary(dec, epochs, "FA1", {}, template=-template)
-        assert plus.sp_cor == -minus.sp_cor
+        assert plus["SP_cor"] == -minus["SP_cor"]
 
     def test_positive_scaling_leaves_argmax_attributes_unchanged(self):
         m = make_montage(TRIO)
@@ -100,8 +99,8 @@ class TestExtractSummary:
         t = np.array([1.0, 0.0, 0.0])
         a = extract_summary(base, epochs, "FA1", {}, template=t)
         b = extract_summary(scaled, epochs2, "FA1", {}, template=t)
-        assert (a.sp_max, a.sp_min, a.sp_max_roi, a.sp_min_roi) == (
-            b.sp_max, b.sp_min, b.sp_max_roi, b.sp_min_roi
+        assert (a["SP_max"], a["SP_min"], a["SP_max_ROI"], a["SP_min_ROI"]) == (
+            b["SP_max"], b["SP_min"], b["SP_max_ROI"], b["SP_min_ROI"]
         )
 
     def test_amplitudes_at_peak_channel(self):
@@ -111,30 +110,30 @@ class TestExtractSummary:
         row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]),
                               mean_channel_set=("Fz",))
         # waveform at Fz is 2 * activation
-        assert row.in_min == -4.0 and row.in_max == 6.0
-        assert row.in_mean == pytest.approx(2 * act.mean())
+        assert row["IN_min"] == -4.0 and row["IN_max"] == 6.0
+        assert row["IN_mean"] == pytest.approx(2 * act.mean())
 
     def test_ti_max_uses_absolute_peak(self):
         m = make_montage(TRIO)
         act = np.array([[0.5, -3.0, 1.0, 0.0]])
         dec, epochs = manual_setup([[1.0], [0.2], [0.1]], act, m, fs=1000.0)
         row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]))
-        assert row.ti_max == 1.0  # sample index 1 at 1 kHz
+        assert row["TI_max"] == 1.0  # sample index 1 at 1 kHz
 
     def test_all_zero_activation_degenerate(self):
         m = make_montage(TRIO)
         dec, epochs = manual_setup([[1.0], [0.5], [0.2]], np.zeros((1, 10)), m, t0=-40.0)
         with pytest.warns(UserWarning, match="all-zero"):
             row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]))
-        assert row.in_min == row.in_max == row.in_mean == 0.0
-        assert row.ti_max == -40.0
+        assert row["IN_min"] == row["IN_max"] == row["IN_mean"] == 0.0
+        assert row["TI_max"] == -40.0
 
     def test_tie_in_argmax_warns_and_uses_lowest_index(self):
         m = make_montage(TRIO)
         dec, epochs = manual_setup([[0.5], [0.5], [-0.5]], np.ones((1, 8)), m, n_trials=2)
         with pytest.warns(UserWarning, match="tie"):
             row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]))
-        assert row.sp_max == "Fz"
+        assert row["SP_max"] == "Fz"
 
     def test_empty_condition_rejected(self):
         m = make_montage(TRIO)
@@ -171,7 +170,7 @@ class TestExtractSummary:
         dec, epochs = manual_setup([[1.0], [0.4], [0.2]],
                                    rng.normal(size=(1, 50)), m, fs=250.0, t0=-100.0)
         row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]))
-        steps = (row.ti_max - epochs.t0) * epochs.fs / 1000.0
+        steps = (row["TI_max"] - epochs.t0) * epochs.fs / 1000.0
         assert abs(steps - round(steps)) < 1e-9
 
     def test_planted_p300_attributes(self, montage):
@@ -180,8 +179,8 @@ class TestExtractSummary:
                                   n_trials=60, seed=23, montage=montage)
         dec = fastica(center_and_whiten(epochs, 1), FastIcaConfig(seed=5))
         row = extract_summary(dec, epochs, "FA1", {}, template=tpl.topography)
-        assert 300.0 <= row.ti_max <= 500.0
-        assert row.sp_max_roi == "frontal"
+        assert 300.0 <= row["TI_max"] <= 500.0
+        assert row["SP_max_ROI"] == "frontal"
 
 
 class TestSummarizeDataset:
@@ -209,9 +208,9 @@ class TestSummarizeDataset:
                                  template=two_pattern_templates[0].topography)
         montage = two_pattern_epochs.montage
         for row in rows:
-            assert row.sp_max_roi == montage.roi(row.sp_max)
-            assert row.sp_min_roi == montage.roi(row.sp_min)
-            assert -1.0 <= row.sp_cor <= 1.0
+            assert row["SP_max_ROI"] == montage.roi(row["SP_max"])
+            assert row["SP_min_ROI"] == montage.roi(row["SP_min"])
+            assert -1.0 <= row["SP_cor"] <= 1.0
 
     def test_planted_sources_correlate_with_own_templates(
         self, two_pattern_epochs, two_pattern_decomposition, two_pattern_templates
@@ -222,14 +221,14 @@ class TestSummarizeDataset:
         for tpl, other in ((p300, occ), (occ, p300)):
             cors = [
                 abs(extract_summary(dec, two_pattern_epochs, f,
-                                    {"STIM": "s1"}, template=tpl.topography).sp_cor)
+                                    {"STIM": "s1"}, template=tpl.topography)["SP_cor"])
                 for f in dec.factor_ids
             ]
             best = int(np.argmax(cors))
             own[tpl.name] = cors[best]
             swapped[tpl.name] = abs(
                 extract_summary(dec, two_pattern_epochs, dec.factor_ids[best],
-                                {"STIM": "s1"}, template=other.topography).sp_cor
+                                {"STIM": "s1"}, template=other.topography)["SP_cor"]
             )
         assert all(v >= 0.9 for v in own.values())
         assert all(v <= 0.5 for v in swapped.values())
@@ -304,12 +303,12 @@ class TestConditionAverages:
 class TestSummaryCsv:
     def _rows(self):
         return [
-            FactorSummary("Fz", "frontal", "Oz", "occipital", -1.25, 4.5,
-                          0.3333333333333333, "frontal", 0.98765, 400.0,
-                          "stimon", "s1", "visual"),
-            FactorSummary("Oz", "occipital", "Fz", "frontal", -4.0, 1.0,
-                          -0.125, "occipital", -0.5, 150.0,
-                          "stimon", "s2", "visual"),
+            dict(zip(COLUMNS, ("Fz", "frontal", "Oz", "occipital", -1.25, 4.5,
+                               0.3333333333333333, "frontal", 0.98765, 400.0,
+                               "stimon", "s1", "visual"))),
+            dict(zip(COLUMNS, ("Oz", "occipital", "Fz", "frontal", -4.0, 1.0,
+                               -0.125, "occipital", -0.5, 150.0,
+                               "stimon", "s2", "visual"))),
         ]
 
     def test_header_exact(self, tmp_path):
@@ -321,33 +320,27 @@ class TestSummaryCsv:
         rows = self._rows()
         path = tmp_path / "summary.csv"
         write_summary_csv(rows, path)
-        again, clusters = read_summary_csv(path)
+        again = read_summary_csv(path)
         assert again == rows
-        assert clusters is None
-
-    def test_cluster_column_round_trip(self, tmp_path):
-        rows = self._rows()
-        path = tmp_path / "summary.csv"
-        write_summary_csv(rows, path, clusters=["C1", "C2"])
-        assert path.read_text().splitlines()[0] == HEADER + ",CLUSTER"
-        again, clusters = read_summary_csv(path)
-        assert again == rows
-        assert clusters == ["C1", "C2"]
+        # keys in COLUMNS order: the decision tree breaks gain ties by it
+        assert all(list(row) == list(COLUMNS) for row in again)
+        assert isinstance(again[0]["IN_min"], float) and again[0]["SP_max"] == "Fz"
 
     def test_column_constant_matches_header(self):
         assert ",".join(COLUMNS) == HEADER
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError):
-            read_summary_csv(path)
+        # cluster labels live in cluster_model.json, not in a CLUSTER column
+        for header in ("a,b,c", HEADER + ",CLUSTER"):
+            path.write_text(header + "\n1,2,3\n")
+            with pytest.raises(ConfigError, match="summary header"):
+                read_summary_csv(path)
 
-    @pytest.mark.parametrize("clusters", [None, ["C1", "C2"]])
     @pytest.mark.parametrize("edit", ["drop", "extra"])
-    def test_row_field_count_must_match_header(self, tmp_path, clusters, edit):
+    def test_row_field_count_must_match_header(self, tmp_path, edit):
         path = tmp_path / "summary.csv"
-        write_summary_csv(self._rows(), path, clusters=clusters)
+        write_summary_csv(self._rows(), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] if edit == "drop" else lines[2] + ",x"
         path.write_text("\n".join(lines) + "\n")

@@ -72,3 +72,43 @@ def test_unused_import_check_flags_a_stray_import():
                          ids=lambda p: p.name)
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(source: str, readers: list[str]) -> list[str]:
+    """Single-underscore names `source` defines at module level (function,
+    class or assignment) that neither it nor any of `readers` reads."""
+    defined: dict[str, int] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    read: set[str] = set()
+    for text in (source, *readers):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
+
+
+def test_private_name_check_flags_an_orphan():
+    source = "_A, _B = 1, 2\n__all__ = []\ndef _used(): return _A\ndef _orphan(): pass\n" \
+             "class _Kept: pass\nprint(_used())\n"
+    assert unread_private_names(source, ["from m import _Kept\n"]) \
+        == ["_B (line 1)", "_orphan (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_module_private_names_are_read(path):
+    readers = [p.read_text(encoding="utf-8") for p in SRC.glob("*.py") if p != path]
+    assert unread_private_names(path.read_text(encoding="utf-8"), readers) == []

@@ -12,6 +12,7 @@ from nof.errors import ConfigError, MissingInputError
 from nof.pipeline import (
     DEFAULT_CONFIG,
     STAGES,
+    _STAGES,
     artifact_checksums,
     artifact_paths,
     load_config,
@@ -25,8 +26,10 @@ EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
 
 # Stage parameters the pipeline leaves at the library's defaults
 # (FastIcaConfig, EMConfig, EncodingConfig, TreeConfig, summarize_dataset,
-# generate_rules, the testbed presets); none of them is a config key.
+# generate_rules, the testbed presets); none of them is a config key. Every
+# stage seed derives from the top-level `seed`.
 NOT_CONFIG_KEYS = [
+    ("synth", "seed"), ("decompose", "seed"), ("cluster", "seed"),
     ("synth", "fs"), ("synth", "t0"), ("synth", "n_timepoints"), ("synth", "jitter"),
     ("decompose", "contrast"), ("decompose", "tol"), ("decompose", "max_iter"),
     ("extract", "mean_channels"), ("extract", "group_by"),
@@ -116,9 +119,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides,key", [
         ({"seed": True}, "seed"),
-        ({"synth": {"seed": True}}, "synth.seed"),
-        ({"decompose": {"seed": False}}, "decompose.seed"),
-        ({"cluster": {"seed": "3"}}, "cluster.seed"),
     ])
     def test_seed_must_be_an_integer(self, overrides, key):
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be an integer"):
@@ -158,23 +158,28 @@ class TestStages:
                 assert s["inputs"], f"stage {s['stage']} recorded no inputs"
 
     def test_all_artifacts_exist(self, finished_run):
+        # every artifact_paths key but the epochs directory and run.json is
+        # the output of exactly one stage, and a run writes those files only
         out, _, _ = finished_run
         paths = artifact_paths(out)
-        for key in ("montage", "epochs_meta", "epochs_data", "decomposition",
-                    "summary", "summary_clustered", "cluster_model", "taxonomy",
-                    "classes", "tree", "class_rules_txt", "mined_rules",
-                    "report_json", "report_txt"):
-            assert paths[key].exists(), key
+        outputs = [key for _, _, keys in _STAGES.values() for key in keys]
+        assert sorted(outputs) == sorted(set(paths) - {"epochs", "manifest"})
+        assert {p for p in out.rglob("*") if p.is_file()} \
+            == {paths[key] for key in outputs} | {paths["manifest"]}
 
     def test_partition_without_mined_rules_is_missing_input(self, tmp_path):
         config = load_config(overrides={"out": str(tmp_path / "fresh")})
         with pytest.raises(MissingInputError, match="mined_rules.csv"):
             run_stage("partition", config)
 
-    def test_classify_without_clustered_summary_names_cluster_stage(self, tmp_path):
-        config = load_config(overrides={"out": str(tmp_path / "fresh")})
+    def test_classify_without_clustered_summary_names_cluster_stage(self, tmp_path,
+                                                                      finished_run):
+        out = tmp_path / "fresh"
+        out.mkdir()
+        (out / "summary.csv").write_bytes((finished_run[0] / "summary.csv").read_bytes())
+        config = load_config(overrides={"out": str(out)})
         with pytest.raises(MissingInputError,
-                           match=r"summary_clustered\.csv.*run cluster first"):
+                           match=r"^cluster_model\.json missing: .*\(run cluster first\)$"):
             run_stage("classify", config)
 
     def test_manifest_records_template_csv_for_extract(self, tmp_path):
@@ -219,7 +224,7 @@ class TestStages:
         out, config, _ = finished_run
         before = artifact_checksums(out)
         paths = artifact_paths(out)
-        for key in ("summary", "summary_clustered", "cluster_model", "taxonomy",
+        for key in ("summary", "cluster_model", "taxonomy",
                     "classes", "tree", "class_rules_json", "class_rules_txt",
                     "mined_rules", "report_json", "report_txt"):
             paths[key].unlink()
@@ -268,6 +273,24 @@ class TestStages:
             "(run decompose first)\n")
         assert snapshot(out) == before
 
+    def test_classify_rejects_summary_with_other_row_count_than_cluster_model(
+            self, tmp_path, capsys):
+        # the stage's own row-count check fails before the run.json walk runs
+        out = tmp_path / "refactored"
+        base = ["--out", str(out), "--seed", "3", "--set", "synth.n_trials=24",
+                "--set", "cluster.k=2"]
+        assert main(["pipeline", *base, "--set", "decompose.n_components=2"]) == 0
+        assert main(["decompose", *base, "--set", "decompose.n_components=1"]) == 0
+        assert main(["extract", *base]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        for stage in ("classify", "mine"):
+            assert main([stage, *base]) == 2
+            assert capsys.readouterr().err == (
+                "error: cluster_model.json is stale: it labels 4 rows, summary.csv holds 2 "
+                "(run cluster first)\n")
+        assert snapshot(out) == before
+
     def test_cluster_after_same_seed_synth_runs(self, tmp_path):
         out = tmp_path / "same_seed"
         base = ["--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
@@ -284,7 +307,7 @@ class TestStages:
         overrides["cluster"] = {"k": 3}
         run_stage("cluster", load_config(overrides=overrides))
         with pytest.raises(MissingInputError, match=(
-                r"^tree\.json is stale: summary_clustered\.csv changed since classify ran")):
+                r"^tree\.json is stale: cluster_model\.json changed since classify ran")):
             run_stage("mine", load_config(overrides=overrides))
         run_stage("classify", load_config(overrides=overrides))
         run_stage("mine", load_config(overrides=overrides))
@@ -329,21 +352,8 @@ class TestStages:
         assert artifact_paths(out)["epochs_data"].exists()
 
     def test_unknown_preset_rejected(self, tmp_path):
-        config = load_config(overrides={
-            "out": str(tmp_path), "synth": {"preset": "mystery"},
-        })
         with pytest.raises(ConfigError, match="preset"):
-            run_stage("synth", config)
-
-    def test_explicit_stage_seed_changes_decomposition(self, tmp_path, finished_run):
-        out_a, _, _ = finished_run
-        out_b = tmp_path / "reseeded"
-        overrides = small_overrides(out_b)
-        overrides["decompose"] = {"n_components": 2, "seed": 1234}
-        run_pipeline(load_config(overrides=overrides))
-        a = artifact_checksums(out_a)["decomposition.json"]
-        b = artifact_checksums(out_b)["decomposition.json"]
-        assert a != b
+            load_config(overrides={"out": str(tmp_path), "synth": {"preset": "mystery"}})
 
 
 def snapshot(out):
@@ -533,8 +543,22 @@ class TestCli:
         assert main(["pipeline", "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
                      "--set", "decompose.n_components=2", "--set", "cluster.k=2",
                      "--set", f"mine.max_len={max_len}"]) == 3
-        assert f"error: mine: max_len must be >= 1, got {max_len}" in capsys.readouterr().err
-        assert not (out / "mined_rules.csv").exists()
+        assert f"error: mine.max_len must be >= 1, got {max_len}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [
+        "seed=-1", "synth.n_trials=0", "synth.noise_std=-0.5", "synth.preset=bogus",
+        "decompose.n_components=0", "decompose.n_components=1.5", "cluster.k=0",
+        "cluster.k_max=0", "cluster.classes_leaf_count=0", "cluster.hierarchy=bogus",
+        "mine.beta_sup=0", "mine.beta_conf=1.5", "mine.max_len=0", "partition.beta_sup=0",
+        "partition.beta_conf=2", "partition.pi_min=2", "partition.pi_min=-0.1",
+    ])
+    def test_cli_pipeline_rejects_an_out_of_range_value_before_any_stage(
+            self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        assert main(["pipeline", "--out", str(out), "--set", setting]) == 3
+        assert setting.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_csv_template_without_path_is_config_error(self, published_run, capsys):
         before = snapshot(published_run)

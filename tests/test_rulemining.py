@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nof.errors import ConfigError, MissingInputError, ParseError
-from nof.features import COLUMNS, FactorSummary
+from nof.features import COLUMNS
 from nof.rulemining import (
     AssociationRule,
     apriori,
@@ -114,9 +114,9 @@ class TestDiscretize:
         assert txs[0] == frozenset([parse_item("ROI=frontal"), parse_item("TI_max=ANY")])
 
     def test_summary_rows_have_thirteen_items(self):
-        row = FactorSummary("Fz", "frontal", "Oz", "occipital", -1.0, 2.0, 0.5,
-                            "frontal", 0.9, 400.0, "stimon", "s1", "visual")
-        txs = discretize([row.as_row()], {"TI_max": [350.0], "IN_max": [1.0]})
+        row = dict(zip(COLUMNS, ("Fz", "frontal", "Oz", "occipital", -1.0, 2.0, 0.5,
+                                 "frontal", 0.9, 400.0, "stimon", "s1", "visual")))
+        txs = discretize([row], {"TI_max": [350.0], "IN_max": [1.0]})
         assert len(txs[0]) == len(COLUMNS) == 13
         attrs = {item.attribute for item in txs[0]}
         assert attrs == set(COLUMNS)
