@@ -31,7 +31,7 @@ import numpy as np
 from .classification import Row
 from .decomposition import FactorDecomposition
 from .errors import ConfigError, MissingInputError, ParseError
-from .testbed import EpochTensor, METADATA_KEYS
+from .testbed import EpochTensor, METADATA_KEYS, mean_of_trials
 
 COLUMNS = (
     "SP_max",
@@ -117,53 +117,67 @@ def _condition_average(
     dec: FactorDecomposition, epochs: EpochTensor, trials: list[int]
 ) -> np.ndarray:
     """The centered channels x timepoints average of the selected trials."""
-    in_condition = np.zeros(epochs.n_trials, dtype=bool)
-    in_condition[trials] = True
-    # `where` averages the trials in place; a fancy-indexed copy of a long
-    # recording fragments the heap and peak RSS grows with every re-run.
-    trial_avg = epochs.data.mean(axis=0, where=in_condition[:, None, None])
-    return trial_avg - dec.mean[:, None]
+    # summed trial by trial: bit-identical to a masked mean, and no copy is made
+    avg = mean_of_trials(epochs, trials)
+    avg -= dec.mean[:, None]
+    return avg
+
+
+def _factor_part(
+    dec: FactorDecomposition,
+    epochs: EpochTensor,
+    j: int,
+    template: np.ndarray,
+    mean_idx: list[int],
+) -> tuple[dict[str, str | float], float, np.ndarray]:
+    """What every row of factor j shares: its spatial columns, and the
+    topography weights at SP_max and over the IN_mean channels."""
+    topo = dec.mixing[:, j]
+    i_max = _argmax_with_tie_warning(topo, "topography argmax")
+    i_min = _argmax_with_tie_warning(-topo, "topography argmin")
+    sp_max = epochs.montage.channels[i_max]
+    sp_min = epochs.montage.channels[i_min]
+    spatial = {
+        "SP_max": sp_max,
+        "SP_max_ROI": epochs.montage.roi(sp_max),
+        "SP_min": sp_min,
+        "SP_min_ROI": epochs.montage.roi(sp_min),
+        "ROI": epochs.montage.roi(sp_max),
+        "SP_cor": _pearson(topo, template),
+    }
+    return spatial, topo[i_max], topo[mean_idx]
 
 
 def _summary_row(
     dec: FactorDecomposition,
     epochs: EpochTensor,
     j: int,
+    factor: tuple[dict[str, str | float], float, np.ndarray],
     condition: dict[str, str],
     trials: list[int],
     centered_avg: np.ndarray,
-    template: np.ndarray,
-    mean_idx: list[int],
 ) -> Row:
-    topo = dec.mixing[:, j]
-    i_max = _argmax_with_tie_warning(topo, "topography argmax")
-    i_min = _argmax_with_tie_warning(-topo, "topography argmin")
-    sp_max = epochs.montage.channels[i_max]
-    sp_min = epochs.montage.channels[i_min]
-
+    spatial, weight_at_max, mean_weights = factor
     avg_act = dec.unmixing[j] @ centered_avg
     if not np.any(avg_act):
         warnings.warn(
             f"factor {dec.factor_ids[j]} has an all-zero averaged activation", UserWarning
         )
-    wave_at_max = topo[i_max] * avg_act
+    wave_at_max = weight_at_max * avg_act
     peak = int(np.argmax(np.abs(wave_at_max)))
 
-    return {
-        "SP_max": sp_max,
-        "SP_max_ROI": epochs.montage.roi(sp_max),
-        "SP_min": sp_min,
-        "SP_min_ROI": epochs.montage.roi(sp_min),
+    row = {
+        **spatial,
         "IN_min": float(wave_at_max.min()),
         "IN_max": float(wave_at_max.max()),
-        "IN_mean": float(np.mean(np.outer(topo[mean_idx], avg_act))),
-        "ROI": epochs.montage.roi(sp_max),
-        "SP_cor": _pearson(topo, template),
+        "IN_mean": float(np.mean(np.outer(mean_weights, avg_act))),
         "TI_max": float(epochs.t0 + peak * 1000.0 / epochs.fs),
         "EVENT": _condition_value(condition, "EVENT", epochs, trials),
         "STIM": _condition_value(condition, "STIM", epochs, trials),
         "MOD": _condition_value(condition, "MOD", epochs, trials),
     }
+    # keys in COLUMNS order: the decision tree breaks gain ties by it
+    return {c: row[c] for c in COLUMNS}
 
 
 def extract_summary(
@@ -179,7 +193,8 @@ def extract_summary(
     j = dec.factor_index(factor)
     trials = _select_trials(epochs, condition)
     centered_avg = _condition_average(dec, epochs, trials)
-    return _summary_row(dec, epochs, j, condition, trials, centered_avg, template, mean_idx)
+    part = _factor_part(dec, epochs, j, template, mean_idx)
+    return _summary_row(dec, epochs, j, part, condition, trials, centered_avg)
 
 
 def conditions_of(
@@ -203,18 +218,22 @@ def summarize_dataset(
     """All factor x condition rows, factor-major, conditions sorted.
 
     Equal to `extract_summary` for every factor and condition, but each
-    condition's trials are selected and averaged once for all factors.
+    condition's trials are selected and averaged once for all factors, and
+    each factor's spatial columns are computed once for all conditions.
     """
     template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
     conds = []
     for cond in conditions_of(epochs, group_by):
         trials = _select_trials(epochs, cond)
         conds.append((cond, trials, _condition_average(dec, epochs, trials)))
-    return [
-        _summary_row(dec, epochs, j, cond, trials, centered_avg, template, mean_idx)
-        for j in range(len(dec.factor_ids))
-        for cond, trials, centered_avg in conds
-    ]
+    rows: list[Row] = []
+    for j in range(dec.n_factors):
+        part = _factor_part(dec, epochs, j, template, mean_idx)
+        rows.extend(
+            _summary_row(dec, epochs, j, part, cond, trials, centered_avg)
+            for cond, trials, centered_avg in conds
+        )
+    return rows
 
 
 def _fmt(value: float | str) -> str:
@@ -245,6 +264,11 @@ def read_summary_csv(path: str | Path) -> list[Row]:
         for lineno, rec in enumerate(reader, start=2):
             if len(rec) != len(COLUMNS):
                 raise ParseError(f"expected {len(COLUMNS)} fields, got {len(rec)}", line=lineno)
-            rows.append({c: float(v) if c in NUMERIC_COLUMNS else v
-                         for c, v in zip(COLUMNS, rec)})
+            row: Row = dict(zip(COLUMNS, rec))
+            for c in NUMERIC_COLUMNS:
+                try:
+                    row[c] = float(row[c])
+                except ValueError:
+                    raise ParseError(f"{c} {row[c]!r} is not a number", line=lineno) from None
+            rows.append(row)
     return rows

@@ -389,6 +389,18 @@ def noise_std_for_snr(templates: list[SourceTemplate], snr: float) -> float:
     return float(np.sqrt(signal_power(templates) / snr))
 
 
+def mean_of_trials(epochs: EpochTensor, trials: list[int]) -> np.ndarray:
+    """Elementwise channels x timepoints mean of the given trials.
+
+    The trials are added one at a time, in the order given, to a zero array.
+    """
+    total = np.zeros(epochs.data.shape[1:])
+    for i in trials:
+        total += epochs.data[i]
+    total /= len(trials)
+    return total
+
+
 def average_epochs(
     epochs: EpochTensor, group_by: list[str] | tuple[str, ...] = ()
 ) -> dict[tuple[str, ...], np.ndarray]:
@@ -406,6 +418,4 @@ def average_epochs(
         except KeyError as exc:
             raise ConfigError(f"trial {i} lacks metadata key {exc.args[0]!r}") from exc
         groups.setdefault(key, []).append(i)
-    return {
-        key: epochs.data[idx].mean(axis=0) for key, idx in sorted(groups.items())
-    }
+    return {key: mean_of_trials(epochs, idx) for key, idx in sorted(groups.items())}

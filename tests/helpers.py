@@ -102,6 +102,19 @@ def scipy_logsumexp(a):
 
 
 # ---------------------------------------------------------------------------
+# condition average (masked-reduction oracle)
+# ---------------------------------------------------------------------------
+
+
+def masked_condition_average(dec, epochs, trials):
+    """The centered condition average as a masked mean over every trial
+    computes it: numpy adds the selected trials, in order, to 0.0."""
+    in_condition = np.zeros(epochs.n_trials, dtype=bool)
+    in_condition[trials] = True
+    return epochs.data.mean(axis=0, where=in_condition[:, None, None]) - dec.mean[:, None]
+
+
+# ---------------------------------------------------------------------------
 # exhaustive 2-partition by SSE (divisive oracle)
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from nof.decomposition import FactorDecomposition, FastIcaConfig, center_and_whi
 from nof.errors import ConfigError, ParseError
 from nof.features import (
     COLUMNS,
+    _condition_average,
     conditions_of,
     extract_summary,
     read_summary_csv,
@@ -16,6 +18,7 @@ from nof.features import (
 from nof.testbed import EpochTensor, generate_dataset, p300_template
 
 from conftest import make_montage
+from helpers import masked_condition_average
 
 HEADER = "SP_max,SP_max_ROI,SP_min,SP_min_ROI,IN_min,IN_max,IN_mean,ROI,SP_cor,TI_max,EVENT,STIM,MOD"
 
@@ -255,6 +258,22 @@ class _NoAverage:
     def mean(self, *args, **kwargs):
         raise AssertionError("trials averaged before the epochs were checked")
 
+    def __getitem__(self, index):
+        raise AssertionError("trials averaged before the epochs were checked")
+
+
+class _CountingRows:
+    """Stands in for epoch data and counts the reads of each trial."""
+
+    def __init__(self, data):
+        self._data = data
+        self.shape = data.shape
+        self.reads = Counter()
+
+    def __getitem__(self, trial):
+        self.reads[trial] += 1
+        return self._data[trial]
+
 
 class TestConditionAverages:
     def _four_conditions(self):
@@ -279,6 +298,25 @@ class TestConditionAverages:
             for f in dec.factor_ids for c in conds
         ]
 
+    def test_each_trial_read_once(self):
+        dec, epochs = self._four_conditions()
+        template = np.array([1.0, 0.5, -0.2])
+        expected = summarize_dataset(dec, epochs, template)
+        counting = _CountingRows(epochs.data)
+        epochs.data = counting
+        assert summarize_dataset(dec, epochs, template) == expected
+        assert counting.reads == Counter(range(epochs.n_trials))
+
+    def test_topography_tie_warns_once_per_factor(self):
+        _, epochs = self._four_conditions()
+        dec, _ = manual_setup([[1.0], [1.0], [0.2]], np.ones((1, 120)), epochs.montage,
+                              n_trials=12, info=epochs.trial_info)
+        with pytest.warns(UserWarning) as record:
+            rows = summarize_dataset(dec, epochs, np.array([1.0, 0, 0]))
+        assert len(rows) == 4
+        assert [str(w.message) for w in record].count(
+            "tie in topography argmax; using lowest channel index") == 1
+
     def test_condition_without_trials_rejected(self):
         # NaN differs from itself, so its condition selects no trial
         nan = float("nan")
@@ -287,6 +325,25 @@ class TestConditionAverages:
                                    info=[{"EVENT": nan, "STIM": "s", "MOD": "m"}] * 2)
         with pytest.raises(ConfigError, match="selects no trials"):
             summarize_dataset(dec, epochs, np.array([1.0, 0, 0]), group_by=("EVENT",))
+
+    # interleaved, uneven and single-trial conditions of 31 trials
+    @pytest.mark.parametrize("trials", [
+        list(range(0, 31, 3)),
+        [i for i in range(31) if i % 3 and i != 29],
+        [29],
+    ], ids=["interleaved", "uneven", "single"])
+    def test_bit_identical_to_masked_mean(self, trials):
+        rng = np.random.default_rng(11)
+        dec, epochs = manual_setup(rng.normal(size=(3, 3)), rng.normal(size=(3, 31 * 40)) * 1e3,
+                                   make_montage(TRIO), n_trials=31, info=[{"EVENT": "e"}] * 31)
+        # a zero channel mean keeps the sign of a zero average visible
+        dec = dataclasses.replace(dec, mean=np.array([0.25, 0.0, -3.0]))
+        epochs.data[29, 1] = -0.0
+        epochs.data[0, 1, :5] = -0.0
+        ours = _condition_average(dec, epochs, trials)
+        oracle = masked_condition_average(dec, epochs, trials)
+        assert np.array_equal(ours, oracle)
+        assert np.array_equal(np.signbit(ours), np.signbit(oracle))
 
     def test_montage_checked_before_any_average(self):
         dec, epochs = self._four_conditions()
@@ -345,4 +402,15 @@ class TestSummaryCsv:
         lines[2] = lines[2].rsplit(",", 1)[0] if edit == "drop" else lines[2] + ",x"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="^line 3: expected"):
+            read_summary_csv(path)
+
+    def test_non_number_names_its_column_and_line(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        write_summary_csv(self._rows(), path)
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[COLUMNS.index("IN_min")] = "abc"
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 2: IN_min 'abc' is not a number$"):
             read_summary_csv(path)

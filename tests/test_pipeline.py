@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -578,6 +579,23 @@ class TestCli:
         assert code == 3
         assert "line 3" in capsys.readouterr().err
         assert snapshot(published_run) == before
+
+    def test_cli_non_number_in_summary_names_its_column_and_line(self, published_run,
+                                                                 tmp_path, capsys):
+        out = tmp_path / "edited"
+        shutil.copytree(published_run, out)
+        summary = out / "summary.csv"
+        lines = summary.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[4] = "abc"
+        lines[1] = ",".join(fields)
+        summary.write_text("\n".join(lines) + "\n")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["cluster", "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
+                     "--set", "decompose.n_components=2", "--set", "cluster.k=2"]) == 3
+        assert capsys.readouterr().err == "error: line 2: IN_min 'abc' is not a number\n"
+        assert snapshot(out) == before
 
     def test_cli_set_value_then_nested_key_conflicts(self, tmp_path, capsys):
         code = main(["mine", "--out", str(tmp_path),
