@@ -27,7 +27,7 @@ def _parse_set(pairs: list[str]) -> dict:
     """Turn --set a.b=value pairs into a nested override dict.
 
     A key may repeat (the last value wins), but a key that is a prefix of
-    another, such as ``mine`` and ``mine.beta_sup``, is a conflict.
+    another, such as ``mine`` and ``mine.max_len``, is a conflict.
     """
     out: dict = {}
     keys: set[str] = set()
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="KEY=VALUE",
-            help="override any config key, e.g. --set mine.beta_sup=0.3",
+            help="override any config key, e.g. --set cluster.k_max=4",
         )
     return parser
 

@@ -81,8 +81,8 @@ def center_and_whiten(
     if n_components is None:
         m = rank
     elif isinstance(n_components, float) and not float(n_components).is_integer():
-        if not 0 < n_components <= 1:
-            raise ConfigError("variance threshold must lie in (0, 1]")
+        if not 0 < n_components < 1:
+            raise ConfigError("variance threshold must lie in (0, 1)")
         frac = np.cumsum(eigvals) / np.sum(eigvals)
         m = int(np.searchsorted(frac, n_components - 1e-12) + 1)
         m = min(m, rank)

@@ -28,7 +28,13 @@ from .rulemining import AssociationRule, Item, label_item, parse_item
 
 DEFAULT_ATTRIBUTES = tuple(COLUMNS) + ("CLUSTER",)
 
-DEFAULT_THRESHOLDS = {"beta_sup": 0.1, "beta_conf": 0.8, "pi_min": 0.5}
+DEFAULT_THRESHOLDS = {"beta_sup": 0.2, "beta_conf": 0.8, "pi_min": 0.5}
+# Each threshold's range, as a test and its wording
+_THRESHOLD_RANGES = {
+    "beta_sup": (lambda v: 0 < v <= 1, "(0, 1]"),
+    "beta_conf": (lambda v: 0 < v <= 1, "(0, 1]"),
+    "pi_min": (lambda v: 0 <= v <= 1, "[0, 1]"),
+}
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,14 @@ class OntologyRuleBase:
     attributes: tuple[str, ...] = DEFAULT_ATTRIBUTES
 
     def __post_init__(self):
-        _check_thresholds(self.beta_sup, self.beta_conf, self.pi_min)
+        _check_thresholds(self)
 
 
-def _check_thresholds(beta_sup: float, beta_conf: float, pi_min: float) -> None:
-    if not 0 < beta_sup <= 1:
-        raise ConfigError(f"beta_sup must lie in (0, 1], got {beta_sup}")
-    if not 0 < beta_conf <= 1:
-        raise ConfigError(f"beta_conf must lie in (0, 1], got {beta_conf}")
-    if not 0 <= pi_min <= 1:
-        raise ConfigError(f"pi_min must lie in [0, 1], got {pi_min}")
+def _check_thresholds(base: OntologyRuleBase) -> None:
+    for name, (in_range, wording) in _THRESHOLD_RANGES.items():
+        value = getattr(base, name)
+        if not in_range(value):
+            raise ConfigError(f"{name} must lie in {wording}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,7 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
     reliability bar land in the residue, which is reported but belongs to no
     named category.
     """
-    _check_thresholds(base.beta_sup, base.beta_conf, base.pi_min)
+    _check_thresholds(base)
     qualified = [
         r for r in mined if r.support >= base.beta_sup and r.confidence >= base.beta_conf
     ]
@@ -252,11 +256,7 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
             residue.append(ar)
     missing = [e for idx, e in enumerate(base.rules) if idx not in found]
     return PartitionReport(
-        thresholds={
-            "beta_sup": base.beta_sup,
-            "beta_conf": base.beta_conf,
-            "pi_min": base.pi_min,
-        },
+        thresholds={name: getattr(base, name) for name in DEFAULT_THRESHOLDS},
         arec=annotated,
         known_high_strength=known_hi,
         known_low_strength=known_lw,
@@ -271,8 +271,9 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
 # file formats
 # ---------------------------------------------------------------------------
 
-def _find_line(text: str, token: str) -> int | None:
-    for i, line in enumerate(text.splitlines(), start=1):
+def _find_line(text: str, token: str, after: int = 0) -> int | None:
+    """The first line below line `after` that holds `token`."""
+    for i, line in enumerate(text.splitlines()[after:], start=after + 1):
         if token in line:
             return i
     return None
@@ -316,6 +317,9 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                                            # columns plus CLUSTER
              "classes": [{"name", "parent", "members"}],   # optional
              "rules": [{"id", "if": [items...], "then": "P300" | {"not": "P300"}}]}
+
+    Every key is optional. An unknown key, a duplicate rule id or an
+    out-of-range threshold is a ParseError, not a silent default.
     """
     path = Path(path)
     if not path.exists():
@@ -335,10 +339,24 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                 f"{name} must be {shape}", line=_find_line(text, f'"{rule_id or key}"')
             )
 
+    def known_keys(obj: dict, allowed, where: str) -> None:
+        for key in obj:
+            if key not in allowed:
+                raise ParseError(
+                    f"unknown key {key!r} {where}; expected one of {', '.join(allowed)}",
+                    line=_find_line(text, f'"{key}"'),
+                )
+
+    known_keys(doc, ("thresholds", "attributes", "classes", "rules"), "at the top level")
     thresholds = doc.get("thresholds", {})
     expect(isinstance(thresholds, dict) and all(map(_is_number, thresholds.values())),
            "thresholds", "an object of numbers")
-    thresholds = {**DEFAULT_THRESHOLDS, **thresholds}
+    known_keys(thresholds, _THRESHOLD_RANGES, "in thresholds")
+    for key, value in thresholds.items():
+        in_range, wording = _THRESHOLD_RANGES[key]
+        if not in_range(value):
+            raise ParseError(f"thresholds.{key} must lie in {wording}, got {value}",
+                             line=_find_line(text, f'"{key}"'))
     attributes = doc.get("attributes", list(DEFAULT_ATTRIBUTES))
     expect(_list_of(attributes, str), "attributes", "a list of strings")
     attributes = tuple(attributes)
@@ -347,20 +365,21 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     raw_classes = doc.get("classes", [])
     expect(_list_of(raw_classes, dict) and all("name" in c for c in raw_classes),
            "classes", "a list of objects with a name")
-    classes = [
-        TaxonomyClass(
-            name=c["name"],
-            parent=c.get("parent"),
-            members=tuple(c.get("members", ())),
-        )
-        for c in raw_classes
-    ]
+    classes = []
+    for c in raw_classes:
+        known_keys(c, ("name", "parent", "members"), f"in class {c['name']!r}")
+        classes.append(TaxonomyClass(c["name"], c.get("parent"), tuple(c.get("members", ()))))
 
     raw_rules = doc.get("rules", [])
     expect(_list_of(raw_rules, dict), "rules", "a list of objects")
     rules: list[ExpertRule] = []
     for i, raw_rule in enumerate(raw_rules):
         rule_id = str(raw_rule.get("id", f"R{i + 1}"))
+        known_keys(raw_rule, ("id", "if", "then"), f"in rule {rule_id!r}")
+        if any(r.rule_id == rule_id for r in rules):
+            token = f'"{rule_id}"'
+            raise ParseError(f"duplicate rule id {rule_id!r}",
+                             line=_find_line(text, token, after=_find_line(text, token) or 0))
         items = raw_rule.get("if", [])
         expect(_list_of(items, str), "if", "a list of strings", rule_id)
         antecedent: set[Item] = set()
@@ -388,31 +407,15 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                 f"undeclared attribute {consequent.attribute!r} in rule {rule_id!r}",
                 line=_find_line(text, consequent.attribute),
             )
-        rules.append(
-            ExpertRule(
-                rule_id=rule_id,
-                antecedent=frozenset(antecedent),
-                consequent=consequent,
-                negated=negated,
-            )
-        )
-    return OntologyRuleBase(
-        rules=rules,
-        classes=classes,
-        beta_sup=float(thresholds["beta_sup"]),
-        beta_conf=float(thresholds["beta_conf"]),
-        pi_min=float(thresholds["pi_min"]),
-        attributes=attributes,
-    )
+        rules.append(ExpertRule(rule_id, frozenset(antecedent), consequent, negated))
+    # an absent threshold keeps its DEFAULT_THRESHOLDS value
+    return OntologyRuleBase(rules, classes, attributes=attributes,
+                            **{name: float(value) for name, value in thresholds.items()})
 
 
 def export_rule_base(base: OntologyRuleBase, path: str | Path) -> None:
     doc = {
-        "thresholds": {
-            "beta_sup": base.beta_sup,
-            "beta_conf": base.beta_conf,
-            "pi_min": base.pi_min,
-        },
+        "thresholds": {name: getattr(base, name) for name in DEFAULT_THRESHOLDS},
         "attributes": list(base.attributes),
         "classes": [asdict(c) for c in base.classes],
         "rules": [

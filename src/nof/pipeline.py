@@ -47,21 +47,15 @@ DEFAULT_CONFIG: dict = {
         "k": None,
         "k_max": 6,
         "hierarchy": "divisive",
-        "classes_leaf_count": None,
     },
     "classify": {},
     "mine": {
-        "beta_sup": 0.2,
-        "beta_conf": 0.8,
         # itemset-size cap: near-identical transactions make the complete
         # lattice combinatorial; null mines it anyway
         "max_len": 4,
     },
     "partition": {
         "expert_rules": None,
-        "beta_sup": None,
-        "beta_conf": None,
-        "pi_min": None,
     },
 }
 
@@ -76,23 +70,16 @@ DEFAULT_CONFIG: dict = {
 _INT, _REAL = (int,), (int, float)
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
-_SHARE = (lambda v: 0 < v <= 1, "in (0, 1]")
 _NUMERIC_KEYS = {
     "seed": (_INT, False, _NON_NEGATIVE),
     "synth.n_trials": (_INT, False, _COUNT),
     "synth.noise_std": (_REAL, False, _NON_NEGATIVE),
     "decompose.n_components": (_REAL, True, (
-        lambda v: 0 < v <= 1 or v >= 1 and float(v).is_integer(),
-        "a count >= 1 or a variance fraction in (0, 1]")),
+        lambda v: 0 < v < 1 or v >= 1 and float(v).is_integer(),
+        "a count >= 1 or a variance fraction in (0, 1)")),
     "cluster.k": (_INT, True, _COUNT),
     "cluster.k_max": (_INT, False, _COUNT),
-    "cluster.classes_leaf_count": (_INT, True, _COUNT),
-    "mine.beta_sup": (_REAL, False, _SHARE),
-    "mine.beta_conf": (_REAL, False, _SHARE),
     "mine.max_len": (_INT, True, _COUNT),
-    "partition.beta_sup": (_REAL, True, _SHARE),
-    "partition.beta_conf": (_REAL, True, _SHARE),
-    "partition.pi_min": (_REAL, True, (lambda v: 0 <= v <= 1, "in [0, 1]")),
 }
 
 # The synth presets, each giving the montage's source templates
@@ -293,9 +280,7 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     else:
         taxonomy = clustering.agglomerative_hierarchy(X, cfg["hierarchy"].split(":")[1])
     taxonomy.to_json(staged["taxonomy"])
-    leaf_count = cfg["classes_leaf_count"]
-    if leaf_count is None:
-        leaf_count = min(model.k, len(taxonomy.leaves()))
+    leaf_count = min(model.k, len(taxonomy.leaves()))
     classes = clustering.taxonomy_to_classes(taxonomy, leaf_count=leaf_count)
     clustering.classes_to_json(classes, staged["classes"])
 
@@ -323,7 +308,8 @@ def _stage_classify(config: dict, paths: dict[str, Path], staged: dict[str, Path
 
 
 def _expert_base(config: dict) -> ontology.OntologyRuleBase:
-    """The expert rule base named by partition.expert_rules, or an empty one."""
+    """The expert rule base named by partition.expert_rules, or an empty one;
+    its thresholds gate both mining and partitioning."""
     path = config["partition"]["expert_rules"]
     if path is None:
         return ontology.OntologyRuleBase()
@@ -331,15 +317,14 @@ def _expert_base(config: dict) -> ontology.OntologyRuleBase:
 
 
 def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
-    cfg = config["mine"]
     rows, clusters = _clustered_rows(paths)
     tree = classification.tree_from_json(paths["tree"])
     split_points = classification.all_split_points(tree)
     # Cut each numeric attribute at the expert intervals' finite endpoints
     # too, so an expert interval is a union of mined intervals rather than
     # lying inside a wider one (or inside the catch-all attr=ANY).
-    expert_rules = _expert_base(config).rules
-    for item in (i for e in expert_rules for i in e.antecedent):
+    base = _expert_base(config)
+    for item in (i for e in base.rules for i in e.antecedent):
         if item.kind == "interval" and item.attribute in split_points:
             cuts = {v for v in (item.lo, item.hi) if np.isfinite(v)}
             split_points[item.attribute] = sorted(cuts.union(split_points[item.attribute]))
@@ -347,24 +332,20 @@ def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -
     # Items the expert rules name stay even when every row holds them, so
     # matching against those rules stays exact; CLUSTER stays so a one-cluster
     # run still reports its cluster rules.
-    named = {i.attribute for e in expert_rules for i in (*e.antecedent, e.consequent)}
+    named = {i.attribute for e in base.rules for i in (*e.antecedent, e.consequent)}
     transactions = rulemining.drop_universal_items(
         rulemining.discretize(records, split_points), named | {"CLUSTER"}
     )
     itemsets = rulemining.apriori(
-        transactions, float(cfg["beta_sup"]), max_len=cfg["max_len"]
+        transactions, base.beta_sup, max_len=config["mine"]["max_len"]
     )
-    rules = rulemining.generate_rules(itemsets, float(cfg["beta_conf"]), transactions)
+    rules = rulemining.generate_rules(itemsets, base.beta_conf, transactions)
     rulemining.write_rules_csv(rules, staged["mined_rules"])
 
 
 def _stage_partition(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
-    cfg = config["partition"]
     mined = rulemining.read_rules_csv(paths["mined_rules"])
     base = _expert_base(config)
-    for key in ("beta_sup", "beta_conf", "pi_min"):
-        if cfg[key] is not None:
-            setattr(base, key, float(cfg[key]))
     mined, alignment = ontology.align_cluster_labels(mined, base.rules)
     report = ontology.partition(mined, base)
     report.alignment = alignment

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -491,13 +492,64 @@ class TestExpertRuleFile:
             ingest_expert_rules(path)
         assert '"p300_rule"' in path.read_text().splitlines()[err.value.line - 1]
 
-    def test_threshold_range_validated(self, tmp_path):
-        doc = self._doc()
-        doc["thresholds"]["beta_sup"] = 2.0
+    def _rejected(self, tmp_path, doc, message, token):
+        """The ParseError `doc` raises, checked to name `message` and the
+        line that holds `token`."""
         path = tmp_path / "expert.json"
-        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps(doc, indent=1, ensure_ascii=False), encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as err:
             ingest_expert_rules(path)
+        assert token in path.read_text(encoding="utf-8").splitlines()[err.value.line - 1]
+        return err.value
+
+    @pytest.mark.parametrize("key,value,wording", [
+        ("beta_sup", 2.0, "(0, 1]"), ("beta_conf", 0, "(0, 1]"), ("pi_min", -0.1, "[0, 1]"),
+    ])
+    def test_threshold_out_of_range_names_its_key_and_line(self, tmp_path, key, value,
+                                                           wording):
+        doc = self._doc()
+        doc["thresholds"][key] = value
+        self._rejected(tmp_path, doc,
+                       rf"^line \d+: thresholds\.{key} must lie in {re.escape(wording)}",
+                       f'"{key}"')
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # before, "rule" loaded no rules and every mined rule reported as novel
+        doc = self._doc()
+        doc["rule"] = doc.pop("rules")
+        self._rejected(tmp_path, doc, "unknown key 'rule' at the top level", '"rule"')
+
+    def test_unknown_threshold_key_rejected(self, tmp_path):
+        # before, "pi_mn" loaded with pi_min at its default 0.5
+        doc = self._doc()
+        doc["thresholds"]["pi_mn"] = doc["thresholds"].pop("pi_min")
+        self._rejected(tmp_path, doc, "unknown key 'pi_mn' in thresholds", '"pi_mn"')
+
+    def test_unknown_rule_key_rejected(self, tmp_path):
+        # before, a rule with "iff" loaded as ALWAYS -> P300
+        doc = self._doc()
+        doc["rules"][0]["iff"] = doc["rules"][0].pop("if")
+        self._rejected(tmp_path, doc, "unknown key 'iff' in rule 'p300_rule'", '"iff"')
+
+    def test_unknown_class_key_rejected(self, tmp_path):
+        doc = self._doc()
+        doc["classes"] = [{"name": "ROOT", "parent": None, "member": [0]}]
+        self._rejected(tmp_path, doc, "unknown key 'member' in class 'ROOT'", '"member"')
+
+    def test_duplicate_rule_id_rejected(self, tmp_path):
+        doc = self._doc()
+        doc["rules"][1]["id"] = "p300_rule"
+        err = self._rejected(tmp_path, doc, "duplicate rule id 'p300_rule'", '"p300_rule"')
+        first = next(i for i, line in enumerate(json.dumps(doc, indent=1).splitlines(), 1)
+                     if '"p300_rule"' in line)
+        assert err.line > first
+
+    def test_thresholds_alone_load(self, tmp_path):
+        path = tmp_path / "expert.json"
+        path.write_text(json.dumps({"thresholds": {"beta_sup": 0.4}}), encoding="utf-8")
+        base = ingest_expert_rules(path)
+        assert base.rules == [] and base.classes == []
+        assert (base.beta_sup, base.beta_conf, base.pi_min) == (0.4, 0.8, 0.5)
 
 
 class TestReportOutput:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nof import classification, clustering, testbed
+from nof import classification, clustering, rulemining, testbed
 from nof.cli import main
 from nof.errors import ConfigError, MissingInputError
 from nof.pipeline import (
@@ -28,7 +28,9 @@ EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
 # Stage parameters the pipeline leaves at the library's defaults
 # (FastIcaConfig, EMConfig, EncodingConfig, TreeConfig, summarize_dataset,
 # generate_rules, the testbed presets); none of them is a config key. Every
-# stage seed derives from the top-level `seed`.
+# stage seed derives from the top-level `seed`. The support, confidence and
+# reliability gates are the expert rule base's thresholds, and classes.json is
+# always cut at min(k, leaves).
 NOT_CONFIG_KEYS = [
     ("synth", "seed"), ("decompose", "seed"), ("cluster", "seed"),
     ("synth", "fs"), ("synth", "t0"), ("synth", "n_timepoints"), ("synth", "jitter"),
@@ -40,6 +42,8 @@ NOT_CONFIG_KEYS = [
     ("classify", "min_leaf"), ("classify", "max_depth"), ("classify", "prune_cf"),
     ("mine", "include_cluster"), ("mine", "single_consequent"),
     ("partition", "align_clusters"),
+    ("cluster", "classes_leaf_count"), ("mine", "beta_sup"), ("mine", "beta_conf"),
+    ("partition", "beta_sup"), ("partition", "beta_conf"), ("partition", "pi_min"),
 ]
 
 
@@ -65,15 +69,15 @@ class TestConfig:
     def test_defaults_load(self):
         config = load_config()
         assert config["seed"] == 0
-        assert config["mine"]["beta_sup"] == 0.2
+        assert config["cluster"]["k_max"] == 6
 
     def test_file_overlays_defaults(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({"seed": 9, "mine": {"beta_sup": 0.4}}))
+        path.write_text(json.dumps({"seed": 9, "cluster": {"k_max": 4}}))
         config = load_config(path)
         assert config["seed"] == 9
-        assert config["mine"]["beta_sup"] == 0.4
-        assert config["mine"]["beta_conf"] == 0.8  # untouched default
+        assert config["cluster"]["k_max"] == 4
+        assert config["cluster"]["hierarchy"] == "divisive"  # untouched default
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -129,12 +133,18 @@ class TestConfig:
         config = load_config(overrides={
             "synth": {"noise_std": 2},
             "decompose": {"n_components": 0.9},
-            "mine": {"beta_sup": 1, "max_len": None},
-            "partition": {"beta_sup": 0.3, "pi_min": 0},
+            "mine": {"max_len": None},
+            "cluster": {"k": None, "k_max": 3},
             "extract": {"template": {"kind": "roi", "roi": "frontal", "value": 2}},
         })
         assert config["mine"]["max_len"] is None
         assert load_config(overrides={"decompose": {"n_components": None}})
+
+    def test_variance_fraction_lies_in_the_open_unit_interval(self):
+        # 1.0 is a count of one component, not all of the variance
+        assert load_config(overrides={"decompose": {"n_components": 1.0}})
+        with pytest.raises(ConfigError, match=r"variance fraction in \(0, 1\), got 1\.5$"):
+            load_config(overrides={"decompose": {"n_components": 1.5}})
 
     def test_config_round_trips_through_json(self, tmp_path):
         config = load_config(overrides=small_overrides(tmp_path))
@@ -320,16 +330,19 @@ class TestStages:
             "synth": {"n_trials": 24},
             "decompose": {"n_components": 2},
             "cluster": {"k": None, "k_max": 3,
-                        "hierarchy": "agglomerative:complete",
-                        "classes_leaf_count": 2},
+                        "hierarchy": "agglomerative:complete"},
         })
         run_pipeline(config)
         model = json.loads((out / "cluster_model.json").read_text())
         assert 1 <= model["k"] <= 3
         taxonomy = json.loads((out / "taxonomy.json").read_text())
         assert taxonomy["method"] == "agglomerative:complete"
+
+        def leaves(node):
+            return sum(map(leaves, node["children"])) if "children" in node else 1
+
         classes = json.loads((out / "classes.json").read_text())
-        assert sum(1 for c in classes if c["parent"]) == 2
+        assert sum(1 for c in classes if c["parent"]) == min(model["k"], leaves(taxonomy["root"]))
 
     def test_variance_threshold_components(self, tmp_path):
         out = tmp_path / "var_frac"
@@ -379,13 +392,17 @@ class TestPublication:
         expected = {p.relative_to(out).parts[0] for p in artifact_paths(out).values()}
         assert {p.name for p in out.iterdir()} == expected
 
-    def test_failed_cluster_changes_nothing(self, published_run):
+    def test_failed_cluster_changes_nothing(self, published_run, monkeypatch):
+        # the stage fails after writing cluster_model.json and taxonomy.json
+        def fail(*args, **kwargs):
+            raise ConfigError("cannot cut the taxonomy")
+
+        monkeypatch.setattr(clustering, "taxonomy_to_classes", fail)
         out = published_run
         before = snapshot(out)
         overrides = small_overrides(out)
         overrides["seed"] = 6
-        overrides["cluster"] = {"k": 2, "classes_leaf_count": 99}
-        with pytest.raises(ConfigError, match="leaf_count"):
+        with pytest.raises(ConfigError, match="cannot cut the taxonomy"):
             run_stage("cluster", load_config(overrides=overrides))
         assert snapshot(out) == before
 
@@ -503,6 +520,29 @@ class TestExpertAwareMining:
         assert not [i for i in items if i.startswith("TI_max")]
         assert "CLUSTER=C1" in items
 
+    def test_expert_thresholds_gate_mining(self, tmp_path):
+        # one gate: a file's beta_sup above the default drops the rules below
+        # it from mined_rules.csv, not only from the report
+        expert = tmp_path / "expert.json"
+        expert.write_text(json.dumps({"thresholds": {"beta_sup": 0.5}}), encoding="utf-8")
+        out = tmp_path / "run"
+        overrides = small_overrides(out)
+        overrides["partition"] = {"expert_rules": str(expert)}
+        run_pipeline(load_config(overrides=overrides))
+        mined = rulemining.read_rules_csv(out / "mined_rules.csv")
+        assert mined and min(r.support for r in mined) >= 0.5
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["thresholds"] == {"beta_sup": 0.5, "beta_conf": 0.8, "pi_min": 0.5}
+        assert report["counts"]["qualified"] == len(set(mined))
+
+    def test_default_thresholds_are_the_mining_gate(self, finished_run):
+        out, _, _ = finished_run
+        mined = rulemining.read_rules_csv(out / "mined_rules.csv")
+        assert min(r.support for r in mined) >= 0.2
+        assert min(r.confidence for r in mined) >= 0.8
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["thresholds"] == {"beta_sup": 0.2, "beta_conf": 0.8, "pi_min": 0.5}
+
 
 class TestCli:
     def test_cli_stage_and_exit_codes(self, tmp_path):
@@ -525,8 +565,8 @@ class TestCli:
     @pytest.mark.parametrize("setting", [
         "synth.n_trials=true", "synth.n_trials=2.7", "synth.noise_std=true",
         "decompose.n_components=true", "decompose.n_components=four", "cluster.k=true",
-        "cluster.k_max=2.5", "cluster.classes_leaf_count=false", "mine.beta_sup=true",
-        "mine.beta_conf=null", "mine.max_len=true", "partition.pi_min=true",
+        "cluster.k_max=2.5", "cluster.k_max=false", "synth.noise_std=null",
+        "cluster.k_max=null", "mine.max_len=true", "mine.max_len=2.5",
         'extract.template={"kind":"roi","roi":"frontal","value":true}',
     ])
     def test_cli_rejects_a_numeric_key_of_the_wrong_type(self, tmp_path, capsys, setting):
@@ -550,9 +590,9 @@ class TestCli:
     @pytest.mark.parametrize("setting", [
         "seed=-1", "synth.n_trials=0", "synth.noise_std=-0.5", "synth.preset=bogus",
         "decompose.n_components=0", "decompose.n_components=1.5", "cluster.k=0",
-        "cluster.k_max=0", "cluster.classes_leaf_count=0", "cluster.hierarchy=bogus",
-        "mine.beta_sup=0", "mine.beta_conf=1.5", "mine.max_len=0", "partition.beta_sup=0",
-        "partition.beta_conf=2", "partition.pi_min=2", "partition.pi_min=-0.1",
+        "cluster.k_max=0", "cluster.k=-1", "cluster.hierarchy=bogus",
+        "decompose.n_components=0.0", "decompose.n_components=-0.5", "mine.max_len=0",
+        "cluster.k_max=-3", "synth.n_trials=-5", "synth.noise_std=-1e-9", "mine.max_len=-1",
     ])
     def test_cli_pipeline_rejects_an_out_of_range_value_before_any_stage(
             self, tmp_path, capsys, setting):
@@ -597,15 +637,28 @@ class TestCli:
         assert capsys.readouterr().err == "error: line 2: IN_min 'abc' is not a number\n"
         assert snapshot(out) == before
 
+    def test_cli_partition_rejects_a_typo_in_the_expert_file(self, published_run, tmp_path,
+                                                             capsys):
+        # before, "pi_mn" loaded with pi_min at its default
+        expert = tmp_path / "expert.json"
+        expert.write_text('{\n  "thresholds": {"beta_sup": 0.2,\n    "pi_mn": 0.3}\n}\n')
+        before = snapshot(published_run)
+        capsys.readouterr()
+        assert main(["partition", "--out", str(published_run),
+                     "--set", f"partition.expert_rules={expert}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: unknown key 'pi_mn' in thresholds")
+        assert snapshot(published_run) == before
+
     def test_cli_set_value_then_nested_key_conflicts(self, tmp_path, capsys):
         code = main(["mine", "--out", str(tmp_path),
-                     "--set", "mine=1", "--set", "mine.beta_sup=0.3"])
+                     "--set", "mine=1", "--set", "mine.max_len=3"])
         assert code == 3
         assert "conflicts" in capsys.readouterr().err
 
     def test_cli_set_nested_key_then_value_conflicts(self, tmp_path, capsys):
         code = main(["mine", "--out", str(tmp_path),
-                     "--set", "mine.beta_sup=0.3", "--set", "mine=1"])
+                     "--set", "mine.max_len=3", "--set", "mine=1"])
         assert code == 3
         assert "conflicts" in capsys.readouterr().err
 
