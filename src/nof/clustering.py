@@ -7,8 +7,13 @@ Hierarchies come in a divisive flavour (recursive 2-means) and an
 agglomerative flavour (single/complete/average linkage, read off scipy's
 linkage matrix; exact distance ties merge in scipy's deterministic order),
 both producing the same binary-tree taxonomy type, which can be cut into
-ordered classes for the ontology export. Every clustering function takes a
-plain observations x attributes array, such as `encode_observations(rows).X`.
+ordered classes. Every clustering function takes a plain observations x
+attributes array, such as `encode_observations(rows).X`.
+
+The pipeline's ontology is the mixture's own partition: `ClusterModel.classes`
+puts component j's rows in class C{j+1}, the name `labels` gives them, and
+the taxonomy is a hierarchy over the k component means, so its leaf j is
+component j.
 """
 from __future__ import annotations
 
@@ -106,7 +111,16 @@ class ClusterModel:
     bic_by_k: dict[int, float | None] = field(default_factory=dict)
 
     def labels(self) -> list[str]:
-        return [f"C{a + 1}" for a in self.assignments]
+        """Each row's class name in classes(): row i is in C{assignments[i] + 1}."""
+        names = [c.name for c in self.classes()[1:]]
+        return [names[a] for a in self.assignments]
+
+    def classes(self) -> list[TaxonomyClass]:
+        """ROOT over every row, then for each component j the class C{j+1}
+        holding the rows assigned to j (none, if j won no row)."""
+        members = [tuple(np.flatnonzero(self.assignments == j).tolist()) for j in range(self.k)]
+        return [TaxonomyClass("ROOT", None, tuple(range(len(self.assignments))))] + [
+            TaxonomyClass(f"C{j + 1}", "ROOT", rows) for j, rows in enumerate(members)]
 
     def to_json(self, path: str | Path) -> None:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -197,7 +197,8 @@ def artifact_paths(out: Path) -> dict[str, Path]:
 
 # ---------------------------------------------------------------------------
 # stage implementations: each reads its inputs from `paths` and writes its
-# outputs to the same keys of `staged`, which run_stage then publishes
+# outputs to the same keys of `staged`, which run_stage then publishes; a
+# stage may return fields to add to its run.json entry
 # ---------------------------------------------------------------------------
 
 def _stage_synth(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
@@ -265,6 +266,9 @@ def _stage_extract(config: dict, paths: dict[str, Path], staged: dict[str, Path]
 
 
 def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
+    """The ontology is the EM partition: classes.json holds the model's
+    classes, and the taxonomy is built over the k component means, so its
+    leaf j is component j, which is class C{j+1}."""
     cfg = config["cluster"]
     X = clustering.encode_observations(features.read_summary_csv(paths["summary"])).X
     em_config = clustering.EMConfig(seed=config["seed"] + 2)
@@ -275,14 +279,12 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     model.to_json(staged["cluster_model"])
     if cfg["hierarchy"] == "divisive":
         taxonomy = clustering.divisive_hierarchy(
-            X, clustering.DivisiveConfig(seed=config["seed"] + 2)
+            model.means, clustering.DivisiveConfig(seed=config["seed"] + 2)
         )
     else:
-        taxonomy = clustering.agglomerative_hierarchy(X, cfg["hierarchy"].split(":")[1])
+        taxonomy = clustering.agglomerative_hierarchy(model.means, cfg["hierarchy"].split(":")[1])
     taxonomy.to_json(staged["taxonomy"])
-    leaf_count = min(model.k, len(taxonomy.leaves()))
-    classes = clustering.taxonomy_to_classes(taxonomy, leaf_count=leaf_count)
-    clustering.classes_to_json(classes, staged["classes"])
+    clustering.classes_to_json(model.classes(), staged["classes"])
 
 
 def _clustered_rows(paths: dict[str, Path]) -> tuple[list[classification.Row], list[str]]:
@@ -316,7 +318,21 @@ def _expert_base(config: dict) -> ontology.OntologyRuleBase:
     return ontology.ingest_expert_rules(Path(path))
 
 
-def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
+def _mining_gate(base: ontology.OntologyRuleBase) -> dict:
+    """What mine takes from the expert base: its support and confidence
+    thresholds, the finite endpoints of its intervals per attribute, and the
+    attributes its rules name, whose items mine keeps even where universal."""
+    cuts: dict[str, set[float]] = {}
+    for item in (i for e in base.rules for i in e.antecedent if i.kind == "interval"):
+        cuts.setdefault(item.attribute, set()).update(
+            v for v in (item.lo, item.hi) if np.isfinite(v))
+    named = {i.attribute for e in base.rules for i in (*e.antecedent, e.consequent)}
+    return {"beta_sup": base.beta_sup, "beta_conf": base.beta_conf,
+            "cuts": {attr: sorted(points) for attr, points in sorted(cuts.items())},
+            "kept": sorted(a for a in named if a)}
+
+
+def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> dict:
     rows, clusters = _clustered_rows(paths)
     tree = classification.tree_from_json(paths["tree"])
     split_points = classification.all_split_points(tree)
@@ -324,28 +340,48 @@ def _stage_mine(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -
     # too, so an expert interval is a union of mined intervals rather than
     # lying inside a wider one (or inside the catch-all attr=ANY).
     base = _expert_base(config)
-    for item in (i for e in base.rules for i in e.antecedent):
-        if item.kind == "interval" and item.attribute in split_points:
-            cuts = {v for v in (item.lo, item.hi) if np.isfinite(v)}
-            split_points[item.attribute] = sorted(cuts.union(split_points[item.attribute]))
+    gate = _mining_gate(base)
+    for attr, cuts in gate["cuts"].items():
+        if attr in split_points:
+            split_points[attr] = sorted(set(cuts).union(split_points[attr]))
     records = [{**row, "CLUSTER": cluster} for row, cluster in zip(rows, clusters)]
     # Items the expert rules name stay even when every row holds them, so
     # matching against those rules stays exact; CLUSTER stays so a one-cluster
     # run still reports its cluster rules.
-    named = {i.attribute for e in base.rules for i in (*e.antecedent, e.consequent)}
     transactions = rulemining.drop_universal_items(
-        rulemining.discretize(records, split_points), named | {"CLUSTER"}
+        rulemining.discretize(records, split_points), {*gate["kept"], "CLUSTER"}
     )
     itemsets = rulemining.apriori(
         transactions, base.beta_sup, max_len=config["mine"]["max_len"]
     )
     rules = rulemining.generate_rules(itemsets, base.beta_conf, transactions)
     rulemining.write_rules_csv(rules, staged["mined_rules"])
+    return {"gate": gate}
+
+
+def _check_gate(base: ontology.OntologyRuleBase, paths: dict[str, Path]) -> None:
+    """Raise MissingInputError unless mined_rules.csv was mined under `base`,
+    as the gate in mine's run.json entry records: at its thresholds, cut at
+    every finite endpoint of its intervals, and keeping the items of every
+    attribute it names. pi_min acts only in partition, so it may differ."""
+    manifest = paths["manifest"]
+    stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
+    recorded = next((s.get("gate") for s in stages if s["stage"] == "mine"), None)
+    gate = _mining_gate(base)
+    if recorded is None or any(recorded[t] != gate[t] for t in ("beta_sup", "beta_conf")) \
+            or not set(gate["kept"]) <= set(recorded["kept"]) \
+            or any(not set(points) <= set(recorded["cuts"].get(attr, ()))
+                   for attr, points in gate["cuts"].items()):
+        raise MissingInputError(
+            f"{paths['mined_rules'].name} was not mined under this expert base's "
+            f"thresholds, interval endpoints and attributes (run mine first)"
+        )
 
 
 def _stage_partition(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
-    mined = rulemining.read_rules_csv(paths["mined_rules"])
     base = _expert_base(config)
+    _check_gate(base, paths)
+    mined = rulemining.read_rules_csv(paths["mined_rules"])
     mined, alignment = ontology.align_cluster_labels(mined, base.rules)
     report = ontology.partition(mined, base)
     report.alignment = alignment
@@ -428,8 +464,9 @@ def _check_fresh(input_keys: tuple[str, ...], paths: dict[str, Path],
     upstream of it read an artifact that has changed since. An artifact this
     stage reads is current as `sums` hashed it; any other as its producer last
     recorded it in run.json. The error names the earliest such stage, the one
-    to run again. Files the config names are not compared: swapping one, say
-    the expert base before re-running partition alone, is the user's call."""
+    to run again. Files the config names are not compared here; an expert
+    base swapped before re-running partition alone is checked against the
+    gate that mine recorded instead (_check_gate)."""
     producer = {paths[key].name: stage for key, stage in _PRODUCER.items()}
     recorded = {s["stage"]: s for s in stages}
     current = {name: digest for s in stages for name, digest in s["outputs"].items()}
@@ -469,7 +506,7 @@ def run_stage(stage: str, config: dict) -> dict:
     staging = Path(tempfile.mkdtemp(dir=out, prefix=f".{stage}."))
     try:
         staged = artifact_paths(staging)
-        fn(config, paths, staged)
+        record = fn(config, paths, staged)
         _check_fresh(input_keys, paths, input_sums, stages)
         outputs = [paths[key] for key in output_keys]
         for key, path in zip(output_keys, outputs):
@@ -481,6 +518,7 @@ def run_stage(stage: str, config: dict) -> dict:
             "inputs": input_sums,
             "outputs": _checksums(outputs),
             "wall_time_s": round(time.perf_counter() - started, 6),
+            **(record or {}),
         }
         order = {name: i for i, name in enumerate(STAGES)}
         stages = [s for s in stages if s["stage"] != stage] + [entry]

@@ -10,6 +10,7 @@ from nof.clustering import (
     EMConfig,
     EncodingConfig,
     Taxonomy,
+    TaxonomyClass,
     agglomerative_hierarchy,
     bic,
     classes_to_json,
@@ -507,6 +508,21 @@ class TestTaxonomyClasses:
 
         doc = json.loads(path.read_text())
         assert doc[0]["name"] == "ROOT" and doc[1]["parent"] == "ROOT"
+
+
+class TestModelClasses:
+    def test_class_j_holds_the_rows_of_component_j(self):
+        model = ClusterModel(k=3, weights=np.full(3, 1 / 3), means=np.zeros((3, 1)),
+                             variances=np.ones((3, 1)), assignments=np.array([2, 0, 2, 0, 0]),
+                             log_likelihood=0.0, n_iter=1)
+        classes = model.classes()
+        assert classes == [
+            TaxonomyClass("ROOT", None, (0, 1, 2, 3, 4)),
+            TaxonomyClass("C1", "ROOT", (1, 3, 4)),
+            TaxonomyClass("C2", "ROOT", ()),  # a component that won no row
+            TaxonomyClass("C3", "ROOT", (0, 2)),
+        ]
+        assert model.labels() == ["C3", "C1", "C3", "C1", "C1"]
 
 
 class TestModelSerialization:

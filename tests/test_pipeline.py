@@ -29,8 +29,8 @@ EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
 # (FastIcaConfig, EMConfig, EncodingConfig, TreeConfig, summarize_dataset,
 # generate_rules, the testbed presets); none of them is a config key. Every
 # stage seed derives from the top-level `seed`. The support, confidence and
-# reliability gates are the expert rule base's thresholds, and classes.json is
-# always cut at min(k, leaves).
+# reliability gates are the expert rule base's thresholds, and classes.json
+# holds the EM clusters.
 NOT_CONFIG_KEYS = [
     ("synth", "seed"), ("decompose", "seed"), ("cluster", "seed"),
     ("synth", "fs"), ("synth", "t0"), ("synth", "n_timepoints"), ("synth", "jitter"),
@@ -342,7 +342,7 @@ class TestStages:
             return sum(map(leaves, node["children"])) if "children" in node else 1
 
         classes = json.loads((out / "classes.json").read_text())
-        assert sum(1 for c in classes if c["parent"]) == min(model["k"], leaves(taxonomy["root"]))
+        assert sum(1 for c in classes if c["parent"]) == leaves(taxonomy["root"]) == model["k"]
 
     def test_variance_threshold_components(self, tmp_path):
         out = tmp_path / "var_frac"
@@ -393,16 +393,17 @@ class TestPublication:
         assert {p.name for p in out.iterdir()} == expected
 
     def test_failed_cluster_changes_nothing(self, published_run, monkeypatch):
-        # the stage fails after writing cluster_model.json and taxonomy.json
+        # the stage fails at its last write, after writing cluster_model.json
+        # and taxonomy.json
         def fail(*args, **kwargs):
-            raise ConfigError("cannot cut the taxonomy")
+            raise ConfigError("cannot write classes.json")
 
-        monkeypatch.setattr(clustering, "taxonomy_to_classes", fail)
+        monkeypatch.setattr(clustering, "classes_to_json", fail)
         out = published_run
         before = snapshot(out)
         overrides = small_overrides(out)
         overrides["seed"] = 6
-        with pytest.raises(ConfigError, match="cannot cut the taxonomy"):
+        with pytest.raises(ConfigError, match="cannot write classes.json"):
             run_stage("cluster", load_config(overrides=overrides))
         assert snapshot(out) == before
 
@@ -468,12 +469,98 @@ class TestArtifactEncoding:
             assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False), name
 
 
+# a many_rows-style table: 8 conditions x 4 factors = 32 summary rows
+EIGHT_CONDITIONS = [{"EVENT": event, "STIM": stim, "MOD": mod}
+                    for event in ("stimon", "respon") for stim in ("s0", "s1")
+                    for mod in ("visual", "auditory")]
+
+
+def taxonomy_leaves(node):
+    if "children" not in node:
+        return [node["indices"]]
+    return [leaf for child in node["children"] for leaf in taxonomy_leaves(child)]
+
+
+class TestOntologyClasses:
+    @pytest.mark.parametrize("hierarchy", ["divisive", "agglomerative:average"])
+    @pytest.mark.parametrize("synth", [{}, {"n_trials": 80, "conditions": EIGHT_CONDITIONS}],
+                             ids=["default", "eight_conditions"])
+    def test_classes_are_the_em_clusters(self, tmp_path, hierarchy, synth):
+        run_pipeline(load_config(overrides={
+            "out": str(tmp_path), "seed": 7, "synth": synth,
+            "cluster": {"hierarchy": hierarchy},
+            "partition": {"expert_rules": str(EXPERT_EXAMPLE)}}))
+        model = json.loads((tmp_path / "cluster_model.json").read_text())
+        k, assignments = model["k"], model["assignments"]
+        assert k > 1
+        # class C{j+1} holds the rows of CLUSTER=C{j+1}, the label the rules name
+        classes = json.loads((tmp_path / "classes.json").read_text())
+        assert classes == [{"name": "ROOT", "parent": None,
+                            "members": list(range(len(assignments)))}] + [
+            {"name": f"C{j + 1}", "parent": "ROOT",
+             "members": [i for i, a in enumerate(assignments) if a == j]}
+            for j in range(k)]
+        # the taxonomy is a hierarchy over the components, one leaf each
+        taxonomy = json.loads((tmp_path / "taxonomy.json").read_text())
+        assert taxonomy["method"] == hierarchy
+        assert taxonomy["n"] == k
+        assert sorted(taxonomy_leaves(taxonomy["root"])) == [[j] for j in range(k)]
+
+
 class TestExpertAwareMining:
     def test_default_run_mines_no_catch_all_item(self, expert_run):
         items = mined_items(expert_run)
         assert items
         assert not [i for i in items if i.endswith("=ANY")]
         assert "MOD=visual" not in items and "EVENT=stimon" not in items
+
+    def test_mine_records_its_gate_in_the_manifest(self, expert_run):
+        manifest = json.loads((expert_run / "run.json").read_text())
+        gates = {s["stage"]: s.get("gate") for s in manifest["stages"]}
+        assert gates.pop("mine") == {"beta_sup": 0.2, "beta_conf": 0.8,
+                                     "cuts": {"TI_max": [300.0, 500.0]},
+                                     "kept": ["SP_max_ROI", "TI_max"]}
+        assert set(gates.values()) == {None}
+
+    @pytest.mark.parametrize("expert,accepted", [
+        ({"thresholds": {"pi_min": 0.9}}, True),
+        ({"rules": [{"id": "r", "if": ["TI_max∈(300,500]"], "then": "P300"}]}, True),
+        ({"rules": [{"id": "r", "if": ["TI_max∈(-inf,300]"], "then": "P300"}]}, True),
+        ({"rules": [{"id": "r", "if": ["TI_max∈(300,450]"], "then": "P300"}]}, False),
+        ({"rules": [{"id": "r", "if": ["IN_max∈(0,1]"], "then": "P300"}]}, False),
+        ({"thresholds": {"beta_sup": 0.3}}, False),
+        ({"thresholds": {"beta_conf": 0.9}}, False),
+        # mine dropped the universal MOD=visual, which this rule needs
+        ({"rules": [{"id": "r", "if": ["SP_max_ROI=frontal", "MOD=visual"], "then": "P300"}]},
+         False),
+    ])
+    def test_partition_alone_checks_the_gate_mine_recorded(self, expert_run, tmp_path,
+                                                           expert, accepted):
+        out = tmp_path / "run"
+        shutil.copytree(expert_run, out)
+        path = tmp_path / "expert.json"
+        path.write_text(json.dumps(expert, ensure_ascii=False), encoding="utf-8")
+        config = load_config(overrides={"out": str(out), "partition": {"expert_rules": str(path)}})
+        if accepted:
+            run_stage("partition", config)
+            return
+        before = snapshot(out)
+        with pytest.raises(MissingInputError, match=r"\(run mine first\)$"):
+            run_stage("partition", config)
+        assert snapshot(out) == before
+
+    def test_partition_refuses_a_mine_entry_without_a_gate(self, expert_run, tmp_path):
+        out = tmp_path / "run"
+        shutil.copytree(expert_run, out)
+        manifest = json.loads((out / "run.json").read_text())
+        for stage in manifest["stages"]:
+            stage.pop("gate", None)
+        (out / "run.json").write_text(json.dumps(manifest))
+        before = snapshot(out)
+        with pytest.raises(MissingInputError, match="run mine first"):
+            run_stage("partition", load_config(overrides={
+                "out": str(out), "partition": {"expert_rules": str(EXPERT_EXAMPLE)}}))
+        assert snapshot(out) == before
 
     def test_manifest_records_expert_file_for_mine_and_partition(self, expert_run):
         manifest = json.loads((expert_run / "run.json").read_text())
@@ -635,6 +722,23 @@ class TestCli:
         assert main(["cluster", "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
                      "--set", "decompose.n_components=2", "--set", "cluster.k=2"]) == 3
         assert capsys.readouterr().err == "error: line 2: IN_min 'abc' is not a number\n"
+        assert snapshot(out) == before
+
+    def test_cli_partition_refuses_a_base_that_mine_did_not_use(self, tmp_path, capsys):
+        # mined at beta_sup 0.5 and cut at no expert endpoint, the rules would
+        # be reported under the shipped base's 0.2, its rules all missing
+        expert = tmp_path / "expert.json"
+        expert.write_text(json.dumps({"thresholds": {"beta_sup": 0.5}}))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--out", str(out),
+                     "--set", f"partition.expert_rules={expert}"]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["partition", "--out", str(out),
+                     "--set", f"partition.expert_rules={EXPERT_EXAMPLE}"]) == 2
+        assert capsys.readouterr().err == (
+            "error: mined_rules.csv was not mined under this expert base's thresholds, "
+            "interval endpoints and attributes (run mine first)\n")
         assert snapshot(out) == before
 
     def test_cli_partition_rejects_a_typo_in_the_expert_file(self, published_run, tmp_path,
