@@ -104,14 +104,21 @@ class _Candidate:
 def _numeric_candidates(
     attr: str, attr_index: int, rows: list[Row], labels: list[str]
 ) -> list[_Candidate]:
+    """One candidate per midpoint between adjacent distinct values. As the
+    thresholds rise, the rows with v <= thr move from `right` to `left` in one
+    pass; a label left at count 0 adds nothing to _entropy."""
     pairs = sorted(zip((float(r[attr]) for r in rows), labels))
     values = sorted({v for v, _ in pairs})
     out: list[_Candidate] = []
     parent = Counter(labels)
+    left, right = Counter(), Counter(labels)
+    moved = 0
     for lo, hi in zip(values, values[1:]):
         thr = (lo + hi) / 2.0
-        left = Counter(lab for v, lab in pairs if v <= thr)
-        right = Counter(lab for v, lab in pairs if v > thr)
+        while moved < len(pairs) and pairs[moved][0] <= thr:
+            left[pairs[moved][1]] += 1
+            right[pairs[moved][1]] -= 1
+            moved += 1
         gain, split_info = _branch_stats(parent, [left, right])
         if split_info <= 0:
             continue

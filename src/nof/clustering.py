@@ -142,43 +142,50 @@ class ClusterModel:
 
 
 def _log_gaussians(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """n x k matrix of log N(x | mu_j, diag(var_j)) in closed form,
-    -1/2 (d log 2pi + 2 sum log sd + sum z^2) with z = (x - mu) * (1 / sd).
+    """... x n x k array of log N(x | mu_j, diag(var_j)) in closed form, for
+    means and variances of shape ... x k x d: -1/2 (d log 2pi + 2 sum log sd
+    + sum z^2) with z = (x - mu) * (1 / sd).
 
-    z is a C-ordered d x n x k array, so its squares are summed attribute by
-    attribute in order. With the reciprocal, this rounds as back-substitution
-    against the triangular factor diag(sd) does, bit for bit."""
-    bad = np.flatnonzero(~np.all(variances > 0, axis=1))
-    if bad.size:
+    z is a C-ordered ... x d x n x k array, so its squares are summed
+    attribute by attribute in order. With the reciprocal, this rounds as
+    back-substitution against the triangular factor diag(sd) does, bit for
+    bit."""
+    positive = variances > 0
+    if not positive.all():
+        bad = np.argwhere(~positive.all(axis=-1))[0]
         raise NumericalError(
-            f"cluster {bad[0]} covariance is singular: a variance is not positive")
+            f"cluster {bad[-1]} covariance is singular: a variance is not positive")
     sd = np.sqrt(variances)
-    z = np.subtract(X.T[:, :, None], means.T[:, None, :], order="C") * (1.0 / sd).T[:, None, :]
-    maha = np.sum(z**2, axis=0)
-    return -0.5 * (X.shape[1] * _LOG_2PI + 2.0 * np.sum(np.log(sd), axis=1) + maha)
+    z = np.subtract(X.T[:, :, None], np.swapaxes(means, -1, -2)[..., None, :], order="C")
+    z *= np.swapaxes(1.0 / sd, -1, -2)[..., None, :]
+    maha = np.square(z, out=z).sum(axis=-3)
+    return -0.5 * (X.shape[1] * _LOG_2PI + 2.0 * np.log(sd).sum(axis=-1)[..., None, :] + maha)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) by the arithmetic of scipy.special.logsumexp(a,
-    axis=1): the tied maxima are counted and left out of the shifted sum."""
-    a_max = a.max(axis=1, keepdims=True)
+    """log(sum(exp(a))) over the last axis by the arithmetic of
+    scipy.special.logsumexp(a, axis=-1): the tied maxima are counted and left
+    out of the shifted sum."""
+    a_max = a.max(axis=-1, keepdims=True)
     is_max = a == a_max
-    m = is_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+    m = is_max.sum(axis=-1, keepdims=True, dtype=a.dtype)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
-        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max)[:, 0]
+        s = np.exp(np.where(is_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+        out = (np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max)[..., 0]
         bad = ~np.isfinite(out)     # e.g. an all -inf row: fall back to the direct sum
-        out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
     return out
 
 
 def _e_step(
     X: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row log-likelihood and n x k responsibilities."""
-    log_joint = np.log(weights)[None, :] + _log_gaussians(X, means, variances)
+    """Per-row log-likelihood (... x n) and responsibilities (... x n x k)
+    for weights of shape ... x k and means and variances of ... x k x d."""
+    log_joint = np.log(weights)[..., None, :] + _log_gaussians(X, means, variances)
     log_norm = _logsumexp(log_joint)
-    return log_norm, np.exp(log_joint - log_norm[:, None])
+    return log_norm, np.exp(log_joint - log_norm[..., None])
 
 
 def _floor_value(X: np.ndarray) -> float:
@@ -197,48 +204,11 @@ def _m_step(
     return nk / X.shape[0], means, np.maximum(var, floor)
 
 
-def _em_single(X: np.ndarray, k: int, rng: np.random.Generator) -> ClusterModel:
-    floor = _floor_value(X)
-    means = X[rng.choice(len(X), size=k, replace=False)]
-    variances = np.tile(np.maximum(X.var(axis=0), floor), (k, 1))
-    weights = np.full(k, 1.0 / k)
-
-    history: list[float] = []
-    converged = False
-    for _ in range(_EM_MAX_ITER):
-        log_norm, step_resp = _e_step(X, weights, means, variances)
-        ll = float(log_norm.sum())
-        if history and ll < history[-1] - 1e-9:
-            raise NumericalError(
-                f"EM log-likelihood decreased at iteration {len(history)} (k={k}): "
-                f"{history[-1]} -> {ll}"
-            )
-        history.append(ll)
-        if len(history) > 1 and ll - history[-2] < _EM_TOL:
-            converged = True
-            break
-        resp = step_resp
-        weights, means, variances = _m_step(X, resp, floor)
-    if not converged:
-        # make assignments consistent with the final parameters
-        log_norm, resp = _e_step(X, weights, means, variances)
-        history.append(float(log_norm.sum()))
-    return ClusterModel(
-        k=k,
-        weights=weights,
-        means=means,
-        variances=variances,
-        assignments=np.argmax(resp, axis=1),
-        log_likelihood=history[-1],
-        n_iter=len(history),
-        loglik_history=history,
-        converged=converged,
-    )
-
-
 def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterModel:
     """Best-of-restarts EM fit; restarts are independently seeded and ties
-    resolve to the lowest restart index."""
+    resolve to the lowest restart index. The restarts are stepped together,
+    one stacked E-step per iteration over those still running and then each
+    one's own M-step, so each does the arithmetic it would do alone."""
     config = config or EMConfig()
     data = np.asarray(X, dtype=float)
     if data.ndim != 2:
@@ -248,12 +218,58 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
         raise ConfigError("k must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of observations ({n})")
-    best: ClusterModel | None = None
-    for r in range(max(config.n_restarts, 1)):
-        model = _em_single(data, k, np.random.default_rng([config.seed, r]))
-        if best is None or model.log_likelihood > best.log_likelihood:
-            best = model
-    return best
+    n_restarts = max(config.n_restarts, 1)
+    floor = _floor_value(data)
+    # the parameters of the running restarts, stacked in restart order
+    running = list(range(n_restarts))
+    means = data[np.stack([np.random.default_rng([config.seed, r]).choice(n, k, replace=False)
+                           for r in running])]
+    variances = np.tile(np.maximum(data.var(axis=0), floor), (n_restarts, k, 1))
+    weights = np.full((n_restarts, k), 1.0 / k)
+    histories: list[list[float]] = [[] for _ in running]
+    resp = np.empty((n_restarts, n, k))        # each restart's last M-step input
+    final: list = [None] * n_restarts          # (weights, means, variances, converged)
+    for _ in range(_EM_MAX_ITER):
+        # a restart stops once its log-likelihood gains less than _EM_TOL
+        log_norm, step_resp = _e_step(data, weights, means, variances)
+        lls = log_norm.sum(axis=-1)
+        going = []
+        for i, r in enumerate(running):
+            history, ll = histories[r], float(lls[i])
+            if history and ll < history[-1] - 1e-9:
+                raise NumericalError(
+                    f"EM log-likelihood decreased at iteration {len(history)} (k={k}): "
+                    f"{history[-1]} -> {ll}"
+                )
+            history.append(ll)
+            if len(history) > 1 and ll - history[-2] < _EM_TOL:
+                final[r] = (weights[i], means[i], variances[i], True)
+                continue
+            going.append(i)
+            resp[r] = step_resp[i]
+            weights[i], means[i], variances[i] = _m_step(data, step_resp[i], floor)
+        if len(going) < len(running):
+            # a new stack, so the finished restarts' rows above stay as they are
+            running = [running[i] for i in going]
+            weights, means, variances = weights[going], means[going], variances[going]
+            if not running:
+                break
+    if running:
+        # make assignments consistent with the final parameters
+        log_norm, resp[running] = _e_step(data, weights, means, variances)
+        lls = log_norm.sum(axis=-1)
+        for i, r in enumerate(running):
+            histories[r].append(float(lls[i]))
+            final[r] = (weights[i], means[i], variances[i], False)
+    best = 0
+    for r in range(1, n_restarts):
+        if histories[r][-1] > histories[best][-1]:
+            best = r
+    weights, means, variances, converged = final[best]
+    history = histories[best]
+    return ClusterModel(k=k, weights=weights, means=means, variances=variances,
+                        assignments=np.argmax(resp[best], axis=1), log_likelihood=history[-1],
+                        n_iter=len(history), loglik_history=history, converged=converged)
 
 
 def em_predict(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,8 +170,25 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _checksums(paths: list[Path]) -> dict[str, str]:
-    return {str(p.name): sha256_file(p) for p in sorted(paths)}
+# Digests kept by one run_pipeline: path -> (stat key, sha256). A digest is
+# reused only while the file's (device, inode, size, mtime) is unchanged.
+Digests = dict[Path, tuple[tuple[int, int, int, int], str]]
+
+
+def _digest(path: Path, known: Digests | None) -> str:
+    """The file's sha256, taken from `known` while its stat key still matches
+    and kept there when hashed anew; without `known`, always hashed."""
+    if known is None:
+        return sha256_file(path)
+    st = path.stat()
+    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    if known.get(path, (None,))[0] != key:
+        known[path] = (key, sha256_file(path))
+    return known[path][1]
+
+
+def _checksums(paths: list[Path], known: Digests | None) -> dict[str, str]:
+    return {str(p.name): _digest(p, known) for p in sorted(paths)}
 
 
 def artifact_paths(out: Path) -> dict[str, Path]:
@@ -458,23 +475,27 @@ def _upstream(keys: tuple[str, ...]) -> set[str]:
     return found
 
 
-def _check_fresh(input_keys: tuple[str, ...], paths: dict[str, Path],
-                 sums: dict[str, str], stages: list[dict]) -> None:
+def _check_fresh(input_keys: tuple[str, ...], config: dict, paths: dict[str, Path],
+                 sums: dict[str, str], stages: list[dict], known: Digests | None) -> None:
     """Raise MissingInputError when an input artifact is stale: some stage
-    upstream of it read an artifact that has changed since. An artifact this
-    stage reads is current as `sums` hashed it; any other as its producer last
-    recorded it in run.json. The error names the earliest such stage, the one
-    to run again. Files the config names are not compared here; an expert
-    base swapped before re-running partition alone is checked against the
-    gate that mine recorded instead (_check_gate)."""
+    upstream of it read an artifact, or the template CSV that the config
+    still names, that has changed since. An artifact this stage reads is
+    current as `sums` hashed it; any other as its producer last recorded it
+    in run.json. The error names the earliest such stage, the one to run
+    again. The expert file is not compared: partition may re-run alone on a
+    new expert base, checked against the gate mine recorded (_check_gate)."""
     producer = {paths[key].name: stage for key, stage in _PRODUCER.items()}
     recorded = {s["stage"]: s for s in stages}
     current = {name: digest for s in stages for name, digest in s["outputs"].items()}
-    current.update(sums)
+    current.update((name, digest) for name, digest in sums.items() if name in producer)
     upstream = _upstream(input_keys)
+    template = _config_file(config, "extract.template") if "extract" in upstream else None
+    if template is not None and "extract" in recorded and template.exists() \
+            and template.name in recorded["extract"]["inputs"]:
+        current[template.name] = _digest(template, known)
     for stage in (s for s in STAGES if s in upstream and s in recorded):
         for name, digest in recorded[stage]["inputs"].items():
-            if name in producer and current.get(name, digest) != digest:
+            if current.get(name, digest) != digest:
                 key = next(k for k in input_keys if stage in _upstream((k,)))
                 raise MissingInputError(
                     f"{paths[key].name} is stale: {name} changed since {stage} ran "
@@ -482,7 +503,7 @@ def _check_fresh(input_keys: tuple[str, ...], paths: dict[str, Path],
                 )
 
 
-def run_stage(stage: str, config: dict) -> dict:
+def run_stage(stage: str, config: dict, known: Digests | None = None) -> dict:
     """Execute one stage, update run.json, and return its manifest entry.
 
     The stage writes into a staging directory under the output directory.
@@ -491,6 +512,9 @@ def run_stage(stage: str, config: dict) -> dict:
     fails leaves every file as it was. The stage's own checks on its inputs
     come first, so a mismatch it can name, such as a changed epoch shape,
     is reported as that.
+
+    Every file is hashed, unless `known` holds its digest under an unchanged
+    stat key (see _digest); the digests hashed here are added to `known`.
     """
     if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
@@ -500,14 +524,14 @@ def run_stage(stage: str, config: dict) -> dict:
     paths = artifact_paths(out)
     inputs = _stage_inputs(input_keys, config, paths)
     started = time.perf_counter()
-    input_sums = _checksums(inputs)
+    input_sums = _checksums(inputs, known)
     manifest = paths["manifest"]
     stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
     staging = Path(tempfile.mkdtemp(dir=out, prefix=f".{stage}."))
     try:
         staged = artifact_paths(staging)
         record = fn(config, paths, staged)
-        _check_fresh(input_keys, paths, input_sums, stages)
+        _check_fresh(input_keys, config, paths, input_sums, stages, known)
         outputs = [paths[key] for key in output_keys]
         for key, path in zip(output_keys, outputs):
             if path.parent != out:  # epochs/, absent before the first synth
@@ -516,7 +540,7 @@ def run_stage(stage: str, config: dict) -> dict:
         entry = {
             "stage": stage,
             "inputs": input_sums,
-            "outputs": _checksums(outputs),
+            "outputs": _checksums(outputs, known),
             "wall_time_s": round(time.perf_counter() - started, 6),
             **(record or {}),
         }
@@ -533,12 +557,15 @@ def run_stage(stage: str, config: dict) -> dict:
 def run_pipeline(config: dict) -> list[dict]:
     """Run all seven stages in order; returns the manifest entries.
 
-    Errors propagate with the failing stage's name prefixed.
+    A file one stage has hashed is not hashed again by a later one while its
+    stat key is unchanged. Errors propagate with the failing stage's name
+    prefixed.
     """
     entries = []
+    known: Digests = {}
     for stage in STAGES:
         try:
-            entries.append(run_stage(stage, config))
+            entries.append(run_stage(stage, config, known))
         except NofError as exc:
             raise type(exc)(f"{stage}: {exc}") from exc
     return entries

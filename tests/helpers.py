@@ -77,7 +77,10 @@ def loop_log_gaussians(X, means, covs):
 
 
 def loop_log_gaussians_diag(X, means, variances):
-    """`loop_log_gaussians` on the diagonal covariances the variances give."""
+    """`loop_log_gaussians` on the diagonal covariances the variances give,
+    one restart at a time over any leading axis."""
+    if means.ndim > 2:
+        return np.stack([loop_log_gaussians_diag(X, m, v) for m, v in zip(means, variances)])
     return loop_log_gaussians(X, means, np.stack([np.diag(v) for v in variances]))
 
 
@@ -98,7 +101,59 @@ def loop_m_step(X, resp, floor):
 def scipy_logsumexp(a):
     from scipy.special import logsumexp
 
-    return logsumexp(a, axis=1)
+    return logsumexp(a, axis=-1)
+
+
+def loop_em_restarts(X, k, config=None):
+    """EM restarts one after another, each fitted alone: it runs
+    nof.clustering's 2-D E- and M-steps until its log-likelihood gains less
+    than the tolerance. The module's constants are read at call time, so a
+    test may lower the iteration cap."""
+    from nof import clustering
+    from nof.errors import NumericalError
+
+    config = config or clustering.EMConfig()
+    X = np.asarray(X, dtype=float)
+    floor = clustering._floor_value(X)
+    models = []
+    for r in range(max(config.n_restarts, 1)):
+        rng = np.random.default_rng([config.seed, r])
+        means = X[rng.choice(len(X), size=k, replace=False)]
+        variances = np.tile(np.maximum(X.var(axis=0), floor), (k, 1))
+        weights = np.full(k, 1.0 / k)
+        history = []
+        converged = False
+        for _ in range(clustering._EM_MAX_ITER):
+            log_norm, step_resp = clustering._e_step(X, weights, means, variances)
+            ll = float(log_norm.sum())
+            if history and ll < history[-1] - 1e-9:
+                raise NumericalError(
+                    f"EM log-likelihood decreased at iteration {len(history)} (k={k}): "
+                    f"{history[-1]} -> {ll}")
+            history.append(ll)
+            if len(history) > 1 and ll - history[-2] < clustering._EM_TOL:
+                converged = True
+                break
+            resp = step_resp
+            weights, means, variances = clustering._m_step(X, resp, floor)
+        if not converged:
+            log_norm, resp = clustering._e_step(X, weights, means, variances)
+            history.append(float(log_norm.sum()))
+        models.append(clustering.ClusterModel(
+            k=k, weights=weights, means=means, variances=variances,
+            assignments=np.argmax(resp, axis=1), log_likelihood=history[-1],
+            n_iter=len(history), loglik_history=history, converged=converged))
+    return models
+
+
+def loop_em_fit(X, k, config=None):
+    """The best of `loop_em_restarts` by final log-likelihood, ties to the
+    lowest restart index."""
+    best = None
+    for model in loop_em_restarts(X, k, config):
+        if best is None or model.log_likelihood > best.log_likelihood:
+            best = model
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from nof.classification import (
     Leaf,
     Split,
     TreeConfig,
+    _branch_stats,
+    _numeric_candidates,
     _pessimistic_errors,
     all_split_points,
     build_tree,
@@ -82,6 +85,29 @@ class TestBuildTree:
             assert got == oracle, f"rows={rows} labels={labels}"
             checked += 1
         assert checked == 120
+
+    def test_numeric_candidates_equal_a_recount_at_each_threshold(self):
+        # the one-pass scan gives the gains and ratios of counting both sides
+        # afresh at every threshold, bit for bit, also where the midpoint of
+        # two adjacent floats rounds onto one of them
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            values = rng.integers(0, 8, size=n).astype(float)
+            values[values == 7] = np.nextafter(6.0, 7.0)
+            labels = [str(v) for v in rng.choice(["A", "B", "C"], size=n)]
+            rows = [{"x": v} for v in values]
+            cands = _numeric_candidates("x", 0, rows, labels)
+            want = []
+            distinct = sorted(set(values))
+            for lo, hi in zip(distinct, distinct[1:]):
+                thr = (lo + hi) / 2.0
+                gain, split_info = _branch_stats(Counter(labels), [
+                    Counter(lab for v, lab in zip(values, labels) if v <= thr),
+                    Counter(lab for v, lab in zip(values, labels) if v > thr)])
+                if split_info > 0:
+                    want.append((thr, gain, gain / split_info))
+            assert [(c.threshold, c.gain, c.ratio) for c in cands] == want
 
     def test_conflicting_duplicates_majority_leaf(self):
         rows = [{"x": 1.0}] * 5

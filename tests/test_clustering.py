@@ -29,6 +29,8 @@ from helpers import (
     adjusted_rand_index,
     assert_loglik_monotone,
     best_two_partition_by_sse,
+    loop_em_fit,
+    loop_em_restarts,
     loop_log_gaussians_diag,
     loop_m_step,
     scipy_logsumexp,
@@ -332,6 +334,39 @@ class TestStackedEmMatchesLoops:
             a = a * 1e4 + 1e4
             a[::2, 1] = a[::2, 0]
         assert np.array_equal(clustering._logsumexp(a), scipy_logsumexp(a))
+
+
+class TestRestartsSteppedTogether:
+    """em_fit steps its restarts together, yet each restart ends as it does
+    when fitted alone, and the best one wins as in the restart loop of
+    tests/helpers.py."""
+
+    def _fits(self, tables, config):
+        return [fit for X in tables.values()
+                for fit in [clustering.em_fit(X, k, config) for k in range(1, 7)]
+                + [clustering.select_k(X, 6, config)]]
+
+    @pytest.mark.parametrize("n_restarts", [1, 4, 7])
+    def test_em_fit_and_select_k_match_the_restart_loop(self, testbed_tables, monkeypatch,
+                                                        n_restarts):
+        config = EMConfig(seed=3, n_restarts=n_restarts)
+        stepped = self._fits(testbed_tables, config)
+        monkeypatch.setattr(clustering, "em_fit", loop_em_fit)
+        for got, want in zip(stepped, self._fits(testbed_tables, config), strict=True):
+            assert_same_fit(got, want)
+
+    def test_unconverged_restarts_beside_converged_ones(self, testbed_tables, monkeypatch):
+        # at 4 iterations some restarts of a fit stop unconverged, and are
+        # assigned by a final E-step, while others have converged
+        monkeypatch.setattr(clustering, "_EM_MAX_ITER", 4)
+        config = EMConfig(n_restarts=7)
+        mixed = 0
+        for X in testbed_tables.values():
+            for k in range(1, 7):
+                restarts = loop_em_restarts(X, k, config)
+                mixed += len({m.converged for m in restarts}) == 2
+                assert_same_fit(em_fit(X, k, config), loop_em_fit(X, k, config))
+        assert mixed >= 3
 
 
 class TestEmErrors:

@@ -1,13 +1,15 @@
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from nof import classification, clustering, rulemining, testbed
+from nof import classification, clustering, pipeline, rulemining, testbed
 from nof.cli import main
 from nof.errors import ConfigError, MissingInputError
 from nof.pipeline import (
@@ -209,6 +211,47 @@ class TestStages:
         template.unlink()
         with pytest.raises(MissingInputError, match="extract.template"):
             run_stage("extract", config)
+
+    def test_pipeline_hashes_each_file_once(self, tmp_path, monkeypatch):
+        hashed = Counter()
+
+        def counting(path):
+            hashed[Path(path)] += 1
+            return sha256_file(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counting)
+        template = tmp_path / "template.csv"
+        template.write_text("channel,weight\n" + "".join(
+            f"{c},{1.0 if i % 2 else 0.0}\n"
+            for i, c in enumerate(testbed.default_montage().channels)))
+        overrides = small_overrides(tmp_path / "run")
+        overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
+        overrides["partition"] = {"expert_rules": str(EXPERT_EXAMPLE)}
+        run_pipeline(load_config(overrides=overrides))
+        artifacts = {p for p in (tmp_path / "run").rglob("*")
+                     if p.is_file() and p.name != "run.json"}
+        assert len(artifacts) >= 14
+        assert hashed == Counter(artifacts | {template, EXPERT_EXAMPLE})
+
+    def test_stage_alone_rehashes_data_rewritten_with_its_stat_key(self, tmp_path):
+        # same inode, size and mtime: only the bytes tell the epochs changed
+        config = load_config(overrides=small_overrides(tmp_path))
+        run_pipeline(config)
+        data = artifact_paths(tmp_path)["epochs_data"]
+        st = data.stat()
+        with open(data, "r+b") as fh:
+            fh.seek(-8, os.SEEK_END)
+            last = fh.read()
+            fh.seek(-8, os.SEEK_END)
+            fh.write(bytes(b ^ 0xFF for b in last))
+        os.utime(data, ns=(st.st_atime_ns, st.st_mtime_ns))
+        key = lambda s: (s.st_dev, s.st_ino, s.st_size, s.st_mtime_ns)  # noqa: E731
+        assert key(data.stat()) == key(st)
+        before = snapshot(tmp_path)
+        with pytest.raises(MissingInputError, match=(
+                r"^decomposition\.json is stale: data\.npy changed since decompose ran")):
+            run_stage("extract", config)
+        assert snapshot(tmp_path) == before
 
     def test_unknown_stage_rejected(self, tmp_path):
         config = load_config(overrides={"out": str(tmp_path)})
@@ -753,6 +796,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: unknown key 'pi_mn' in thresholds")
         assert snapshot(published_run) == before
+
+    def test_cli_cluster_refuses_a_summary_extracted_with_an_old_template(self, tmp_path,
+                                                                         capsys):
+        def write_template(roi):
+            montage = testbed.default_montage()
+            template.write_text("channel,weight\n" + "".join(
+                f"{c},{1.0 if montage.roi_of[c] == roi else 0.0}\n" for c in montage.channels))
+
+        template = tmp_path / "weights.csv"
+        write_template("frontal")
+        out = tmp_path / "run"
+        base = ["--out", str(out), "--seed", "3", "--set", "synth.n_trials=24",
+                "--set", "decompose.n_components=2", "--set", "cluster.k=2",
+                "--set", f'extract.template={{"kind":"csv","path":"{template}"}}']
+        assert main(["pipeline", *base]) == 0
+        write_template("occipital")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["cluster", *base]) == 2
+        assert capsys.readouterr().err == (
+            "error: summary.csv is stale: weights.csv changed since extract ran "
+            "(run extract first)\n")
+        assert snapshot(out) == before
+        assert main(["extract", *base]) == 0
+        assert main(["cluster", *base]) == 0
 
     def test_cli_set_value_then_nested_key_conflicts(self, tmp_path, capsys):
         code = main(["mine", "--out", str(tmp_path),
