@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     nof <stage> [--config PATH] [--out DIR] [--seed N] [--set key=value ...]
-    nof pipeline [--config PATH] [--out DIR] [--seed N]
+    nof pipeline [--config PATH] [--out DIR] [--seed N] [--set key=value ...]
 
 Flag precedence is flag > config file > built-in default. Exit codes:
 0 success, 2 missing inputs, 3 invalid configuration or unparsable input,

@@ -227,11 +227,20 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
         r for r in mined if r.support >= base.beta_sup and r.confidence >= base.beta_conf
     ]
     qualified = sorted(set(qualified), key=AssociationRule.sort_key)
+    # _same_rule holds only for a one-item mined consequent with the expert
+    # consequent's _item_key, so each rule is compared with those experts alone
+    by_consequent: dict[str, list[tuple[int, ExpertRule]]] = {}
+    for idx, e in enumerate(base.rules):
+        by_consequent.setdefault(_item_key(e.consequent), []).append((idx, e))
     annotated: list[AnnotatedRule] = []
     found: set[int] = set()  # indices of the expert rules some qualified rule matches
     for r in qualified:
         matched = contra = None
-        for idx, e in enumerate(base.rules):
+        candidates = ()
+        if len(r.consequent) == 1:
+            (c,) = r.consequent
+            candidates = by_consequent.get(_item_key(c), ())
+        for idx, e in candidates:
             if not _same_rule(r, e):
                 continue
             if e.negated:

@@ -234,25 +234,28 @@ def apriori(
     return frequent
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AssociationRule:
     antecedent: frozenset[Item]
     consequent: frozenset[Item]
     support: float
     confidence: float
     reliability: float
-    _key: tuple[tuple[str, ...], tuple[str, ...]] = field(
-        init=False, repr=False, compare=False
+    # (antecedent, consequent) canonical strings, each sorted. A caller that
+    # already holds them sorted passes them; otherwise they are computed here.
+    _key: tuple[tuple[str, ...], tuple[str, ...]] | None = field(
+        default=None, repr=False, compare=False
     )
 
     def __post_init__(self):
         # Items order by their canonical string alone, so sorting the strings
         # gives the items' order. Every writer and the partition sort read
         # this key, so it is computed once per rule.
-        object.__setattr__(self, "_key", (
-            tuple(sorted(i.canonical for i in self.antecedent)),
-            tuple(sorted(i.canonical for i in self.consequent)),
-        ))
+        if self._key is None:
+            self._key = (
+                tuple(sorted(i.canonical for i in self.antecedent)),
+                tuple(sorted(i.canonical for i in self.consequent)),
+            )
 
     def canonical(self) -> str:
         ante, cons = self._key
@@ -278,19 +281,26 @@ def generate_rules(
     if n == 0:
         raise ConfigError("transaction list must be nonempty")
     rules: list[AssociationRule] = []
+    # (consequent, antecedent) positions into an itemset's sorted members, per
+    # itemset size; both come out ascending, so each side's canonical strings
+    # are sorted as they are picked
+    splits: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
     for itemset, support in itemsets.items():
-        if len(itemset) < 2:
+        size = len(itemset)
+        if size < 2:
             continue
-        members = sorted(itemset, key=attrgetter("canonical"))
-        if single_consequent:
-            consequents = [frozenset([m]) for m in members]
-        else:
-            consequents = [
-                frozenset(combo)
-                for size in range(1, len(members))
-                for combo in itertools.combinations(members, size)
+        if size not in splits:
+            positions = range(size)
+            sizes = [1] if single_consequent else range(1, size)
+            splits[size] = [
+                (combo, tuple(j for j in positions if j not in combo))
+                for k in sizes
+                for combo in itertools.combinations(positions, k)
             ]
-        for cons in consequents:
+        members = sorted(itemset, key=attrgetter("canonical"))
+        names = [m.canonical for m in members]
+        for cons_at, ante_at in splits[size]:
+            cons = frozenset([members[j] for j in cons_at])
             ante = itemset - cons
             sup_ante = itemsets.get(ante)
             if sup_ante is None:
@@ -303,14 +313,9 @@ def generate_rules(
             sup_cons = itemsets.get(cons)
             if sup_cons is None:
                 sup_cons = _support_count(cons, transactions) / n
+            key = (tuple([names[j] for j in ante_at]), tuple([names[j] for j in cons_at]))
             rules.append(
-                AssociationRule(
-                    antecedent=ante,
-                    consequent=cons,
-                    support=support,
-                    confidence=conf,
-                    reliability=abs(conf - sup_cons),
-                )
+                AssociationRule(ante, cons, support, conf, abs(conf - sup_cons), key)
             )
     rules.sort(key=AssociationRule.sort_key)
     return rules
@@ -354,23 +359,36 @@ def write_rules_csv(rules: list[AssociationRule], path: str | Path) -> None:
 
 
 def read_rules_csv(path: str | Path) -> list[AssociationRule]:
+    """Read a rules CSV. A side that is empty, holds an empty item or names
+    an item twice is a ParseError naming its line, as is a bad number."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"rules file not found: {path}")
     rules: list[AssociationRule] = []
-    # a rule file repeats a few dozen distinct items thousands of times, so
-    # each distinct token is parsed once per call
+    # a rule file repeats a few hundred distinct sides, over a few dozen
+    # distinct items, thousands of times: each distinct item and each
+    # distinct side is parsed once per call
     parsed: dict[str, Item] = {}
+    sides: dict[str, tuple[frozenset[Item], tuple[str, ...]]] = {}
 
-    def items(text: str) -> frozenset[Item]:
-        out = []
-        for token in text.split("&"):
-            if token:
-                item = parsed.get(token)
-                if item is None:
-                    item = parsed[token] = parse_item(token)
-                out.append(item)
-        return frozenset(out)
+    def item(token: str) -> Item:
+        got = parsed.get(token)
+        if got is None:
+            got = parsed[token] = parse_item(token)
+        return got
+
+    def side(text: str, name: str) -> tuple[frozenset[Item], tuple[str, ...]]:
+        """A side not seen before: its items and their sorted canonical strings."""
+        if not text:
+            raise ConfigError(f"empty {name}")
+        tokens = text.split("&")
+        if not all(tokens):
+            raise ConfigError(f"empty item in {name} {text!r}")
+        items = frozenset(map(item, tokens))
+        if len(items) != len(tokens):
+            raise ConfigError(f"{name} {text!r} names an item twice")
+        sides[text] = items, tuple(sorted(i.canonical for i in items))
+        return sides[text]
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=";")
@@ -381,18 +399,16 @@ def read_rules_csv(path: str | Path) -> list[AssociationRule]:
             if len(rec) != 5:
                 raise ParseError(f"expected 5 fields, got {len(rec)}", line=lineno)
             try:
-                rule = AssociationRule(
-                    antecedent=items(rec[0]),
-                    consequent=items(rec[1]),
-                    support=float(rec[2]),
-                    confidence=float(rec[3]),
-                    reliability=float(rec[4]),
-                )
+                ante, ante_key = sides.get(rec[0]) or side(rec[0], "antecedent")
+                cons, cons_key = sides.get(rec[1]) or side(rec[1], "consequent")
+                sup, conf, rel = float(rec[2]), float(rec[3]), float(rec[4])
             except (ValueError, ConfigError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
             # NaN fails every comparison and inf the upper bound
-            for name, value in zip(_CSV_HEADER[2:], rec[2:]):
-                if not 0.0 <= getattr(rule, name) <= 1.0:
-                    raise ParseError(f"{name} {value!r} is not a number in [0, 1]", line=lineno)
-            rules.append(rule)
+            if not (0.0 <= sup <= 1.0 and 0.0 <= conf <= 1.0 and 0.0 <= rel <= 1.0):
+                for name, text, value in zip(_CSV_HEADER[2:], rec[2:], (sup, conf, rel)):
+                    if not 0.0 <= value <= 1.0:
+                        raise ParseError(f"{name} {text!r} is not a number in [0, 1]",
+                                         line=lineno)
+            rules.append(AssociationRule(ante, cons, sup, conf, rel, (ante_key, cons_key)))
     return rules

@@ -358,3 +358,92 @@ def brute_force_partition(mined, expert, beta_sup, beta_conf, pi_min):
         "residue": residue,
         "missing": missing,
     }
+
+
+# ---------------------------------------------------------------------------
+# rules CSV reader and partition, one rule and one pair at a time
+# ---------------------------------------------------------------------------
+# Reference forms of nof.rulemining.read_rules_csv and nof.ontology.partition:
+# every rule computes its own sort key from its frozensets, and every
+# qualified rule is compared with every expert rule.
+
+
+def loop_read_rules_csv(path):
+    """The rules CSV as AssociationRules, each item token parsed on its own
+    and each rule keyed by sorting its sides' canonical strings itself."""
+    import csv
+
+    from nof.errors import ConfigError, ParseError
+    from nof.rulemining import AssociationRule, parse_item
+
+    def items(text):
+        return frozenset(parse_item(token) for token in text.split("&") if token)
+
+    header = ["antecedent", "consequent", "support", "confidence", "reliability"]
+    rules = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=";")
+        if next(reader, None) != header:
+            raise ParseError("bad rules header", line=1)
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != 5:
+                raise ParseError(f"expected 5 fields, got {len(rec)}", line=lineno)
+            try:
+                rule = AssociationRule(
+                    antecedent=items(rec[0]),
+                    consequent=items(rec[1]),
+                    support=float(rec[2]),
+                    confidence=float(rec[3]),
+                    reliability=float(rec[4]),
+                )
+            except (ValueError, ConfigError) as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            for name in header[2:]:
+                if not 0.0 <= getattr(rule, name) <= 1.0:
+                    raise ParseError(f"{name} is not a number in [0, 1]", line=lineno)
+            rules.append(rule)
+    return rules
+
+
+def loop_partition(mined, base):
+    """nof.ontology.partition with every qualified rule compared with every
+    expert rule through nof.ontology._same_rule."""
+    from nof import ontology
+    from nof.rulemining import AssociationRule
+
+    ontology._check_thresholds(base)
+    qualified = sorted(
+        {r for r in mined if r.support >= base.beta_sup and r.confidence >= base.beta_conf},
+        key=AssociationRule.sort_key,
+    )
+    annotated = []
+    found = set()
+    for r in qualified:
+        matched = contra = None
+        for idx, e in enumerate(base.rules):
+            if not ontology._same_rule(r, e):
+                continue
+            if e.negated:
+                contra = contra if contra is not None else e.rule_id
+            else:
+                matched = matched if matched is not None else e.rule_id
+                found.add(idx)
+        annotated.append(ontology.AnnotatedRule(r, matched, contra))
+    sections = {name: [] for name in ("known_high_strength", "known_low_strength",
+                                      "novel_high_strength", "contradictory",
+                                      "low_strength_residue")}
+    for ar in annotated:
+        strong = ar.rule.reliability >= base.pi_min
+        if ar.contradicted_expert is not None:
+            name = "contradictory"
+        elif ar.matched_expert is not None:
+            name = "known_high_strength" if strong else "known_low_strength"
+        else:
+            name = "novel_high_strength" if strong else "low_strength_residue"
+        sections[name].append(ar)
+    return ontology.PartitionReport(
+        thresholds={name: getattr(base, name) for name in ontology.DEFAULT_THRESHOLDS},
+        arec=annotated,
+        missing=[e for idx, e in enumerate(base.rules) if idx not in found],
+        **sections,
+    )

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from nof.clustering import TaxonomyClass
 from nof.errors import ConfigError, MissingInputError, ParseError
+from nof import ontology
 from nof.ontology import (
     AnnotatedRule,
     ExpertRule,
@@ -26,14 +29,17 @@ from nof.ontology import (
 from nof.pipeline import load_config, run_pipeline
 from nof.rulemining import (
     AssociationRule,
+    apriori,
+    discretize,
     eq_item,
+    generate_rules,
     interval_item,
     label_item,
     parse_item,
     read_rules_csv,
 )
 
-from helpers import brute_force_partition
+from helpers import brute_force_partition, loop_partition
 
 
 def mined(ante, cons, support=0.9, confidence=0.9, rel=0.9):
@@ -349,6 +355,103 @@ class TestPartitionAgainstBruteForce:
         assert [x.rule for x in a.arec] == [x.rule for x in b.arec]
         keys = [x.rule.sort_key() for x in a.arec]
         assert keys == sorted(keys)
+
+
+def _narrowed(item):
+    """An interval item with one infinite end made finite, which snaps to the
+    item it came from; any other item as it is."""
+    if item.kind != "interval" or (item.lo == -math.inf) == (item.hi == math.inf):
+        return item
+    if item.lo == -math.inf:
+        return interval_item(item.attribute, item.hi - 1.0, item.hi)
+    return interval_item(item.attribute, item.lo, item.lo + 1.0)
+
+
+def random_mined_base(rng):
+    """Rules mined from a random table with every consequent partition, and an
+    expert base drawn from them: eq, interval and label consequents, negated
+    rules, narrowed intervals that snap, and experts sharing a consequent.
+    Returns the aligned mined rules and the base."""
+    rows = [{"x": float(rng.normal()), "y": float(rng.normal()),
+             "M": str(rng.choice(["a", "b"])), "CLUSTER": str(rng.choice(["C1", "C2", "C3"]))}
+            for _ in range(int(rng.integers(6, 16)))]
+    txs = discretize(rows, {"x": [-0.5, 0.5], "y": [0.0]})
+    rules = generate_rules(apriori(txs, 0.15), 0.3, txs, single_consequent=False)
+    universe = sorted({i for t in txs for i in t})
+    experts = []
+    for idx in range(int(rng.integers(1, 9))):
+        src = rules[int(rng.integers(len(rules)))]
+        ante = frozenset(_narrowed(i) if rng.random() < 0.3 else i for i in src.antecedent)
+        roll = rng.random()
+        if roll < 0.4:
+            cons = sorted(src.consequent)[int(rng.integers(len(src.consequent)))]
+        elif roll < 0.6:
+            cons = _narrowed(universe[int(rng.integers(len(universe)))])
+        else:
+            cons = label_item(str(rng.choice(["P1", "P2"])))
+        experts.append(ExpertRule(f"e{idx}", ante, cons, bool(rng.random() < 0.3)))
+        if rng.random() < 0.3:
+            twin = experts[-1]
+            experts.append(ExpertRule(f"e{idx}b", twin.antecedent, twin.consequent,
+                                      not twin.negated))
+    mined_rules, _ = align_cluster_labels(rules, experts)
+    base = OntologyRuleBase(rules=experts, beta_sup=float(rng.uniform(0.1, 0.4)),
+                            beta_conf=float(rng.uniform(0.3, 0.9)),
+                            pi_min=float(rng.uniform(0.0, 0.6)))
+    return mined_rules, base
+
+
+def _compatible(rule, e):
+    """A one-item mined consequent with the expert consequent's item key."""
+    return len(rule.consequent) == 1 and (
+        ontology._item_key(next(iter(rule.consequent))) == ontology._item_key(e.consequent))
+
+
+class TestPartitionAgainstLoop:
+    """partition equals the all-pairs loop in tests/helpers.py."""
+
+    def test_random_bases(self):
+        rng = np.random.default_rng(7)
+        seen = dict.fromkeys(("label", "interval", "multi", "known", "contradictory",
+                              "missing", "shared"), 0)
+        for _ in range(80):
+            mined_rules, base = random_mined_base(rng)
+            report = partition(mined_rules, base)
+            want = loop_partition(mined_rules, base)
+            for f in dataclasses.fields(PartitionReport):
+                assert getattr(report, f.name) == getattr(want, f.name), f.name
+            cons = [next(iter(a.rule.consequent)) for a in report.arec
+                    if len(a.rule.consequent) == 1]
+            seen["label"] += any(c.kind == "label" for c in cons)
+            seen["interval"] += any(c.kind == "interval" for c in cons)
+            seen["multi"] += any(len(a.rule.consequent) > 1 for a in report.arec)
+            seen["known"] += bool(report.known_high_strength or report.known_low_strength)
+            seen["contradictory"] += bool(report.contradictory)
+            seen["missing"] += bool(report.missing)
+            seen["shared"] += len({e.consequent for e in base.rules}) < len(base.rules)
+        # every kind of case occurs in a good share of the bases
+        assert min(seen.values()) >= 8, seen
+
+    def test_same_rule_runs_only_on_compatible_consequents(self, monkeypatch):
+        calls = []
+        same_rule = ontology._same_rule
+
+        def counted(rule, e):
+            calls.append((rule, e))
+            return same_rule(rule, e)
+
+        monkeypatch.setattr(ontology, "_same_rule", counted)
+        rng = np.random.default_rng(8)
+        incompatible = 0
+        for _ in range(30):
+            mined_rules, base = random_mined_base(rng)
+            calls.clear()
+            report = partition(mined_rules, base)
+            pairs = [(a.rule, e) for a in report.arec for e in base.rules]
+            assert all(_compatible(r, e) for r, e in calls)
+            assert len(calls) == sum(_compatible(r, e) for r, e in pairs)
+            incompatible += sum(not _compatible(r, e) for r, e in pairs)
+        assert incompatible > 0
 
 
 class TestAlignment:

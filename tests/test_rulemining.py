@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from nof.rulemining import (
     write_rules_csv,
 )
 
-from helpers import brute_force_itemsets
+from helpers import brute_force_itemsets, loop_read_rules_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tx(*names):
@@ -474,3 +478,112 @@ class TestRulesCsv:
         )
         (rule,) = read_rules_csv(path)
         assert (rule.support, rule.confidence) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("row, why", [
+        (";P300;0.5;1.0;0.5", "empty antecedent"),
+        ("a=1;;0.5;1.0;0.5", "empty consequent"),
+        ("a=1&&b=2;P300;0.5;1.0;0.5", "empty item in antecedent"),
+        ("a=1&;P300;0.5;1.0;0.5", "empty item in antecedent"),
+        ("a=1;P300&;0.5;1.0;0.5", "empty item in consequent"),
+        ("b=2&a=1&a=1;P300;0.5;1.0;0.5", "names an item twice"),
+        ("x<=1&x≤1;P300;0.5;1.0;0.5", "names an item twice"),
+        ("a=1;P300&P300;0.5;1.0;0.5", "names an item twice"),
+    ])
+    def test_malformed_side_names_line(self, tmp_path, row, why):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "antecedent;consequent;support;confidence;reliability\n"
+            "a=1;P300;0.5;1.0;0.5\n" + row + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match=why) as err:
+            read_rules_csv(path)
+        assert err.value.line == 3
+
+
+def assert_same_rules(got, want):
+    """Equal rules with equal sort keys; the key is compare=False, so == alone
+    would pass a rule carrying a wrong one."""
+    assert got == want
+    assert [r.sort_key() for r in got] == [r.sort_key() for r in want]
+
+
+@pytest.fixture(scope="module")
+def workload_rule_files(tmp_path_factory):
+    """mined_rules.csv of seeds 0-3 of the benchmark workloads."""
+    from nof.pipeline import load_config, run_stage
+
+    spec = json.loads((ROOT / "bench" / "spec.json").read_text(encoding="utf-8"))
+    files = []
+    for name in ("paper_default", "many_rows"):
+        for seed in range(4):
+            out = tmp_path_factory.mktemp(f"{name}-{seed}")
+            overrides = json.loads(json.dumps(spec["workloads"][name]["config"]))
+            overrides.update(seed=seed, out=str(out))
+            overrides.setdefault("partition", {})["expert_rules"] = str(
+                ROOT / "docs" / "expert.example.json")
+            config = load_config(overrides=overrides)
+            for stage in ("synth", "decompose", "extract", "cluster", "classify", "mine"):
+                run_stage(stage, config)
+            files.append(out / "mined_rules.csv")
+    return files
+
+
+class TestReaderAgainstLoop:
+    """read_rules_csv equals the one-rule-at-a-time reader in tests/helpers.py."""
+
+    def test_workload_rule_files(self, workload_rule_files):
+        for path in workload_rule_files:
+            rules = read_rules_csv(path)
+            assert len(rules) > 100
+            assert_same_rules(rules, loop_read_rules_csv(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           sides=st.lists(st.lists(_items, min_size=1, max_size=4,
+                                   unique_by=lambda i: i.canonical),
+                          min_size=2, max_size=6))
+    def test_unsorted_sides(self, tmp_path_factory, data, sides):
+        # each side is written in the order drawn, and sides repeat across rows
+        texts = ["&".join(i.canonical for i in side) for side in sides]
+        unit = st.floats(0.0, 1.0)
+        rows = data.draw(st.lists(
+            st.tuples(st.sampled_from(texts), st.sampled_from(texts), unit, unit, unit),
+            min_size=1, max_size=12))
+        path = tmp_path_factory.mktemp("csv") / "rules.csv"
+        path.write_text(
+            "antecedent;consequent;support;confidence;reliability\n"
+            + "".join(f"{a};{c};{s!r};{f!r};{r!r}\n" for a, c, s, f, r in rows),
+            encoding="utf-8",
+        )
+        assert_same_rules(read_rules_csv(path), loop_read_rules_csv(path))
+
+
+class TestGenerateRulesKeys:
+    @pytest.mark.parametrize("single_consequent", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           pool=st.lists(_items, min_size=2, max_size=7, unique_by=lambda i: i.canonical))
+    def test_sort_key_is_sorted_canonicals_of_the_sides(self, single_consequent, data, pool):
+        transactions = data.draw(st.lists(
+            st.lists(st.sampled_from(pool), min_size=1).map(frozenset), min_size=1, max_size=8))
+        rules = generate_rules(apriori(transactions, 0.25), 0.3, transactions,
+                               single_consequent=single_consequent)
+        for r in rules:
+            assert r.sort_key() == (tuple(sorted(i.canonical for i in r.antecedent)),
+                                    tuple(sorted(i.canonical for i in r.consequent)))
+        assert [r.sort_key() for r in rules] == sorted(r.sort_key() for r in rules)
+
+    @pytest.mark.parametrize("single_consequent", [True, False])
+    def test_mined_rules_of_a_summary_table(self, single_consequent):
+        rng = np.random.default_rng(9)
+        rows = [{"x": float(rng.normal()), "y": float(rng.normal()),
+                 "M": str(rng.choice(["a", "b"])), "N": str(rng.choice(["u", "v", "w"]))}
+                for _ in range(30)]
+        txs = discretize(rows, {"x": [-0.5, 0.5], "y": [0.0]})
+        rules = generate_rules(apriori(txs, 0.05), 0.3, txs, single_consequent=single_consequent)
+        assert len(rules) > 50
+        assert any(len(r.consequent) > 1 for r in rules) is not single_consequent
+        for r in rules:
+            assert r.sort_key() == (tuple(sorted(i.canonical for i in r.antecedent)),
+                                    tuple(sorted(i.canonical for i in r.consequent)))
