@@ -43,9 +43,13 @@ class WhitenedData:
 
 
 def _concatenate(epochs: EpochTensor) -> np.ndarray:
-    """channels x (trials * timepoints), trials laid out contiguously in time."""
-    return np.ascontiguousarray(
-        epochs.data.transpose(1, 0, 2).reshape(epochs.n_channels, -1)
+    """channels x (trials * timepoints), trials laid out contiguously in time.
+
+    Always a fresh C-order copy, even for one trial, so callers may center it
+    in place without touching `epochs.data`.
+    """
+    return np.array(epochs.data.transpose(1, 0, 2), order="C").reshape(
+        epochs.n_channels, -1
     )
 
 
@@ -58,6 +62,10 @@ def center_and_whiten(
     threshold in (0, 1), or None for the full numerical rank (integral floats
     count as counts). Components come out ordered by descending eigenvalue
     and the sample covariance (ddof=1) of the output is the identity.
+
+    A constant channel (every sample equal, whatever its value) raises
+    NumericalError naming it. The concatenated copy of the epochs is centered
+    in place, so the call holds one copy of the tensor besides `epochs.data`.
     """
     X = _concatenate(epochs)
     n_channels, n_samples = X.shape
@@ -65,14 +73,13 @@ def center_and_whiten(
         raise ConfigError(
             f"need more samples ({n_samples}) than channels ({n_channels}) to whiten"
         )
-    variances = X.var(axis=1)
-    dead = np.flatnonzero(variances == 0.0)
+    dead = np.flatnonzero(X.max(axis=1) == X.min(axis=1))
     if dead.size:
         name = epochs.montage.channels[int(dead[0])]
-        raise NumericalError(f"channel {name!r} has zero variance")
+        raise NumericalError(f"channel {name!r} is constant (zero variance)")
     mean = X.mean(axis=1)
-    Xc = X - mean[:, None]
-    cov = (Xc @ Xc.T) / (n_samples - 1)
+    X -= mean[:, None]
+    cov = (X @ X.T) / (n_samples - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
@@ -98,7 +105,7 @@ def center_and_whiten(
     scale = 1.0 / np.sqrt(kept)
     whitening = scale[:, None] * eigvecs[:, :m].T
     dewhitening = eigvecs[:, :m] * np.sqrt(kept)[None, :]
-    whitened = whitening @ Xc
+    whitened = whitening @ X
     return WhitenedData(
         whitened=whitened,
         whitening=whitening,
@@ -160,7 +167,9 @@ class FactorDecomposition:
     def activations(self, epochs: EpochTensor) -> np.ndarray:
         """factors x (trials * timepoints) activations of the concatenated epochs."""
         self.check_epochs(epochs)
-        return self.unmixing @ (_concatenate(epochs) - self.mean[:, None])
+        X = _concatenate(epochs)
+        X -= self.mean[:, None]
+        return self.unmixing @ X
 
     def to_json(self, path: str | Path) -> None:
         doc = {
@@ -231,9 +240,13 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
     W = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
     n_iter = config.max_iter
+    # two k x n work arrays, reused by every iteration: g = tanh(W Z), h = 1 - g^2
+    g = np.empty((k, n_samples))
+    h = np.empty_like(g)
     for it in range(1, config.max_iter + 1):
-        g = np.tanh(W @ Z)
-        g_prime = (1.0 - g**2).mean(axis=1)
+        np.tanh(np.matmul(W, Z, out=g), out=g)
+        np.square(g, out=h)
+        g_prime = np.subtract(1.0, h, out=h).mean(axis=1)
         W_new = _sym_decorrelate((g @ Z.T) / n_samples - g_prime[:, None] * W)
         lim = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", W_new, W)) - 1.0)))
         W = W_new
@@ -247,7 +260,8 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
             RuntimeWarning,
         )
 
-    scales = (W @ Z).std(axis=1)
+    del h  # std allocates one k x n temporary of its own
+    scales = np.matmul(W, Z, out=g).std(axis=1)
     if np.any(scales == 0):
         raise NumericalError("a factor activation has zero variance")
     unmixing = W @ white.whitening / scales[:, None]

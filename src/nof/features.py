@@ -31,7 +31,7 @@ import numpy as np
 from .classification import Row
 from .decomposition import FactorDecomposition
 from .errors import ConfigError, MissingInputError, ParseError
-from .testbed import EpochTensor, METADATA_KEYS, mean_of_trials
+from .testbed import EpochTensor, METADATA_KEYS, group_trials, mean_of_trials
 
 COLUMNS = (
     "SP_max",
@@ -201,11 +201,7 @@ def conditions_of(
     epochs: EpochTensor, group_by: tuple[str, ...] = METADATA_KEYS
 ) -> list[dict[str, str]]:
     """Distinct metadata combinations, in sorted order."""
-    try:
-        seen = sorted({tuple(info[k] for k in group_by) for info in epochs.trial_info})
-    except KeyError as exc:
-        raise ConfigError(f"trial metadata lacks key {exc.args[0]!r}") from exc
-    return [dict(zip(group_by, key)) for key in seen]
+    return [dict(zip(group_by, key)) for key in group_trials(epochs, group_by)]
 
 
 def summarize_dataset(
@@ -217,14 +213,18 @@ def summarize_dataset(
 ) -> list[Row]:
     """All factor x condition rows, factor-major, conditions sorted.
 
-    Equal to `extract_summary` for every factor and condition, but each
-    condition's trials are selected and averaged once for all factors, and
-    each factor's spatial columns are computed once for all conditions.
+    Equal to `extract_summary` for every factor and condition, but the
+    trials are grouped by condition in one pass, each condition's trials are
+    averaged once for all factors, and each factor's spatial columns are
+    computed once for all conditions.
     """
     template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
     conds = []
-    for cond in conditions_of(epochs, group_by):
-        trials = _select_trials(epochs, cond)
+    for key, trials in group_trials(epochs, group_by).items():
+        cond = dict(zip(group_by, key))
+        # a value unequal to itself (NaN) matches no trial in extract_summary
+        if any(v != v for v in key):
+            raise ConfigError(f"condition {cond} selects no trials")
         conds.append((cond, trials, _condition_average(dec, epochs, trials)))
     rows: list[Row] = []
     for j in range(dec.n_factors):

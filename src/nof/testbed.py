@@ -335,6 +335,12 @@ def generate_dataset(
     Each trial is sum_k (1 + mixing_noise * eps_k) * outer(topography_k, waveform_k)
     with i.i.d. Gaussian sample noise of standard deviation noise_std added on top.
     Trial metadata cycles round-robin through `conditions`.
+
+    The noise is drawn straight into the output array and scaled there, so
+    the tensor is the only full-size allocation. Each trial's signal starts
+    from +0.0 and adds the templates' gain-scaled patterns in template order,
+    then is added to that trial's noise: a zero-weight sample of a noise-free
+    trial is +0.0, never -0.0.
     """
     if not templates:
         raise ConfigError("template list must be nonempty")
@@ -363,13 +369,18 @@ def generate_dataset(
     rng = np.random.default_rng(seed)
     gains = 1.0 + mixing_noise * rng.standard_normal((n_trials, len(templates)))
     # Drawn unconditionally so the signal part reproduces with noise_std=0.
-    noise = rng.standard_normal((n_trials, n_channels, n_samples))
-    data = np.zeros((n_trials, n_channels, n_samples))
+    data = np.empty((n_trials, n_channels, n_samples))
+    rng.standard_normal(out=data)
+    data *= noise_std
     patterns = [np.outer(t.topography, t.waveform) for t in templates]
+    signal = np.empty((n_channels, n_samples))
+    term = np.empty_like(signal)
     for i in range(n_trials):
+        signal.fill(0.0)
         for k, pat in enumerate(patterns):
-            data[i] += gains[i, k] * pat
-    data += noise_std * noise
+            np.multiply(gains[i, k], pat, out=term)
+            signal += term
+        data[i] += signal
     trial_info = [dict(conditions[i % len(conditions)]) for i in range(n_trials)]
     return EpochTensor(data=data, fs=fs, t0=t0, montage=montage, trial_info=trial_info)
 
@@ -411,6 +422,15 @@ def average_epochs(
     """
     if epochs.n_trials == 0:
         raise NumericalError("cannot average an epoch tensor with zero trials")
+    groups = group_trials(epochs, group_by)
+    return {key: mean_of_trials(epochs, idx) for key, idx in groups.items()}
+
+
+def group_trials(
+    epochs: EpochTensor, group_by: list[str] | tuple[str, ...]
+) -> dict[tuple[str, ...], list[int]]:
+    """Ascending trial indices per tuple of group_by values, keys sorted,
+    from one pass over the trial metadata."""
     groups: dict[tuple[str, ...], list[int]] = {}
     for i, info in enumerate(epochs.trial_info):
         try:
@@ -418,4 +438,4 @@ def average_epochs(
         except KeyError as exc:
             raise ConfigError(f"trial {i} lacks metadata key {exc.args[0]!r}") from exc
         groups.setdefault(key, []).append(i)
-    return {key: mean_of_trials(epochs, idx) for key, idx in sorted(groups.items())}
+    return {key: groups[key] for key in sorted(groups)}

@@ -170,6 +170,130 @@ def masked_condition_average(dec, epochs, trials):
 
 
 # ---------------------------------------------------------------------------
+# synth -> decompose with a full-size temporary at every step (allocating
+# oracles)
+# ---------------------------------------------------------------------------
+# Reference forms of nof.testbed.generate_dataset, center_and_whiten,
+# FactorDecomposition.activations and fastica that allocate a new array for
+# each step and never write into one. The library works in place and must
+# match them bit for bit.
+
+
+def loop_generate_dataset(templates, mixing_noise, noise_std, n_trials, seed):
+    """The trials x channels x timepoints data of generate_dataset: a zero
+    array that each trial's gain-scaled patterns are added to in template
+    order, plus the scaled noise draw."""
+    rng = np.random.default_rng(seed)
+    gains = 1.0 + mixing_noise * rng.standard_normal((n_trials, len(templates)))
+    shape = (n_trials, templates[0].topography.size, templates[0].waveform.size)
+    noise = rng.standard_normal(shape)
+    data = np.zeros(shape)
+    patterns = [np.outer(t.topography, t.waveform) for t in templates]
+    for i in range(n_trials):
+        for k, pat in enumerate(patterns):
+            data[i] += gains[i, k] * pat
+    data += noise_std * noise
+    return data
+
+
+def _copy_concatenated(epochs):
+    return np.ascontiguousarray(epochs.data.transpose(1, 0, 2).reshape(epochs.n_channels, -1))
+
+
+def var_center_and_whiten(epochs, n_components=None):
+    """center_and_whiten with a zero-variance test for dead channels and a
+    centered copy of the concatenated epochs."""
+    from nof.decomposition import WhitenedData
+    from nof.errors import NumericalError
+
+    X = _copy_concatenated(epochs)
+    n_samples = X.shape[1]
+    dead = np.flatnonzero(X.var(axis=1) == 0.0)
+    if dead.size:
+        name = epochs.montage.channels[int(dead[0])]
+        raise NumericalError(f"channel {name!r} has zero variance")
+    mean = X.mean(axis=1)
+    Xc = X - mean[:, None]
+    eigvals, eigvecs = np.linalg.eigh((Xc @ Xc.T) / (n_samples - 1))
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    rank = int(np.sum(eigvals > eigvals[0] * 1e-10))
+    if n_components is None:
+        m = rank
+    elif isinstance(n_components, float) and not float(n_components).is_integer():
+        frac = np.cumsum(eigvals) / np.sum(eigvals)
+        m = min(int(np.searchsorted(frac, n_components - 1e-12) + 1), rank)
+    else:
+        m = int(n_components)
+    kept = eigvals[:m]
+    whitening = (1.0 / np.sqrt(kept))[:, None] * eigvecs[:, :m].T
+    return WhitenedData(
+        whitened=whitening @ Xc,
+        whitening=whitening,
+        dewhitening=eigvecs[:, :m] * np.sqrt(kept)[None, :],
+        mean=mean,
+        retained_variance=float(np.sum(kept) / np.sum(eigvals)),
+        eigenvalues=kept,
+        channels=tuple(epochs.montage.channels),
+        n_trials=epochs.n_trials,
+        n_timepoints=epochs.n_timepoints,
+    )
+
+
+def allocating_activations(dec, epochs):
+    """FactorDecomposition.activations on a centered copy of a copy."""
+    return dec.unmixing @ (_copy_concatenated(epochs) - dec.mean[:, None])
+
+
+def allocating_fastica(white, config):
+    """fastica with fresh k x n arrays for W Z, tanh, its square and 1 minus
+    that in every iteration; warns like the library when unconverged."""
+    import warnings
+
+    from nof.decomposition import FactorDecomposition
+
+    def sym_decorrelate(W):
+        s, u = np.linalg.eigh(W @ W.T)
+        return (u * (1.0 / np.sqrt(s))) @ u.T @ W
+
+    Z = white.whitened
+    k, n_samples = Z.shape
+    W = sym_decorrelate(np.random.default_rng(config.seed).standard_normal((k, k)))
+    converged = False
+    n_iter = config.max_iter
+    for it in range(1, config.max_iter + 1):
+        g = np.tanh(W @ Z)
+        g_prime = (1.0 - g**2).mean(axis=1)
+        W_new = sym_decorrelate((g @ Z.T) / n_samples - g_prime[:, None] * W)
+        lim = float(np.max(np.abs(np.abs(np.einsum("ij,ij->i", W_new, W)) - 1.0)))
+        W = W_new
+        if lim < 1e-6:
+            converged, n_iter = True, it
+            break
+    if not converged:
+        warnings.warn("fastica did not converge", RuntimeWarning)
+    scales = (W @ Z).std(axis=1)
+    unmixing = W @ white.whitening / scales[:, None]
+    mixing = white.dewhitening @ W.T * scales[None, :]
+    for j in range(k):
+        if mixing[int(np.argmax(np.abs(mixing[:, j]))), j] < 0:
+            mixing[:, j] = -mixing[:, j]
+            unmixing[j, :] = -unmixing[j, :]
+    return FactorDecomposition(
+        unmixing=unmixing,
+        mixing=mixing,
+        factor_ids=tuple(f"FA{i + 1}" for i in range(k)),
+        channels=white.channels,
+        mean=white.mean.copy(),
+        converged=converged,
+        n_iter=n_iter,
+        n_trials=white.n_trials,
+        n_timepoints=white.n_timepoints,
+    )
+
+
+# ---------------------------------------------------------------------------
 # exhaustive 2-partition by SSE (divisive oracle)
 # ---------------------------------------------------------------------------
 
@@ -447,3 +571,18 @@ def loop_partition(mined, base):
         missing=[e for idx, e in enumerate(base.rules) if idx not in found],
         **sections,
     )
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory traced while it ran, in bytes
+    above what was traced when it started; numpy reports its array buffers
+    to tracemalloc."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

@@ -12,9 +12,16 @@ from nof.decomposition import (
     fastica,
 )
 from nof.errors import ConfigError, NumericalError
-from nof.testbed import EpochTensor, generate_dataset, p300_template
+from nof.pipeline import _PRESETS as PRESETS
+from nof.testbed import EpochTensor, generate_dataset, p300_template, two_pattern_preset
 
 from conftest import wrap_as_epochs
+from helpers import (
+    allocating_activations,
+    allocating_fastica,
+    traced_peak,
+    var_center_and_whiten,
+)
 
 
 def laplace_sources(rng, k, n):
@@ -61,6 +68,16 @@ class TestWhitening:
         data[1] = 7.5
         epochs = wrap_as_epochs(data)
         with pytest.raises(NumericalError, match="ch1"):
+            center_and_whiten(epochs)
+
+    @pytest.mark.parametrize("value", [7.3, 1 / 3])
+    def test_constant_channel_off_its_float_mean_reported(self, montage, value):
+        # the float mean of 25000 samples of 7.3 is not 7.3, so the variance
+        # of this constant channel comes out near 1e-31, not 0
+        _, templates = two_pattern_preset(montage)
+        epochs = generate_dataset(templates, 0.1, 1.0, 100, seed=0, montage=montage)
+        epochs.data[:, 5, :] = value
+        with pytest.raises(NumericalError, match=f"{montage.channels[5]!r} is constant"):
             center_and_whiten(epochs)
 
     def test_components_ordered_by_eigenvalue(self):
@@ -277,3 +294,77 @@ class TestBackproject:
         u, _, _ = np.linalg.svd(contribution, full_matrices=False)
         corr = np.corrcoef(u[:, 0], tpl.topography)[0, 1]
         assert abs(corr) >= 0.95
+
+
+def _same_bytes(a, b, fields):
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in fields)
+
+
+class TestInPlaceAgainstAllocatingOracles:
+    """Whitening centers its one copy of the epochs in place and FastICA
+    reuses two work arrays; both must equal, byte for byte, the forms that
+    allocate a new array for every step."""
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 100])
+    @pytest.mark.parametrize("noise_std", [0.0, 1.0])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bytes_equal_the_oracles(self, montage, preset, noise_std, n_trials):
+        templates = PRESETS[preset](montage)
+        for seed in range(4):
+            epochs = generate_dataset(templates, 0.1, noise_std, n_trials, seed, montage)
+            white = center_and_whiten(epochs)
+            assert _same_bytes(white, var_center_and_whiten(epochs), (
+                "whitened", "whitening", "dewhitening", "mean", "eigenvalues"))
+            k = min(2, white.n_components)
+            white = center_and_whiten(epochs, k)
+            oracle_white = var_center_and_whiten(epochs, k)
+            config = FastIcaConfig(seed=seed + 1)
+            dec = fastica(white, config)
+            oracle = allocating_fastica(oracle_white, config)
+            assert _same_bytes(dec, oracle, ("unmixing", "mixing", "mean"))
+            assert (dec.n_iter, dec.converged) == (oracle.n_iter, oracle.converged)
+            assert dec.activations(epochs).tobytes() == allocating_activations(
+                dec, epochs).tobytes()
+
+    def test_unconverged_bytes_equal_the_oracle(self, two_pattern_epochs):
+        white = center_and_whiten(two_pattern_epochs, 4)
+        config = FastIcaConfig(seed=5, max_iter=3)
+        with pytest.warns(RuntimeWarning, match="converge"):
+            dec = fastica(white, config)
+        with pytest.warns(RuntimeWarning, match="converge"):
+            oracle = allocating_fastica(white, config)
+        assert not dec.converged and dec.n_iter == oracle.n_iter == 3
+        assert _same_bytes(dec, oracle, ("unmixing", "mixing"))
+
+    def test_single_trial_epochs_left_unchanged(self, montage):
+        # one trial concatenates to a reshape of epochs.data, which the
+        # in-place centering must not write through
+        _, templates = two_pattern_preset(montage)
+        epochs = generate_dataset(templates, 0.1, 1.0, 1, seed=3, montage=montage)
+        before = epochs.data.tobytes()
+        dec = fastica(center_and_whiten(epochs, 2), FastIcaConfig(seed=4))
+        assert epochs.data.tobytes() == before
+        dec.activations(epochs)
+        backproject(dec, ["FA1"], epochs)
+        assert epochs.data.tobytes() == before
+
+
+class TestPeakMemory:
+    """Extra memory traced while a call runs, over epochs already loaded."""
+
+    def test_whitening_holds_one_copy(self, two_pattern_epochs):
+        white, peak = traced_peak(center_and_whiten, two_pattern_epochs, 4)
+        assert peak <= two_pattern_epochs.data.nbytes + white.whitened.nbytes + 64 * 1024
+
+    def test_activations_hold_one_copy(self, two_pattern_epochs, two_pattern_decomposition):
+        _, dec = two_pattern_decomposition
+        act, peak = traced_peak(dec.activations, two_pattern_epochs)
+        assert peak <= two_pattern_epochs.data.nbytes + act.nbytes + 64 * 1024
+
+    def test_fastica_no_more_than_the_allocating_form(self, two_pattern_epochs):
+        white = center_and_whiten(two_pattern_epochs, 4)
+        config = FastIcaConfig(seed=8)
+        _, peak = traced_peak(fastica, white, config)
+        _, oracle_peak = traced_peak(allocating_fastica, white, config)
+        # two k x n work arrays where the allocating form peaks at three
+        assert peak <= oracle_peak - white.whitened.nbytes + 64 * 1024

@@ -275,6 +275,16 @@ class _CountingRows:
         return self._data[trial]
 
 
+class _CountingPasses(list):
+    """Stands in for trial metadata and counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
 class TestConditionAverages:
     def _four_conditions(self):
         m = make_montage(TRIO)
@@ -306,6 +316,14 @@ class TestConditionAverages:
         epochs.data = counting
         assert summarize_dataset(dec, epochs, template) == expected
         assert counting.reads == Counter(range(epochs.n_trials))
+
+    def test_trial_metadata_grouped_in_one_pass(self):
+        dec, epochs = self._four_conditions()
+        template = np.array([1.0, 0.5, -0.2])
+        expected = summarize_dataset(dec, epochs, template)
+        epochs.trial_info = _CountingPasses(epochs.trial_info)
+        assert summarize_dataset(dec, epochs, template) == expected
+        assert epochs.trial_info.passes == 1
 
     def test_topography_tie_warns_once_per_factor(self):
         _, epochs = self._four_conditions()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nof.errors import ConfigError, NumericalError
+from nof.pipeline import _PRESETS as PRESETS
 from nof.testbed import (
     ChannelMontage,
     EpochTensor,
@@ -18,6 +19,7 @@ from nof.testbed import (
 )
 
 from conftest import make_montage
+from helpers import loop_generate_dataset, traced_peak
 
 
 class TestMontage:
@@ -143,6 +145,44 @@ class TestGenerateDataset:
         tpl = p300_template(montage)
         with pytest.raises(ConfigError):
             generate_dataset([tpl], 0.0, -1.0, 1, seed=0, montage=montage)
+
+
+class TestGeneratorInPlace:
+    """generate_dataset writes into one array and must equal, byte for byte,
+    the loop that sums each trial into a zero array and adds the scaled
+    noise draw afterwards."""
+
+    @pytest.mark.parametrize("n_trials", [1, 2, 100])
+    @pytest.mark.parametrize("noise_std", [0.0, 1.0])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bytes_equal_the_loop(self, montage, preset, noise_std, n_trials):
+        templates = PRESETS[preset](montage)
+        for seed in range(4):
+            epochs = generate_dataset(templates, 0.1, noise_std, n_trials, seed, montage)
+            oracle = loop_generate_dataset(templates, 0.1, noise_std, n_trials, seed)
+            assert epochs.data.tobytes() == oracle.tobytes()
+
+    def test_zero_weight_channel_stays_positive_zero(self, montage):
+        # 0.0 * a negative waveform is -0.0, and so is 0.0 * a negative noise
+        # sample; the loop adds them to +0.0 and writes +0.0
+        topo = np.ones(len(montage.channels))
+        topo[3] = 0.0
+        templates = [
+            gaussian_source("N1", topo, 250.0, 250, 100.0, 20.0, -3.0),
+            gaussian_source("N2", topo * 0.5, 250.0, 250, 300.0, 40.0, -2.0),
+        ]
+        epochs = generate_dataset(templates, 0.1, 0.0, 6, seed=1, montage=montage)
+        oracle = loop_generate_dataset(templates, 0.1, 0.0, 6, seed=1)
+        assert epochs.data.tobytes() == oracle.tobytes()
+        assert not np.signbit(epochs.data[:, 3]).any()
+
+    def test_peak_memory_is_one_tensor(self, montage):
+        templates = PRESETS["two_pattern"](montage)
+        epochs, peak = traced_peak(generate_dataset, templates, 0.1, 1.0, 100, 7, montage)
+        trial_bytes = epochs.data[0].nbytes
+        # the tensor, one pattern per template, the signal and its term
+        bound = epochs.data.nbytes + (len(templates) + 2) * trial_bytes
+        assert peak <= bound + 64 * 1024
 
 
 class TestAverageEpochs:

@@ -6,7 +6,8 @@
 SRC_A and SRC_B are directories holding the `nof` package, such as the `src`
 directory of two checkouts. Each tree runs `run_pipeline` in its own
 interpreter for seeds 0-11 of the `paper_default` and `many_rows` workloads
-of bench/spec.json (read, never written), with the expert rule base
+of bench/spec.json (read, never written), and for seeds 0-2 of three edge
+configs defined here (EDGE_CONFIGS), with the expert rule base
 docs/expert.example.json. The two sides are compared on the checksums of
 every artifact (`artifact_checksums`) and on every run.json entry with its
 `wall_time_s` removed. The counts are printed; the exit code is 1 when
@@ -27,6 +28,15 @@ SPEC = ROOT / "bench" / "spec.json"
 EXPERT = ROOT / "docs" / "expert.example.json"
 WORKLOADS = ("paper_default", "many_rows")
 SEEDS = range(12)
+# corners of synth -> decompose that the workloads do not reach: one planted
+# source, a single trial (its concatenated epochs are a reshape of the
+# tensor), and noise-free data, whose rank is the number of sources
+EDGE_CONFIGS = {
+    "p300_only": {"synth": {"preset": "p300_only"}},
+    "one_trial": {"synth": {"n_trials": 1}},
+    "noise_free": {"synth": {"noise_std": 0.0}, "decompose": {"n_components": 2}},
+}
+EDGE_SEEDS = range(3)
 
 # Runs in the child interpreter: argv[1] is a JSON list of
 # [run name, config overrides]; prints {run name: {"artifacts", "entries"}}.
@@ -51,11 +61,13 @@ print(json.dumps(result))
 
 def runs(out: Path) -> list[tuple[str, dict]]:
     spec = json.loads(SPEC.read_text(encoding="utf-8"))
+    configs = [(w, spec["workloads"][w]["config"], SEEDS) for w in WORKLOADS]
+    configs += [(name, config, EDGE_SEEDS) for name, config in EDGE_CONFIGS.items()]
     out_runs = []
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            name = f"{workload}-seed{seed}"
-            overrides = json.loads(json.dumps(spec["workloads"][workload]["config"]))
+    for config_name, config, seeds in configs:
+        for seed in seeds:
+            name = f"{config_name}-seed{seed}"
+            overrides = json.loads(json.dumps(config))
             overrides["seed"] = seed
             overrides["out"] = str(out / name)
             overrides.setdefault("partition", {})["expert_rules"] = str(EXPERT)
@@ -110,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     diffs, counts = compare(a, b)
     for line in diffs:
         print(line)
-    print(f"{len(a)} runs ({', '.join(WORKLOADS)}; seeds {SEEDS.start}-{SEEDS.stop - 1})")
+    print(f"{len(a)} runs ({', '.join(WORKLOADS)}: seeds {SEEDS.start}-{SEEDS.stop - 1}; "
+          f"{', '.join(EDGE_CONFIGS)}: seeds {EDGE_SEEDS.start}-{EDGE_SEEDS.stop - 1})")
     print("artifacts identical: {}/{}".format(*counts["artifacts"]))
     print("run.json entries identical apart from wall_time_s: {}/{}".format(*counts["entries"]))
     return 1 if diffs else 0
