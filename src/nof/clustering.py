@@ -4,11 +4,12 @@ Flat clustering is a diagonal Gaussian mixture fitted by EM, with each
 component's density in closed form and its variances floored; the cluster
 count can be fixed, or chosen by BIC with the BIC of every k tried kept.
 Hierarchies come in a divisive flavour (recursive 2-means) and an
-agglomerative flavour (single/complete/average linkage, read off scipy's
-linkage matrix; exact distance ties merge in scipy's deterministic order),
-both producing the same binary-tree taxonomy type, which can be cut into
-ordered classes. Every clustering function takes a plain observations x
-attributes array, such as `encode_observations(rows).X`.
+agglomerative flavour (single linkage by minimum spanning tree, complete and
+average linkage by nearest-neighbour chain: numpy ports of scipy's linkage
+algorithms, so exact distance ties merge in scipy's order), both producing
+the same binary-tree taxonomy type, which can be cut into ordered classes.
+Every clustering function takes a plain observations x attributes array,
+such as `encode_observations(rows).X`.
 
 The pipeline's ontology is the mixture's own partition: `ClusterModel.classes`
 puts component j's rows in class C{j+1}, the name `labels` gives them, and
@@ -451,35 +452,117 @@ def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> T
 _LINKAGES = ("single", "complete", "average")
 
 
+def _euclidean_distances(data: np.ndarray) -> np.ndarray:
+    """n x n Euclidean distances, each the sqrt of its squared differences
+    summed coordinate by coordinate in order, as scipy's pdist sums them;
+    `.sum(-1)` over the coordinates adds pairwise and moves last bits."""
+    total = np.zeros((data.shape[0], data.shape[0]))
+    with np.errstate(over="ignore"):        # the caller rejects an inf distance
+        for column in data.T:
+            diff = column[:, None] - column[None, :]
+            total += diff * diff
+    return np.sqrt(total)
+
+
+def _mst_single_linkage(D: np.ndarray) -> list[tuple[int, int, float]]:
+    """Single-linkage merges (x, y, height) by Prim's algorithm, in the
+    order scipy's mst_single_linkage finds them: the tree grows from point
+    0, and each step adds the first outside point at the strictly smallest
+    distance to the tree."""
+    n = D.shape[0]
+    merged = np.zeros(n, dtype=bool)
+    reach = np.full(n, np.inf)      # distance to the tree; inf once in it
+    x, out = 0, []
+    for _ in range(n - 1):
+        merged[x], reach[x] = True, np.inf
+        np.minimum(reach, D[x], out=reach, where=~merged)
+        y = int(np.argmin(reach))
+        out.append((x, y, float(reach[y])))
+        x = y
+    return out
+
+
+def _nn_chain(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
+    """Complete- or average-linkage merges (x, y, height) by the
+    nearest-neighbour chain, in the order scipy's nn_chain finds them.
+
+    D is an n x n distance matrix, updated in place; a cluster lives in the
+    slot of one of its points, and a retired slot's row and column are inf.
+    The chain's next element is its last element's nearest neighbour: the
+    previous chain element if none is strictly nearer, else the first index
+    at the smallest distance. Each merge updates the surviving slot's row by
+    Lance-Williams: max(d_xi, d_yi), or (n_x d_xi + n_y d_yi) / (n_x + n_y)."""
+    n = D.shape[0]
+    np.fill_diagonal(D, np.inf)
+    size = np.ones(n, dtype=int)
+    chain: list[int] = []
+    out = []
+    for _ in range(n - 1):
+        if not chain:
+            chain.append(int(np.flatnonzero(size)[0]))
+        while True:
+            x = chain[-1]
+            y = int(np.argmin(D[x]))
+            if len(chain) > 1 and D[x, chain[-2]] <= D[x, y]:
+                y = chain[-2]
+                break
+            chain.append(y)
+        del chain[-2:]
+        if x > y:
+            x, y = y, x
+        nx, ny = int(size[x]), int(size[y])
+        out.append((x, y, float(D[x, y])))
+        if linkage == "complete":
+            row = np.maximum(D[x], D[y])
+        else:
+            row = (nx * D[x] + ny * D[y]) / (nx + ny)
+        size[x], size[y] = 0, nx + ny
+        row[x] = row[y] = np.inf
+        D[y], D[:, y] = row, row
+        D[x], D[:, x] = np.inf, np.inf
+    return out
+
+
 def agglomerative_hierarchy(X: np.ndarray, linkage: str = "single") -> Taxonomy:
     """Bottom-up taxonomy under single/complete/average linkage on Euclidean
-    distances, built from scipy's linkage matrix: n-1 merges, heights
-    non-decreasing, each merge's children ordered by smallest member index.
-    The result is deterministic for a given input order; exactly tied
-    distances merge in scipy's order."""
-    from scipy.cluster.hierarchy import linkage as scipy_linkage
-
+    distances: n-1 merges, heights non-decreasing, each merge's children
+    ordered by smallest member index. Single linkage grows a minimum
+    spanning tree (Prim), complete and average linkage follow the
+    nearest-neighbour chain (Müllner 2011), and the merges are then stably
+    sorted by height: the algorithms of scipy's `linkage`, ported so that
+    exactly tied distances merge in scipy's order and heights agree bit for
+    bit. Non-finite observations raise ConfigError."""
     if linkage not in _LINKAGES:
         raise ConfigError(f"unknown linkage {linkage!r}; pick one of {_LINKAGES}")
     data = np.asarray(X, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
+    if data.ndim != 2:
+        raise ConfigError("observations must form a 2-D matrix")
     n = data.shape[0]
     if n < 1:
         raise ConfigError("need at least one observation")
-    nodes = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"observation {int(np.argmin(finite))} is not finite (NaN or inf)")
+    D = _euclidean_distances(data)
+    if not np.isfinite(D).all():
+        raise ConfigError("observations too far apart: a Euclidean distance overflows")
+    found = _mst_single_linkage(D) if linkage == "single" else _nn_chain(D, linkage)
+    found.sort(key=lambda merge: merge[2])      # stable, as scipy's mergesort
+    # replay the sorted merges; node[p] is the cluster holding point p
+    node = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
     merges: list[tuple[tuple[int, ...], tuple[int, ...], float]] = []
-    links = scipy_linkage(data, linkage) if n > 1 else np.empty((0, 4))
-    for i, j, d, _ in links:
-        a, b = nodes[int(i)], nodes[int(j)]
+    for x, y, height in found:
+        a, b = node[x], node[y]
         if min(a.indices) > min(b.indices):
             a, b = b, a
-        height = float(d)
-        nodes.append(
-            TaxNode(indices=tuple(sorted(a.indices + b.indices)), height=height, left=a, right=b)
-        )
+        joined = TaxNode(indices=tuple(sorted(a.indices + b.indices)), height=height,
+                         left=a, right=b)
+        for p in joined.indices:
+            node[p] = joined
         merges.append((a.indices, b.indices, height))
-    return Taxonomy(root=nodes[-1], n=n, method=f"agglomerative:{linkage}", merges=merges)
+    return Taxonomy(root=node[0], n=n, method=f"agglomerative:{linkage}", merges=merges)
 
 
 # ---------------------------------------------------------------------------

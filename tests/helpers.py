@@ -318,6 +318,44 @@ def best_two_partition_by_sse(points: np.ndarray) -> tuple[frozenset, frozenset]
 
 
 # ---------------------------------------------------------------------------
+# agglomerative taxonomy read off scipy's linkage matrix
+# ---------------------------------------------------------------------------
+
+
+def scipy_agglomerative_hierarchy(X, linkage="single"):
+    """nof.clustering.agglomerative_hierarchy as built from
+    scipy.cluster.hierarchy.linkage; the library ports scipy's algorithms,
+    so the two must agree merge for merge and bit for bit."""
+    import warnings
+
+    from scipy.cluster.hierarchy import ClusterWarning
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+
+    from nof.clustering import Taxonomy, TaxNode
+
+    data = np.asarray(X, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    n = data.shape[0]
+    nodes = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
+    merges = []
+    with warnings.catch_warnings():
+        # a square symmetric hollow input is still observations here
+        warnings.simplefilter("ignore", ClusterWarning)
+        links = scipy_linkage(data, linkage) if n > 1 else np.empty((0, 4))
+    for i, j, d, _ in links:
+        a, b = nodes[int(i)], nodes[int(j)]
+        if min(a.indices) > min(b.indices):
+            a, b = b, a
+        height = float(d)
+        nodes.append(
+            TaxNode(indices=tuple(sorted(a.indices + b.indices)), height=height, left=a, right=b)
+        )
+        merges.append((a.indices, b.indices, height))
+    return Taxonomy(root=nodes[-1], n=n, method=f"agglomerative:{linkage}", merges=merges)
+
+
+# ---------------------------------------------------------------------------
 # brute-force gain-ratio split search (tree oracle)
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     loop_em_restarts,
     loop_log_gaussians_diag,
     loop_m_step,
+    scipy_agglomerative_hierarchy,
     scipy_logsumexp,
 )
 
@@ -478,6 +480,63 @@ class TestAgglomerative:
                 for a, b, h in agglomerative_hierarchy(X, linkage).merges:
                     expected = fn(dist[np.ix_(a, b)])
                     assert h == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def assert_same_as_scipy(X, tmp_path):
+        for linkage in ("single", "complete", "average"):
+            ours, theirs = agglomerative_hierarchy(X, linkage), scipy_agglomerative_hierarchy(
+                X, linkage)
+            assert ours.merges == theirs.merges, (linkage, X.shape)
+            ours.to_json(tmp_path / "ours.json")
+            theirs.to_json(tmp_path / "theirs.json")
+            assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "theirs.json").read_bytes()
+
+    def test_matches_scipy_linkage_on_random_inputs(self, tmp_path):
+        # exact floats: the distances are summed in pdist's order and updated
+        # by scipy's Lance-Williams arithmetic
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            X = rng.normal(size=(int(rng.integers(1, 26)), int(rng.integers(1, 31))))
+            self.assert_same_as_scipy(X, tmp_path)
+
+    def test_matches_scipy_linkage_on_ties_and_duplicates(self, tmp_path):
+        # small-integer points tie exactly and repeat, so the merge order
+        # rests on the neighbour search keeping scipy's tie rules
+        rng = np.random.default_rng(22)
+        for trial in range(150):
+            n, d = int(rng.integers(2, 26)), int(rng.integers(1, 31))
+            if trial % 2:
+                X = np.round(rng.normal(size=(n, d)))
+            else:
+                X = rng.integers(0, 3, size=(n, d)).astype(float)
+            X[n - 1] = X[0]
+            self.assert_same_as_scipy(X, tmp_path)
+
+    def test_matches_scipy_linkage_on_two_hundred_points(self, tmp_path):
+        X = np.random.default_rng(23).normal(size=(200, 6))
+        self.assert_same_as_scipy(X, tmp_path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_names_its_row(self, bad):
+        X = np.random.default_rng(24).normal(size=(5, 3))
+        X[3, 1] = X[4, 0] = bad
+        for linkage in ("single", "complete", "average"):
+            with pytest.raises(ConfigError, match="observation 3 "):
+                agglomerative_hierarchy(X, linkage)
+
+    def test_overflowing_distance_rejected(self):
+        with pytest.raises(ConfigError, match="overflows"):
+            agglomerative_hierarchy(np.array([[1e200], [-1e200], [0.0]]), "average")
+
+    def test_square_symmetric_hollow_matrix_is_observations(self):
+        # scipy's linkage warns that such a matrix looks like distances;
+        # here it is four observations of four attributes, without a warning
+        X = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0],
+                      [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for linkage in ("single", "complete", "average"):
+                assert len(agglomerative_hierarchy(X, linkage).merges) == 3
 
 
 class TestTaxonomyClasses:

@@ -878,6 +878,23 @@ class TestCli:
         assert proc.stdout.strip() == "False"
         assert (tmp_path / "cluster_model.json").exists()
 
+    def test_agglomerative_cluster_stage_leaves_scipy_cluster_unloaded(self, tmp_path):
+        config = load_config(overrides={
+            "out": str(tmp_path), "synth": {"n_trials": 24}, "decompose": {"n_components": 2},
+            "cluster": {"hierarchy": "agglomerative:average"}})
+        for stage in ("synth", "decompose", "extract"):
+            run_stage(stage, config)
+        code = ("import json, sys; from nof.pipeline import run_stage; "
+                "run_stage('cluster', json.loads(sys.argv[1])); "
+                "print(sorted(m for m in ('scipy.cluster', 'scipy.spatial', 'scipy.sparse')"
+                " if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert json.loads((tmp_path / "taxonomy.json").read_text())["method"] == (
+            "agglomerative:average")
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "nof.cli", "--help"],
                               capture_output=True, text=True)
