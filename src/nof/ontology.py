@@ -138,10 +138,16 @@ def align_cluster_labels(
 
     Votes: a mined rule with consequent {CLUSTER=c} whose antecedent matches
     an expert rule about pattern p contributes its support to naming c as p.
+    A negated rule (a veto) votes only when no positive rule names p, so that
+    a veto does not name the cluster it then contradicts.
     The heaviest votes win one-to-one (ties resolve lexicographically); rules
     are then rewritten with every CLUSTER=c item replaced by the bare pattern
     label. Unmapped cluster labels stay as they are.
     """
+    named = {e.consequent.value for e in expert_rules
+             if e.consequent.kind == "label" and not e.negated}
+    voters = [e for e in expert_rules if e.consequent.kind == "label"
+              and (not e.negated or e.consequent.value not in named)]
     votes: dict[tuple[str, str], float] = {}
     cluster_items: dict[str, Item] = {}
     for r in mined:
@@ -151,9 +157,7 @@ def align_cluster_labels(
         if c.kind != "eq" or c.attribute != cluster_attribute:
             continue
         cluster_items[c.value] = c
-        for e in expert_rules:
-            if e.consequent.kind != "label":
-                continue
+        for e in voters:
             if _itemsets_match(r.antecedent, e.antecedent):
                 key = (c.value, e.consequent.value)
                 votes[key] = votes.get(key, 0.0) + r.support

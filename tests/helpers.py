@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -440,6 +441,45 @@ def brute_force_root_split(rows, labels, min_leaf=1):
     if best is None or best[3] <= eps:
         return None
     return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# exact binomial CDF (oracle for the pruning bound)
+# ---------------------------------------------------------------------------
+
+
+def exact_binomial_cdf(n, e, p):
+    """P(X <= e) for X ~ Binomial(n, p) as a Fraction, p a Fraction whose
+    denominator is a power of 2: the integer sum of C(n, i) a^i b^(n-i) over
+    the shorter tail, by Horner's rule in a, over 2^(kn)."""
+    a, den = p.numerator, p.denominator
+    b = den - a
+    lo, hi = (0, e) if 2 * e < n else (e + 1, n)
+    # sum_{lo <= i <= hi} C(n, i) a^i b^(n-i) = a^lo b^(n-hi) sum C(n, i) a^(i-lo) b^(hi-i)
+    acc, b_pow = 0, 1
+    for i in range(hi, lo - 1, -1):
+        acc = acc * a + math.comb(n, i) * b_pow
+        b_pow *= b
+    tail = Fraction(acc * a**lo * b ** (n - hi), den**n)
+    return tail if lo == 0 else 1 - tail
+
+
+def assert_correctly_rounded_upper_limit(n, e, cf, p):
+    """p is the double nearest the root of P(X <= e) = 1 - fl(1 - cf) in
+    (0, 1], X ~ Binomial(n, p): the CDF, which falls as p rises, is at least
+    the target at the midpoint to the next lower double and at most the target
+    at the midpoint to the next higher one (1.0 has no higher neighbour to
+    test: the root is at most 1)."""
+    target = 1 - Fraction(1.0 - cf)
+    if target == 0:
+        assert p == 1.0, (n, e, cf, p)
+        return
+    assert 0.0 < p <= 1.0, (n, e, cf, p)
+    below = (Fraction(p) + Fraction(math.nextafter(p, 0.0))) / 2
+    assert exact_binomial_cdf(n, e, below) >= target, (n, e, cf, p, "root below")
+    if p < 1.0:
+        above = (Fraction(p) + Fraction(math.nextafter(p, 1.0))) / 2
+        assert exact_binomial_cdf(n, e, above) <= target, (n, e, cf, p, "root above")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nof.classification import (
     Condition,
@@ -11,8 +15,11 @@ from nof.classification import (
     Split,
     TreeConfig,
     _branch_stats,
+    _exact_excess,
+    _nearest_double,
     _numeric_candidates,
     _pessimistic_errors,
+    _upper_limit,
     all_split_points,
     build_tree,
     classify,
@@ -25,7 +32,11 @@ from nof.classification import (
 )
 from nof.errors import ConfigError
 
-from helpers import brute_force_root_split
+from helpers import (
+    assert_correctly_rounded_upper_limit,
+    brute_force_root_split,
+    exact_binomial_cdf,
+)
 
 
 def random_dataset(rng, max_rows=8):
@@ -205,15 +216,106 @@ class TestPruning:
         )
 
 
-    def test_pessimistic_errors_equal_beta_quantile(self):
+# the confidence levels and table sizes the pruning bound is checked on
+BOUND_CFS = (0.01, 0.05, 0.1, 0.25, 0.5)
+BOUND_NS = (1, 2, 3, 7, 25, 100, 399)
+
+
+class TestPruningBound:
+    """_upper_limit is U_CF(E, N), the double nearest the root, held to an
+    exact rational oracle. scipy's beta quantile misses the nearest double in
+    about a third of this grid, by up to 96 ulps (1e-14 relative), so it is a
+    cross-check within 1e-13."""
+
+    def test_correctly_rounded_up_to_n_100(self):
+        for cf in BOUND_CFS:
+            for n in BOUND_NS[:-1]:
+                for e in range(n):
+                    assert_correctly_rounded_upper_limit(n, e, cf, _upper_limit(n, e, cf))
+
+    def test_correctly_rounded_at_n_399(self):
+        # exact sums over a long tail cost tens of ms at n = 399: both ends
+        # of e, and every 25th e between them
+        n = 399
+        es = sorted({*range(10), *range(n - 10, n), *range(0, n, 25)})
+        for cf in BOUND_CFS:
+            for e in es:
+                assert_correctly_rounded_upper_limit(n, e, cf, _upper_limit(n, e, cf))
+
+    def test_underflow_corners(self):
+        # q^n underflows a double here: p is near 1, and the shorter tail is
+        # the single term p^n
+        for n in (100, 399):
+            p = _upper_limit(n, n - 1, 0.01)
+            assert_correctly_rounded_upper_limit(n, n - 1, 0.01, p)
+            assert p == pytest.approx(0.99 ** (1 / n), rel=1e-15)
+            assert _pessimistic_errors(n, n - 1, 0.01) == float(n) * p
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 40), data=st.data(),
+           cf=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_correctly_rounded_for_any_cf(self, n, data, cf):
+        # cf below 2**-54 makes the target 0, reached at p = 1
+        e = data.draw(st.integers(0, n - 1))
+        assert_correctly_rounded_upper_limit(n, e, cf, _upper_limit(n, e, cf))
+
+    @pytest.mark.parametrize("n,e,cf", [(1, 0, 0.25), (8, 6, 0.25), (64, 48, 0.25),
+                                        (100, 99, 0.01), (399, 3, 0.5)])
+    def test_search_reaches_the_nearest_double_from_any_guess(self, n, e, cf):
+        want = _upper_limit(n, e, cf)
+        y = 1.0 - cf
+        guesses = [want * (1 + d) for d in (-3e-16, 3e-16, -1e-13, 1e-13, -0.2, 1e-3)]
+        guesses += [1e-300, 0.5, math.nextafter(1.0, 0.0)]
+        for guess in guesses:
+            assert _nearest_double(n, e, y, min(guess, math.nextafter(1.0, 0.0))) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 120), data=st.data(), y=st.floats(0.01, 0.99))
+    def test_exact_excess_equals_the_oracle(self, n, data, y):
+        e = data.draw(st.integers(0, n - 1))
+        p = Fraction(data.draw(st.floats(1e-6, 1.0, exclude_max=True)))
+        d, s = _exact_excess(n, e, p.numerator, p.denominator, y)
+        assert s > 0
+        assert Fraction(d, s) == exact_binomial_cdf(n, e, p) - (1 - Fraction(y))
+
+    def test_pessimistic_errors_match_scipy_beta_quantile(self):
         from scipy.stats import beta
 
-        for cf in (0.01, 0.05, 0.1, 0.25, 0.5):
-            for n in (1, 2, 3, 7, 25, 100, 399):
-                for e in range(n):
-                    expected = float(n) * float(beta.ppf(1.0 - cf, e + 1, n - e))
-                    assert _pessimistic_errors(n, e, cf) == expected
+        for cf in BOUND_CFS:
+            for n in BOUND_NS:
+                e = np.arange(n)
+                expected = float(n) * beta.ppf(1.0 - cf, e + 1, n - e)
+                got = [_pessimistic_errors(n, int(errors), cf) for errors in e]
+                np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
                 assert _pessimistic_errors(n, n, cf) == float(n)
+        assert _pessimistic_errors(0, 0, 0.25) == 0.0
+
+
+class TestPruneCf:
+    ROWS = [{"x": float(i)} for i in range(10)]
+    LABELS = ["A", "A", "B", "A", "B", "B", "A", "B", "B", "B"]
+
+    @pytest.mark.parametrize("cf", [1.5, -0.2, 1.0, 0, 0.0, True, float("nan"),
+                                    float("inf"), "0.25"])
+    def test_out_of_range_prune_cf_is_refused(self, cf, tmp_path):
+        # 1.5 and -0.2 grew an unpruned tree with NaN error estimates, 1.0
+        # collapsed it to one leaf with error 0, and 0 was a second "unpruned"
+        with pytest.raises(ConfigError, match="prune_cf"):
+            build_tree(self.ROWS, self.LABELS, TreeConfig(prune_cf=cf))
+        path = tmp_path / "tree.json"
+        tree_to_json(build_tree(self.ROWS, self.LABELS), path)
+        doc = json.loads(path.read_text())
+        doc["config"]["prune_cf"] = cf
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="prune_cf"):
+            tree_from_json(path)
+
+    @pytest.mark.parametrize("cf", [None, 0.25, 1e-300, np.float64(0.5), 0.999])
+    def test_valid_prune_cf_round_trips(self, cf, tmp_path):
+        tree = build_tree(self.ROWS, self.LABELS, TreeConfig(prune_cf=cf))
+        path = tmp_path / "tree.json"
+        tree_to_json(tree, path)
+        assert tree_from_json(path).config.prune_cf == cf
 
 
 class TestClassify:

@@ -471,6 +471,26 @@ class TestAlignment:
         report = partition(renamed, base)
         assert len(report.contradictory) == 1
 
+    def test_veto_does_not_vote_beside_a_positive_rule_for_its_pattern(self):
+        # the shipped base: a positive P300 rule and a veto on late occipital
+        # activity. The veto must not name the late occipital cluster "P300"
+        # and then contradict it.
+        rules = [
+            expert("p300_frontal_late", ["TI_max∈(300,500]", "SP_max_ROI=frontal"], "P300"),
+            expert("no_late_occipital_p300", ["TI_max∈(300,500]", "SP_max_ROI=occipital"],
+                   "P300", negated=True),
+        ]
+        frontal = mined(["TI_max∈(300,500]", "SP_max_ROI=frontal"], "CLUSTER=C1", support=0.3)
+        occipital = mined(["TI_max∈(300,500]", "SP_max_ROI=occipital"], "CLUSTER=C3",
+                          support=0.4)
+        renamed, mapping = align_cluster_labels([frontal, occipital], rules)
+        assert mapping == {"C1": "P300"}
+        assert renamed[1] == occipital
+        base = OntologyRuleBase(rules=rules, beta_sup=0.1, beta_conf=0.1, pi_min=0.1)
+        report = partition(renamed, base)
+        assert report.contradictory == []
+        assert [ar.rule for ar in report.known_high_strength] == [renamed[0]]
+
     def test_injective_mapping_prefers_heavier_support(self):
         r1 = mined(["a=1"], "CLUSTER=C1", support=0.9)
         r2 = mined(["a=1"], "CLUSTER=C2", support=0.2)

@@ -856,12 +856,29 @@ class TestCli:
         assert main(["synth", "--config", str(cfg)]) == 0
         assert (tmp_path / "from_cfg" / "montage.csv").exists()
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        code = ("import sys, nof; print(sorted(m for m in ('scipy.stats', 'scipy.special',"
-                " 'scipy.cluster') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        config = load_config(overrides={"out": str(tmp_path)})
+        code = ("import json, sys, nof; loaded = [m for m in sys.modules if m.split('.')[0] "
+                "== 'scipy']; from nof.pipeline import run_pipeline; "
+                "run_pipeline(json.loads(sys.argv[1])); "
+                "print(loaded, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)],
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] []"
+
+    @pytest.mark.parametrize("hierarchy", ["divisive", "agglomerative:average"])
+    def test_pipeline_runs_where_scipy_cannot_be_imported(self, tmp_path, hierarchy):
+        # a None entry in sys.modules makes every `import scipy...` raise
+        config = load_config(overrides={"out": str(tmp_path),
+                                        "cluster": {"hierarchy": hierarchy}})
+        code = ("import json, sys; sys.modules['scipy'] = None; "
+                "from nof.pipeline import run_pipeline; run_pipeline(json.loads(sys.argv[1]))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(config)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "taxonomy.json").read_text())["method"] == hierarchy
+        assert (tmp_path / "report.json").exists()
 
     def test_cluster_stage_leaves_scipy_special_unloaded(self, tmp_path):
         config = load_config(overrides={
