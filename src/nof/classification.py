@@ -6,7 +6,7 @@ categoricals); attributes whose best information gain reaches the mean gain
 across attributes stay eligible, and among their candidates the maximum gain
 ratio wins, ties broken by attribute order then lower threshold. Pruning is
 pessimistic-error pruning driven by a binomial upper confidence bound, C4.5's
-U_CF(E, N), computed as the double nearest its exact value.
+U_CF(E, N), solved in floating point to within about 1e-15 of its exact value.
 
 All arithmetic is pure Python (math.log2 over sorted label/branch orders) so
 the chosen splits are reproducible operation for operation.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import struct
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -228,17 +227,7 @@ def _grow(
 
 
 # Quinlan's pessimistic bound U_CF(E, N) (C4.5, 1993): the p at which
-# P(X <= E) = CF for X ~ Binomial(N, p), found as the double nearest it.
-# Positive doubles are ordered as their bit patterns, so the search for the
-# last bit runs over integers.
-def _bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _double(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
+# P(X <= E) = CF for X ~ Binomial(N, p).
 def _log_density(n: int, m: int, x: float) -> float:
     """log |d/dx P(Y <= m)| = log(n C(n-1, m) x^m (1-x)^(n-1-m)), Y ~ Binomial(n, x)."""
     return math.log(n * math.comb(n - 1, m)) + m * math.log(x) + (n - 1 - m) * math.log1p(-x)
@@ -265,98 +254,46 @@ def _log_lower_tail(n: int, m: int, x: float) -> float:
     return math.log(math.comb(n, j)) + j * math.log(x) + (n - j) * math.log1p(-x) + math.log(total)
 
 
-def _float_root(n: int, e: int, y: float) -> float:
-    """The p with P(X <= e) = 1 - y, X ~ Binomial(n, p), to about 1e-12 (the
-    square of the last Newton step's 1e-7): Newton steps on the log of the
-    shorter tail against its target, kept inside a bisection bracket. The
-    upper tail P(X > e) is solved as the lower tail at n - e - 1 of
-    Binomial(n, 1 - p)."""
-    lower = 2 * e < n
+def _upper_limit(n: int, e: int, cf: float) -> float:
+    """U_CF(e, n) for 0 <= e < n, to within about 1e-15: the p in (0, 1] with
+    P(X <= e) = 1 - y for X ~ Binomial(n, p) and y = fl(1 - cf), which is
+    what scipy.special.betaincinv(e + 1, n - e, y) approximates.
+
+    Newton steps run on the log of the tail whose target is at most 1/2: the
+    log of a target near 1 is near 0, where the rounding of the tail's sum
+    swamps the residual. The upper tail P(X > e) is solved as the lower tail
+    at n - e - 1 of Binomial(n, 1 - p). The log of the lower tail is
+    concave in x, so once a step lands above the root the steps fall toward
+    it from above; a step that would leave the bracket bisects instead. The
+    solve stops after a step below 1e-9 of the distance to 0 or 1 (or two
+    ulps), which leaves an error of about that step squared."""
+    y = 1.0 - float(cf)
+    if y == 1.0:                                  # the target 0 is reached at p = 1
+        return 1.0
+    lower = y >= 0.5
     m, log_target = (e, math.log1p(-y)) if lower else (n - e - 1, math.log(y))
     if m == 0:                                    # the tail is (1 - x)^n alone
         x = -math.expm1(log_target / n)
         return x if lower else 1.0 - x
     lo, hi, x = 0.0, 1.0, (m + 1) / (n + 1)
-    for _ in range(200):
+    while True:
         log_tail = _log_lower_tail(n, m, x)
         h = log_tail - log_target                 # falls as x rises
         if h > 0:
             lo = x
-        else:
+        elif h < 0:
             hi = x
-        ratio = log_tail - _log_density(n, m, x)  # -h / h' = h * exp(ratio)
-        step = h * math.exp(min(ratio, 700.0))
-        if abs(step) <= 1e-7 * x:
-            if lo < x + step < hi:
-                x += step
-            break
-        x = x + step if lo < x + step < hi else (lo + hi) / 2
+        # -h / h' = h * exp(log_tail - log_density)
+        step = h * math.exp(min(log_tail - _log_density(n, m, x), 700.0))
+        if lo < x + step < hi or x + step == x:
+            x += step
+            if abs(step) <= max(1e-9 * min(x, 1.0 - x), 2 * math.ulp(x)):
+                break
+        else:                                     # bisect; stop once no double is left between
+            x = min((lo + hi) / 2, math.nextafter(1.0, 0.0))
+            if not lo < x < hi:
+                break
     return x if lower else 1.0 - x
-
-
-def _shorter_tail(n: int, e: int, num: int, den: int) -> tuple[bool, int, int, int]:
-    """(lower, u, v, m) for p = num / den: the shorter tail of Binomial(n, p)
-    about e is P(X <= e) when lower, else P(X > e) = P(n - X <= n - e - 1);
-    either is sum_{i <= m} C(n, i) u^i v^(n-i) / den^n."""
-    if 2 * e < n:
-        return True, num, den - num, e
-    return False, den - num, num, n - e - 1
-
-
-def _exact_excess(n: int, e: int, num: int, den: int, y: float) -> tuple[int, int]:
-    """F(p) - (1 - y) = d / s exactly, as (d, s) with s > 0, for F the CDF at
-    e of Binomial(n, p) and p = num / den, den a power of 2. Horner's rule
-    builds sum_{i <= m} t_i / t_m = P / Q from i = 0 up, each step taking
-    P / Q to 1 + (t_i / t_{i+1}) P / Q with t_i / t_{i+1} = (i + 1) v / ((n - i) u);
-    Q is then u^m n! / (n - m)!, so the tail t_m P / Q is v^(n-m) P / (m! den^n)."""
-    lower, u, v, m = _shorter_tail(n, e, num, den)
-    p_sum = q_sum = 1
-    for i in range(m):
-        q_sum *= (n - i) * u
-        p_sum = q_sum + p_sum * ((i + 1) * v)
-    y_num, y_den = y.as_integer_ratio()
-    tail = v ** (n - m) * p_sum * y_den
-    whole = math.factorial(m) << n * (den.bit_length() - 1)
-    target = (y_den - y_num if lower else y_num) * whole
-    return (tail - target if lower else target - tail), whole * y_den
-
-
-def _nearest_double(n: int, e: int, y: float, guess: float) -> float:
-    """The double nearest the root: the first double whose midpoint with the
-    next one has the root at or below it, so a root exactly on a midpoint
-    rounds down. It lies in (lo, hi]; the search gallops from the guess until
-    a test flips, then bisects, in at most about 128 tests from any guess."""
-    top = _bits(1.0)                              # the root is at most 1
-    lo, hi = 0, top
-    j, step = _bits(guess), 1
-    while hi - lo > 1:
-        j = min(max(j, lo + 1), hi - 1)
-        x = _double(j)
-        k = 1 - math.frexp(math.ulp(x))[1]       # ulp(x) = 2**-k: test x + ulp(x) / 2
-        if _exact_excess(n, e, 2 * int(math.ldexp(x, k)) + 1, 1 << (k + 1), y)[0] > 0:
-            lo, j = j, j + step
-        else:
-            hi, j = j, j - step
-        step *= 2
-        if lo > 0 and hi < top:
-            j = (lo + hi) // 2
-    return _double(hi)
-
-
-def _upper_limit(n: int, e: int, cf: float) -> float:
-    """U_CF(e, n) for 0 <= e < n: the double nearest the p in (0, 1) with
-    P(X <= e) = 1 - y for X ~ Binomial(n, p) and y = fl(1 - cf), which is what
-    scipy.special.betaincinv(e + 1, n - e, y) approximates."""
-    y = 1.0 - float(cf)
-    if y == 1.0:                                  # the target 0 is reached at p = 1
-        return 1.0
-    # the residual needs 0 < p < 1, which a root within an ulp of 1 can round out of
-    p = min(max(_float_root(n, e, y), math.ulp(0.0)), math.nextafter(1.0, 0.0))
-    # one Newton step on the exact residual lands within about an ulp, where
-    # two tests settle the last bit
-    d, s = _exact_excess(n, e, *p.as_integer_ratio(), y)
-    nxt = p + d / s / math.exp(_log_density(n, e, p))
-    return _nearest_double(n, e, y, nxt if 0.0 < nxt < 1.0 else p)
 
 
 def _pessimistic_errors(n: int, errors: int, cf: float) -> float:

@@ -464,22 +464,20 @@ def exact_binomial_cdf(n, e, p):
     return tail if lo == 0 else 1 - tail
 
 
-def assert_correctly_rounded_upper_limit(n, e, cf, p):
-    """p is the double nearest the root of P(X <= e) = 1 - fl(1 - cf) in
-    (0, 1], X ~ Binomial(n, p): the CDF, which falls as p rises, is at least
-    the target at the midpoint to the next lower double and at most the target
-    at the midpoint to the next higher one (1.0 has no higher neighbour to
-    test: the root is at most 1)."""
+def assert_upper_limit_within(n, e, cf, p, delta):
+    """p is within delta of the root of P(X <= e) = 1 - fl(1 - cf) in (0, 1],
+    X ~ Binomial(n, p): the CDF, which falls as p rises, is at least the
+    target at p - delta and at most the target at p + delta, both clamped
+    to [0, 1]. delta must be a double, so that p -/+ delta is dyadic."""
     target = 1 - Fraction(1.0 - cf)
     if target == 0:
         assert p == 1.0, (n, e, cf, p)
         return
     assert 0.0 < p <= 1.0, (n, e, cf, p)
-    below = (Fraction(p) + Fraction(math.nextafter(p, 0.0))) / 2
+    below = max(Fraction(p) - Fraction(delta), Fraction(0))
+    above = min(Fraction(p) + Fraction(delta), Fraction(1))
     assert exact_binomial_cdf(n, e, below) >= target, (n, e, cf, p, "root below")
-    if p < 1.0:
-        above = (Fraction(p) + Fraction(math.nextafter(p, 1.0))) / 2
-        assert exact_binomial_cdf(n, e, above) <= target, (n, e, cf, p, "root above")
+    assert exact_binomial_cdf(n, e, above) <= target, (n, e, cf, p, "root above")
 
 
 # ---------------------------------------------------------------------------
