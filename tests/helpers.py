@@ -464,6 +464,14 @@ def exact_binomial_cdf(n, e, p):
     return tail if lo == 0 else 1 - tail
 
 
+def exact_log(f):
+    """log of a positive Fraction to about 1e-16 relative, also where the
+    Fraction underflows a double: it is scaled by a power of 2 into [1/2, 2]
+    first."""
+    k = f.numerator.bit_length() - f.denominator.bit_length()
+    return math.log(float(f / Fraction(2) ** k)) + k * math.log(2)
+
+
 def assert_upper_limit_within(n, e, cf, p, delta):
     """p is within delta of the root of P(X <= e) = 1 - fl(1 - cf) in (0, 1],
     X ~ Binomial(n, p): the CDF, which falls as p rises, is at least the

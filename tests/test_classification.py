@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from nof.classification import (
     Split,
     TreeConfig,
     _branch_stats,
+    _log_density,
+    _log_lower_tail,
     _numeric_candidates,
     _pessimistic_errors,
     _upper_limit,
@@ -30,7 +33,12 @@ from nof.classification import (
 )
 from nof.errors import ConfigError
 
-from helpers import assert_upper_limit_within, brute_force_root_split
+from helpers import (
+    assert_upper_limit_within,
+    brute_force_root_split,
+    exact_binomial_cdf,
+    exact_log,
+)
 
 
 def random_dataset(rng, max_rows=8):
@@ -298,6 +306,37 @@ class TestPruningBound:
         # cf below 2**-54 makes the target 0, reached at p = 1
         n, e = ne
         assert_upper_limit_within(n, e, cf, _upper_limit(n, e, cf), 1e-14)
+
+    @pytest.mark.parametrize("n,m,x", [(1, 0, 0.25), (8, 6, 0.5), (64, 48, 0.8), (399, 199, 0.5),
+                                       (399, 3, 0.9), (400, 390, 0.01)])
+    def test_log_tail_and_density_match_the_oracle(self, n, m, x):
+        # the last two tails and densities underflow a double (1e-389 and
+        # 1e-760); the density is the x-derivative of the tail through
+        # P_n(Y <= m) = P_{n-1}(Y <= m) - x b(m; n - 1, x)
+        p = Fraction(x)
+        tail = exact_binomial_cdf(n, m, p)
+        density = n * (exact_binomial_cdf(n - 1, m, p) - tail) / p
+        assert math.isclose(_log_lower_tail(n, m, x), exact_log(tail), rel_tol=1e-15, abs_tol=1e-14)
+        assert math.isclose(_log_density(n, m, x), exact_log(density), rel_tol=1e-15, abs_tol=1e-14)
+
+    def test_few_tail_evaluations_at_pipeline_inputs(self, monkeypatch):
+        # the solve has no iteration cap: at the pipeline's cf and table
+        # sizes Newton settles it in about five steps, and a fall back to
+        # bisection would take about fifty
+        calls = []
+        tail = classification._log_lower_tail
+
+        def counted(n, m, x):
+            calls[-1] += 1
+            return tail(n, m, x)
+
+        monkeypatch.setattr(classification, "_log_lower_tail", counted)
+        for n in range(1, 65):
+            for e in range(n):
+                calls.append(0)
+                _upper_limit(n, e, 0.25)
+        assert max(calls) <= 12
+        assert sum(calls) / len(calls) < 6
 
     def test_pessimistic_errors_match_scipy_beta_quantile(self):
         from scipy.stats import beta
