@@ -42,19 +42,21 @@ class WhitenedData:
         return self.whitened.shape[0]
 
 
-def _concatenate(epochs: EpochTensor) -> np.ndarray:
+def _concatenate(epochs: EpochTensor, overwrite: bool = False) -> np.ndarray:
     """channels x (trials * timepoints), trials laid out contiguously in time.
 
-    Always a fresh C-order copy, even for one trial, so callers may center it
-    in place without touching `epochs.data`.
+    A fresh C-order copy, even for one trial, so callers may center it in
+    place without touching `epochs.data`; with overwrite, a view of
+    `epochs.data` instead whenever its (1, 0, 2) transpose is C-contiguous.
     """
-    return np.array(epochs.data.transpose(1, 0, 2), order="C").reshape(
-        epochs.n_channels, -1
-    )
+    X = epochs.data.transpose(1, 0, 2)
+    if not (overwrite and X.flags.c_contiguous):
+        X = np.array(X, order="C")
+    return X.reshape(epochs.n_channels, -1)
 
 
 def center_and_whiten(
-    epochs: EpochTensor, n_components: int | float | None = None
+    epochs: EpochTensor, n_components: int | float | None = None, *, overwrite: bool = False
 ) -> WhitenedData:
     """Remove the channel means and whiten via the covariance eigenbasis.
 
@@ -64,10 +66,15 @@ def center_and_whiten(
     and the sample covariance (ddof=1) of the output is the identity.
 
     A constant channel (every sample equal, whatever its value) raises
-    NumericalError naming it. The concatenated copy of the epochs is centered
-    in place, so the call holds one copy of the tensor besides `epochs.data`.
+    NumericalError naming it. The epochs are concatenated into a
+    channels x samples copy that is centered in place, so the call holds one
+    copy of the tensor besides `epochs.data`. With overwrite, like scipy's
+    `overwrite_a`, a tensor loaded with `EpochTensor.load(...,
+    channels_major=True)` is centered in `epochs.data` itself and no copy is
+    made: `epochs.data` then holds the centered samples. Other layouts are
+    copied as without it. The result is the same either way.
     """
-    X = _concatenate(epochs)
+    X = _concatenate(epochs, overwrite)
     n_channels, n_samples = X.shape
     if n_samples <= n_channels:
         raise ConfigError(

@@ -235,8 +235,13 @@ def _stage_synth(config: dict, paths: dict[str, Path], staged: dict[str, Path]) 
 
 
 def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
-    epochs = testbed.EpochTensor.load(paths["epochs"])
-    white = decomposition.center_and_whiten(epochs, config["decompose"]["n_components"])
+    # whitening centers the channels-major tensor in place and no name keeps
+    # it, so it is freed before FastICA allocates its work arrays
+    white = decomposition.center_and_whiten(
+        testbed.EpochTensor.load(paths["epochs"], channels_major=True),
+        config["decompose"]["n_components"],
+        overwrite=True,
+    )
     dec = decomposition.fastica(
         white, decomposition.FastIcaConfig(seed=config["seed"] + 1)
     )

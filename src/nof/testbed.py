@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .errors import ConfigError, MissingInputError, NumericalError
 
@@ -297,17 +298,30 @@ class EpochTensor:
         np.save(directory / "data.npy", np.ascontiguousarray(self.data, dtype=np.float64))
 
     @classmethod
-    def load(cls, directory: str | Path) -> "EpochTensor":
+    def load(cls, directory: str | Path, channels_major: bool = False) -> "EpochTensor":
+        """Read a container written by `save`.
+
+        With channels_major, `data` is the trials-major view of a C-order
+        channels x trials x timepoints array, filled one trial at a time, so
+        that `data.transpose(1, 0, 2)` is C-contiguous and no trials-major
+        copy of the tensor is ever held. The values are those of the default
+        read.
+        """
         directory = Path(directory)
         meta_path = directory / "meta.json"
         if not meta_path.exists():
             raise MissingInputError(f"epoch container not found: {meta_path}")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        data = np.load(directory / meta["data_file"])
+        data_path = directory / meta["data_file"]
+        if channels_major:
+            data = _read_channels_major(data_path, meta["shape"])
+        else:
+            data = np.load(data_path)
         if list(data.shape) != meta["shape"]:
             raise ConfigError(
-                f"data shape {list(data.shape)} disagrees with meta {meta['shape']}"
+                f"{data_path}: data shape {list(data.shape)} disagrees with meta "
+                f"{meta['shape']}"
             )
         montage = ChannelMontage(
             tuple(meta["montage"]["channels"]), dict(meta["montage"]["roi"])
@@ -319,6 +333,45 @@ class EpochTensor:
             montage=montage,
             trial_info=[dict(t) for t in meta["trials"]],
         )
+
+
+def _read_channels_major(path: Path, shape: list[int]) -> np.ndarray:
+    """The 3-D array in the .npy file `path`, as the (1, 0, 2) transpose of a
+    new C-order array, read trial by trial through one reused trial buffer.
+
+    The header must give `shape`, C order and a numeric dtype, and the file
+    must hold every trial; otherwise ConfigError names the file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            version = npy_format.read_magic(fh)
+            if version == (1, 0):
+                header = npy_format.read_array_header_1_0(fh)
+            elif version == (2, 0):
+                header = npy_format.read_array_header_2_0(fh)
+            else:
+                raise ValueError(f"unsupported .npy format version {version}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        file_shape, fortran_order, dtype = header
+        if list(file_shape) != shape:
+            raise ConfigError(
+                f"{path}: data shape {list(file_shape)} disagrees with meta {shape}"
+            )
+        if len(file_shape) != 3:
+            raise ConfigError(f"{path}: data must be trials x channels x timepoints")
+        if fortran_order:
+            raise ConfigError(f"{path}: data is stored in Fortran order, not C order")
+        if dtype.kind not in "biuf":
+            raise ConfigError(f"{path}: unsupported data dtype {dtype}")
+        n_trials, n_channels, n_timepoints = file_shape
+        out = np.empty((n_channels, n_trials, n_timepoints))
+        trial = np.empty((n_channels, n_timepoints), dtype=dtype)
+        for i in range(n_trials):
+            if fh.readinto(trial) != trial.nbytes:
+                raise ConfigError(f"{path}: truncated after {i} of {n_trials} trials")
+            out[:, i, :] = trial
+    return out.transpose(1, 0, 2)
 
 
 def generate_dataset(

@@ -349,12 +349,59 @@ class TestInPlaceAgainstAllocatingOracles:
         assert epochs.data.tobytes() == before
 
 
+class TestOverwrite:
+    """overwrite=True centers a channels-major tensor in its own buffer; the
+    result is the same, byte for byte, as the default's and the oracle's."""
+
+    FIELDS = ("whitened", "whitening", "dewhitening", "mean", "eigenvalues")
+
+    @staticmethod
+    def _channels_major(epochs, tmp_path):
+        epochs.save(tmp_path)
+        return EpochTensor.load(tmp_path, channels_major=True)
+
+    @pytest.mark.parametrize("n_components", [None, 4, 0.9])
+    @pytest.mark.parametrize("n_trials", [1, 30])
+    def test_bytes_equal_the_default_and_the_oracle(self, montage, tmp_path, n_trials,
+                                                    n_components):
+        _, templates = two_pattern_preset(montage)
+        epochs = generate_dataset(templates, 0.1, 1.0, n_trials, seed=6, montage=montage)
+        default = center_and_whiten(epochs, n_components)
+        oracle = var_center_and_whiten(epochs, n_components)
+        white = center_and_whiten(self._channels_major(epochs, tmp_path), n_components,
+                                  overwrite=True)
+        assert _same_bytes(white, default, self.FIELDS)
+        assert _same_bytes(white, oracle, self.FIELDS)
+
+    def test_centers_a_channels_major_tensor_in_place(self, two_pattern_epochs, tmp_path):
+        epochs = self._channels_major(two_pattern_epochs, tmp_path)
+        white = center_and_whiten(epochs, 4, overwrite=True)
+        assert np.array_equal(epochs.data, two_pattern_epochs.data - white.mean[:, None])
+
+    def test_default_leaves_a_channels_major_tensor_untouched(self, two_pattern_epochs,
+                                                              tmp_path):
+        epochs = self._channels_major(two_pattern_epochs, tmp_path)
+        center_and_whiten(epochs, 4)
+        assert epochs.data.tobytes() == two_pattern_epochs.data.tobytes()
+
+    def test_trials_major_tensor_is_copied(self, two_pattern_epochs):
+        before = two_pattern_epochs.data.tobytes()
+        center_and_whiten(two_pattern_epochs, 4, overwrite=True)
+        assert two_pattern_epochs.data.tobytes() == before
+
+
 class TestPeakMemory:
     """Extra memory traced while a call runs, over epochs already loaded."""
 
     def test_whitening_holds_one_copy(self, two_pattern_epochs):
         white, peak = traced_peak(center_and_whiten, two_pattern_epochs, 4)
         assert peak <= two_pattern_epochs.data.nbytes + white.whitened.nbytes + 64 * 1024
+
+    def test_overwrite_holds_no_copy(self, two_pattern_epochs, tmp_path):
+        two_pattern_epochs.save(tmp_path)
+        epochs = EpochTensor.load(tmp_path, channels_major=True)
+        white, peak = traced_peak(center_and_whiten, epochs, 4, overwrite=True)
+        assert peak <= white.whitened.nbytes + 64 * 1024
 
     def test_activations_hold_one_copy(self, two_pattern_epochs, two_pattern_decomposition):
         _, dec = two_pattern_decomposition

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nof import classification, clustering, pipeline, rulemining, testbed
@@ -23,6 +24,8 @@ from nof.pipeline import (
     run_stage,
     sha256_file,
 )
+
+from helpers import traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
@@ -426,6 +429,17 @@ def published_run(tmp_path_factory):
     return out
 
 
+class TestPeakMemory:
+    def test_decompose_holds_one_tensor_copy(self, tmp_path):
+        # the channels-major tensor is whitened in its own buffer and freed
+        # before FastICA allocates its work arrays
+        config = load_config(overrides={"out": str(tmp_path)})
+        run_stage("synth", config)
+        size = (tmp_path / "epochs" / "data.npy").stat().st_size
+        _, peak = traced_peak(run_stage, "decompose", config)
+        assert peak < 1.5 * size
+
+
 class TestPublication:
     """A stage publishes its outputs and its run.json entry together, and
     only when it succeeds."""
@@ -691,6 +705,37 @@ class TestCli:
         assert main(["synth", "--set", "seed=abc", "--out", str(out)]) == 3
         # numerical failure (components beyond data rank) -> 4
         assert main(["decompose", *base, "--set", "decompose.n_components=40"]) == 4
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda path, data: path.write_bytes(path.read_bytes()[:-100]),
+        lambda path, data: np.save(path, data[:-1]),
+        lambda path, data: np.save(path, np.asfortranarray(data)),
+        lambda path, data: np.save(path, data.astype(object), allow_pickle=True),
+    ], ids=["truncated", "shape", "fortran", "object"])
+    def test_cli_decompose_rejects_malformed_data_and_publishes_nothing(
+            self, tmp_path, capsys, corrupt):
+        argv = ["--out", str(tmp_path), "--seed", "5", "--set", "synth.n_trials=24",
+                "--set", "decompose.n_components=2"]
+        assert main(["synth", *argv]) == 0
+        path = tmp_path / "epochs" / "data.npy"
+        corrupt(path, np.load(path))
+        before = snapshot(tmp_path)
+        assert main(["decompose", *argv]) == 3
+        assert f"error: {path}: " in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
+        assert not (tmp_path / "decomposition.json").exists()
+
+    def test_cli_extract_rejects_truncated_data(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "--seed", "5", "--set", "synth.n_trials=24",
+                "--set", "decompose.n_components=2"]
+        assert main(["synth", *argv]) == 0
+        assert main(["decompose", *argv]) == 0
+        path = tmp_path / "epochs" / "data.npy"
+        path.write_bytes(path.read_bytes()[:-100])
+        before = snapshot(tmp_path)
+        assert main(["extract", *argv]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert snapshot(tmp_path) == before
 
     @pytest.mark.parametrize("setting", [
         "synth.n_trials=true", "synth.n_trials=2.7", "synth.noise_std=true",

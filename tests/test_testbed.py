@@ -266,9 +266,80 @@ class TestEpochContainer:
         assert loaded.montage == epochs.montage
         assert loaded.trial_info == epochs.trial_info
 
+    @pytest.mark.parametrize("n_trials", [1, 6])
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+    @pytest.mark.parametrize("dtype", ["<f8", ">f8", "<f4"])
+    def test_channels_major_load_equals_the_default(self, tmp_path, montage, n_trials,
+                                                    version, dtype):
+        _, templates = two_pattern_preset(montage)
+        epochs = generate_dataset(templates, 0.1, 0.5, n_trials, seed=2, montage=montage)
+        epochs.save(tmp_path)
+        _save_raw(tmp_path / "data.npy", epochs.data.astype(dtype), version=version)
+        default = EpochTensor.load(tmp_path)
+        loaded = EpochTensor.load(tmp_path, channels_major=True)
+        assert loaded.data.shape == default.data.shape
+        assert loaded.data.dtype == default.data.dtype == np.float64
+        assert np.array_equal(loaded.data, default.data)
+        assert loaded.data.transpose(1, 0, 2).flags.c_contiguous
+        assert loaded.montage == default.montage and loaded.trial_info == default.trial_info
+
     def test_times_axis(self):
         m = make_montage({"a": "r", "b": "r"})
         epochs = EpochTensor(np.zeros((1, 2, 4)), fs=1000.0, t0=-100.0,
                              montage=m,
                              trial_info=[{"EVENT": "e", "STIM": "s", "MOD": "m"}])
         assert np.array_equal(epochs.times(), [-100.0, -99.0, -98.0, -97.0])
+
+
+def _save_raw(path, data, **kwargs):
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, data, **kwargs)
+
+
+class TestChannelsMajorRejectsMalformedData:
+    """Every malformed data.npy raises ConfigError naming the file."""
+
+    @pytest.fixture
+    def container(self, tmp_path, montage):
+        _, templates = two_pattern_preset(montage)
+        epochs = generate_dataset(templates, 0.1, 1.0, 4, seed=1, montage=montage)
+        epochs.save(tmp_path)
+        return tmp_path, epochs.data
+
+    def _rejects(self, directory, match):
+        with pytest.raises(ConfigError, match=match) as info:
+            EpochTensor.load(directory, channels_major=True)
+        assert str(directory / "data.npy") in str(info.value)
+
+    @pytest.mark.parametrize("cut", [1, 8 * 250, 4 * 32 * 250 * 8])
+    def test_truncated(self, container, cut):
+        directory, _ = container
+        path = directory / "data.npy"
+        path.write_bytes(path.read_bytes()[:-cut])
+        self._rejects(directory, "truncated")
+
+    def test_header_cut_short(self, container):
+        directory, _ = container
+        path = directory / "data.npy"
+        path.write_bytes(path.read_bytes()[:20])
+        self._rejects(directory, "EOF")
+
+    def test_shape_differs_from_meta(self, container):
+        directory, data = container
+        _save_raw(directory / "data.npy", data[:-1])
+        self._rejects(directory, r"data shape \[3, 32, 250\] disagrees with meta")
+
+    def test_fortran_order(self, container):
+        directory, data = container
+        _save_raw(directory / "data.npy", np.asfortranarray(data))
+        self._rejects(directory, "Fortran order")
+
+    def test_object_dtype(self, container):
+        directory, data = container
+        _save_raw(directory / "data.npy", data.astype(object), allow_pickle=True)
+        self._rejects(directory, "unsupported data dtype object")
+
+    def test_unsupported_format_version(self, container):
+        directory, data = container
+        _save_raw(directory / "data.npy", data, version=(3, 0))
+        self._rejects(directory, r"unsupported \.npy format version \(3, 0\)")
