@@ -264,9 +264,13 @@ def _upper_limit(n: int, e: int, cf: float) -> float:
     swamps the residual. The upper tail P(X > e) is solved as the lower tail
     at n - e - 1 of Binomial(n, 1 - p). The log of the lower tail is
     concave in x, so once a step lands above the root the steps fall toward
-    it from above; a step that would leave the bracket bisects instead. The
-    solve stops after a step below 1e-9 of the distance to 0 or 1 (or two
-    ulps), which leaves an error of about that step squared."""
+    it from above. A rising step that would pass the top of the bracket is
+    taken in log(1 - x) instead, where the tail near x = 1 is about a power
+    of 1 - x, so a root within 1e-11 of 1 costs a few steps, not fifty
+    bisections. A step that still leaves the bracket bisects it, in
+    log(1 - x) when rising. The solve stops after a step below 1e-9 of the
+    distance to 0 or 1 (or two ulps), which leaves an error of about that
+    step squared."""
     y = 1.0 - float(cf)
     if y == 1.0:                                  # the target 0 is reached at p = 1
         return 1.0
@@ -285,12 +289,17 @@ def _upper_limit(n: int, e: int, cf: float) -> float:
             hi = x
         # -h / h' = h * exp(log_tail - log_density)
         step = h * math.exp(min(log_tail - _log_density(n, m, x), 700.0))
+        if step > 0 and x + step >= hi:           # the Newton step in log(1 - x)
+            step = -(1.0 - x) * math.expm1(-step / (1.0 - x))
         if lo < x + step < hi or x + step == x:
             x += step
             if abs(step) <= max(1e-9 * min(x, 1.0 - x), 2 * math.ulp(x)):
                 break
         else:                                     # bisect; stop once no double is left between
-            x = min((lo + hi) / 2, math.nextafter(1.0, 0.0))
+            if step > 0:                          # in log(1 - x), where hi may be 1
+                x = 1.0 - math.sqrt((1.0 - lo) * max(1.0 - hi, 2.0 ** -53))
+            else:
+                x = (lo + hi) / 2
             if not lo < x < hi:
                 break
     return x if lower else 1.0 - x

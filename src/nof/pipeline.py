@@ -10,8 +10,10 @@ reproduce artifacts byte for byte.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -234,17 +236,66 @@ def _stage_synth(config: dict, paths: dict[str, Path], staged: dict[str, Path]) 
     epochs.save(staged["epochs"])
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
+    found once per process, or None where there is no /proc, no OpenBLAS
+    mapped, or none of its known symbol names."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            paths = dict.fromkeys(line.split(maxsplit=5)[5].strip()
+                                  for line in maps if "openblas" in line)
+    except OSError:
+        return None
+    import ctypes
+    # numpy's first: scipy, where it is loaded, maps an OpenBLAS of its own
+    for path in sorted(paths, key=lambda p: "numpy" not in p):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "")):
+            get, set_ = (getattr(lib, f"{prefix}openblas_{op}_num_threads{suffix}", None)
+                         for op in ("get", "set"))
+            if get and set_:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body's BLAS calls on the calling thread, then restore the
+    thread count. decompose's products run over every sample but are only
+    as wide as the channels or components, so a second thread gains nothing
+    on them, and the woken workers would spin on the other CPUs into the
+    stages after it."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
     # whitening centers the channels-major tensor in place and no name keeps
     # it, so it is freed before FastICA allocates its work arrays
-    white = decomposition.center_and_whiten(
-        testbed.EpochTensor.load(paths["epochs"], channels_major=True),
-        config["decompose"]["n_components"],
-        overwrite=True,
-    )
-    dec = decomposition.fastica(
-        white, decomposition.FastIcaConfig(seed=config["seed"] + 1)
-    )
+    with _one_blas_thread():
+        white = decomposition.center_and_whiten(
+            testbed.EpochTensor.load(paths["epochs"], channels_major=True),
+            config["decompose"]["n_components"],
+            overwrite=True,
+        )
+        dec = decomposition.fastica(
+            white, decomposition.FastIcaConfig(seed=config["seed"] + 1)
+        )
     dec.to_json(staged["decomposition"])
 
 

@@ -302,6 +302,12 @@ class TestPruningBound:
     # flat to solve for: the root moved by 1e-3
     @example(ne=(50, 30), cf=1.855530235431156e-15)
     @example(ne=(61, 30), cf=0.9999999999999989)
+    # the root of the solved tail lies within 1e-11 of x = 1 here, where a
+    # Newton step in x overshoots 1 and is taken in log(1 - x) instead
+    @example(ne=(2, 1), cf=9e-12)
+    @example(ne=(100, 99), cf=2e-16)
+    @example(ne=(64, 0), cf=1 - 1e-13)
+    @example(ne=(3, 0), cf=math.nextafter(1.0, 0.0))
     def test_within_absolute_delta_for_any_cf(self, ne, cf):
         # cf below 2**-54 makes the target 0, reached at p = 1
         n, e = ne
@@ -337,6 +343,25 @@ class TestPruningBound:
                 _upper_limit(n, e, 0.25)
         assert max(calls) <= 12
         assert sum(calls) / len(calls) < 6
+
+    def test_few_tail_evaluations_with_the_root_near_one(self, monkeypatch):
+        # e = n - 1 at cf below 1e-11, and e = 0 at cf above 1 - 1e-11, put
+        # the root of the solved tail within 1e-11 of x = 1: a Newton step in
+        # x overshoots 1 there, and bisecting towards 1 took 40-53 evaluations
+        calls = []
+        tail = classification._log_lower_tail
+
+        def counted(n, m, x):
+            calls[-1] += 1
+            return tail(n, m, x)
+
+        monkeypatch.setattr(classification, "_log_lower_tail", counted)
+        for n in range(2, 401):
+            for cf in (9e-12, 1e-13, 1e-15, 2e-16,
+                       1 - 9e-12, 1 - 1e-13, 1 - 1e-15, math.nextafter(1.0, 0.0)):
+                calls.append(0)
+                _upper_limit(n, n - 1 if cf < 0.5 else 0, cf)
+        assert max(calls) <= 12
 
     def test_pessimistic_errors_match_scipy_beta_quantile(self):
         from scipy.stats import beta

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nof import classification, clustering, pipeline, rulemining, testbed
+from nof import classification, clustering, decomposition, pipeline, rulemining, testbed
 from nof.cli import main
-from nof.errors import ConfigError, MissingInputError
+from nof.errors import ConfigError, MissingInputError, NumericalError
 from nof.pipeline import (
     DEFAULT_CONFIG,
     STAGES,
@@ -438,6 +438,64 @@ class TestPeakMemory:
         size = (tmp_path / "epochs" / "data.npy").stat().st_size
         _, peak = traced_peak(run_stage, "decompose", config)
         assert peak < 1.5 * size
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's get-thread-count function, with the count set to 2 for the
+    test and put back after it."""
+    threads = pipeline._openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBlasThreads:
+    """decompose runs its BLAS on the calling thread and puts the thread
+    count back, also when it fails; its output does not depend on it."""
+
+    def test_decompose_runs_on_one_thread_and_restores(self, tmp_path, blas_threads,
+                                                       monkeypatch):
+        seen = []
+        fastica = decomposition.fastica
+
+        def recorded(*args, **kwargs):
+            seen.append(blas_threads())
+            return fastica(*args, **kwargs)
+
+        monkeypatch.setattr(decomposition, "fastica", recorded)
+        config = load_config(overrides=small_overrides(tmp_path))
+        run_stage("synth", config)
+        run_stage("decompose", config)
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_restores_when_decompose_raises(self, tmp_path, blas_threads):
+        config = load_config(overrides=small_overrides(tmp_path))
+        run_stage("synth", config)
+        path = tmp_path / "epochs" / "data.npy"
+        data = np.load(path)
+        data[:, 5, :] = 7.5
+        np.save(path, data)
+        with pytest.raises(NumericalError, match="is constant"):
+            run_stage("decompose", config)
+        assert blas_threads() == 2
+
+    def test_decomposition_does_not_depend_on_the_thread_count(self, tmp_path, blas_threads,
+                                                               monkeypatch):
+        def decompose(out):
+            config = load_config(overrides={"out": str(out)})
+            run_stage("synth", config)
+            run_stage("decompose", config)
+            return (out / "decomposition.json").read_bytes()
+
+        one_thread = decompose(tmp_path / "one_thread")
+        monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+        assert decompose(tmp_path / "two_threads") == one_thread
 
 
 class TestPublication:
@@ -911,6 +969,18 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[] []"
+
+    def test_import_and_load_config_leave_openblas_unlooked_up(self):
+        # the lookup reads /proc/self/maps and loads the library with ctypes
+        # only when decompose first runs; numpy imports ctypes itself, so a
+        # ctypes module that nof adds would show as new after `import numpy`
+        code = ("import sys, numpy; before = set(sys.modules); import nof; "
+                "from nof.pipeline import _openblas_threads, load_config; load_config(); "
+                "print(_openblas_threads.cache_info().currsize, "
+                "sorted(m for m in set(sys.modules) - before if 'ctypes' in m))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"
 
     @pytest.mark.parametrize("hierarchy", ["divisive", "agglomerative:average"])
     def test_pipeline_runs_where_scipy_cannot_be_imported(self, tmp_path, hierarchy):
