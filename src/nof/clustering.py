@@ -147,20 +147,22 @@ def _log_gaussians(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> n
     means and variances of shape ... x k x d: -1/2 (d log 2pi + 2 sum log sd
     + sum z^2) with z = (x - mu) * (1 / sd).
 
-    z is a C-ordered ... x d x n x k array, so its squares are summed
-    attribute by attribute in order. With the reciprocal, this rounds as
-    back-substitution against the triangular factor diag(sd) does, bit for
-    bit."""
+    z is a C-ordered ... x d x k x n array, so the elementwise loops run
+    over the n rows, and its squares are summed attribute by attribute in
+    order. With the reciprocal, this rounds as back-substitution against the
+    triangular factor diag(sd) does, bit for bit. The ... x k x n result is
+    copied once into the ... x n x k layout."""
     positive = variances > 0
     if not positive.all():
         bad = np.argwhere(~positive.all(axis=-1))[0]
         raise NumericalError(
             f"cluster {bad[-1]} covariance is singular: a variance is not positive")
     sd = np.sqrt(variances)
-    z = np.subtract(X.T[:, :, None], np.swapaxes(means, -1, -2)[..., None, :], order="C")
-    z *= np.swapaxes(1.0 / sd, -1, -2)[..., None, :]
+    z = np.subtract(X.T[:, None, :], np.swapaxes(means, -1, -2)[..., None], order="C")
+    z *= np.swapaxes(1.0 / sd, -1, -2)[..., None]
     maha = np.square(z, out=z).sum(axis=-3)
-    return -0.5 * (X.shape[1] * _LOG_2PI + 2.0 * np.log(sd).sum(axis=-1)[..., None, :] + maha)
+    log_dens = -0.5 * (X.shape[1] * _LOG_2PI + 2.0 * np.log(sd).sum(axis=-1)[..., None] + maha)
+    return np.ascontiguousarray(np.swapaxes(log_dens, -1, -2))
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classification, clustering, decomposition, features, ontology, rulemining, testbed
-from .errors import ConfigError, MissingInputError, NofError
+from .errors import ConfigError, MissingInputError, NofError, ParseError
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -172,25 +172,72 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-# Digests kept by one run_pipeline: path -> (stat key, sha256). A digest is
-# reused only while the file's (device, inode, size, mtime) is unchanged.
-Digests = dict[Path, tuple[tuple[int, int, int, int], str]]
-
-
-def _digest(path: Path, known: Digests | None) -> str:
-    """The file's sha256, taken from `known` while its stat key still matches
-    and kept there when hashed anew; without `known`, always hashed."""
-    if known is None:
-        return sha256_file(path)
+def _digest(path: Path, out: Path, record: dict) -> str:
+    """The file's sha256 as run.json's digest record holds it while the stat
+    key taken before reading is unchanged; otherwise hashed anew and recorded.
+    Artifacts are recorded by their path relative to `out`, files the config
+    names by their resolved path. The key holds ctime because os.utime cannot
+    set it back after an in-place rewrite."""
+    try:
+        name = path.relative_to(out).as_posix()
+    except ValueError:
+        name = str(path.resolve())
     st = path.stat()
-    key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-    if known.get(path, (None,))[0] != key:
-        known[path] = (key, sha256_file(path))
-    return known[path][1]
+    key = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+    if record.get(name, {}).get("stat") != key:
+        record[name] = {"sha256": sha256_file(path), "stat": key}
+    return record[name]["sha256"]
 
 
-def _checksums(paths: list[Path], known: Digests | None) -> dict[str, str]:
-    return {str(p.name): _digest(p, known) for p in sorted(paths)}
+def _checksums(paths: list[Path], digest_of) -> dict[str, str]:
+    return {p.name: digest_of(p) for p in sorted(paths)}
+
+
+def _strings(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+def _is_entry(entry) -> bool:
+    """Whether `entry` has the shape of a stage entry, mine's gate included."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("stage"), str) and all(
+            isinstance(entry.get(side), dict) and _strings(entry[side].values())
+            for side in ("inputs", "outputs"))):
+        return False
+    gate = entry.get("gate")
+    return gate is None or isinstance(gate, dict) and {"beta_sup", "beta_conf"} <= gate.keys() \
+        and isinstance(gate.get("kept"), list) and _strings(gate["kept"]) \
+        and isinstance(gate.get("cuts"), dict) and all(
+            isinstance(points, list) and all(isinstance(v, (int, float)) for v in points)
+            for points in gate["cuts"].values())
+
+
+def _is_digest(digest) -> bool:
+    """Whether `digest` has the shape of a digest record's value."""
+    return isinstance(digest, dict) and isinstance(digest.get("sha256"), str) \
+        and isinstance(digest.get("stat"), list) and len(digest["stat"]) == 5 \
+        and all(type(v) is int for v in digest["stat"])
+
+
+def _read_manifest(path: Path) -> tuple[list[dict], dict]:
+    """run.json's stage entries and its digest record (file -> sha256 and the
+    stat key it was hashed under); both empty without run.json, and the
+    record empty in a run.json written before it. Anything else that is not
+    what run_stage writes raises ParseError naming the file: treating it as
+    absent would drop the staleness history."""
+    if not path.exists():
+        return [], {}
+    try:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    stages, record = doc.get("stages", []), doc.get("digests", {})
+    if not (isinstance(stages, list) and all(map(_is_entry, stages))):
+        raise ParseError(f"{path}: \"stages\" must be a list of stage entries")
+    if not (isinstance(record, dict) and all(map(_is_digest, record.values()))):
+        raise ParseError(f"{path}: \"digests\" must map each file to its sha256 and stat key")
+    return stages, record
 
 
 def artifact_paths(out: Path) -> dict[str, Path]:
@@ -437,8 +484,7 @@ def _check_gate(base: ontology.OntologyRuleBase, paths: dict[str, Path]) -> None
     as the gate in mine's run.json entry records: at its thresholds, cut at
     every finite endpoint of its intervals, and keeping the items of every
     attribute it names. pi_min acts only in partition, so it may differ."""
-    manifest = paths["manifest"]
-    stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
+    stages, _ = _read_manifest(paths["manifest"])
     recorded = next((s.get("gate") for s in stages if s["stage"] == "mine"), None)
     gate = _mining_gate(base)
     if recorded is None or any(recorded[t] != gate[t] for t in ("beta_sup", "beta_conf")) \
@@ -532,7 +578,7 @@ def _upstream(keys: tuple[str, ...]) -> set[str]:
 
 
 def _check_fresh(input_keys: tuple[str, ...], config: dict, paths: dict[str, Path],
-                 sums: dict[str, str], stages: list[dict], known: Digests | None) -> None:
+                 sums: dict[str, str], stages: list[dict], digest_of) -> None:
     """Raise MissingInputError when an input artifact is stale: some stage
     upstream of it read an artifact, or the template CSV that the config
     still names, that has changed since. An artifact this stage reads is
@@ -548,7 +594,7 @@ def _check_fresh(input_keys: tuple[str, ...], config: dict, paths: dict[str, Pat
     template = _config_file(config, "extract.template") if "extract" in upstream else None
     if template is not None and "extract" in recorded and template.exists() \
             and template.name in recorded["extract"]["inputs"]:
-        current[template.name] = _digest(template, known)
+        current[template.name] = digest_of(template)
     for stage in (s for s in STAGES if s in upstream and s in recorded):
         for name, digest in recorded[stage]["inputs"].items():
             if current.get(name, digest) != digest:
@@ -559,7 +605,7 @@ def _check_fresh(input_keys: tuple[str, ...], config: dict, paths: dict[str, Pat
                 )
 
 
-def run_stage(stage: str, config: dict, known: Digests | None = None) -> dict:
+def run_stage(stage: str, config: dict) -> dict:
     """Execute one stage, update run.json, and return its manifest entry.
 
     The stage writes into a staging directory under the output directory.
@@ -569,8 +615,9 @@ def run_stage(stage: str, config: dict, known: Digests | None = None) -> dict:
     come first, so a mismatch it can name, such as a changed epoch shape,
     is reported as that.
 
-    Every file is hashed, unless `known` holds its digest under an unchanged
-    stat key (see _digest); the digests hashed here are added to `known`.
+    A file is hashed only when run.json's digest record holds no digest for
+    it under its current stat key (see _digest); the record is updated with
+    the digests hashed here when run.json is written.
     """
     if stage not in _STAGES:
         raise ConfigError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
@@ -580,14 +627,15 @@ def run_stage(stage: str, config: dict, known: Digests | None = None) -> dict:
     paths = artifact_paths(out)
     inputs = _stage_inputs(input_keys, config, paths)
     started = time.perf_counter()
-    input_sums = _checksums(inputs, known)
     manifest = paths["manifest"]
-    stages = json.loads(manifest.read_text()).get("stages", []) if manifest.exists() else []
+    stages, record = _read_manifest(manifest)
+    digest_of = functools.partial(_digest, out=out, record=record)
+    input_sums = _checksums(inputs, digest_of)
     staging = Path(tempfile.mkdtemp(dir=out, prefix=f".{stage}."))
     try:
         staged = artifact_paths(staging)
-        record = fn(config, paths, staged)
-        _check_fresh(input_keys, config, paths, input_sums, stages, known)
+        extra = fn(config, paths, staged)
+        _check_fresh(input_keys, config, paths, input_sums, stages, digest_of)
         outputs = [paths[key] for key in output_keys]
         for key, path in zip(output_keys, outputs):
             if path.parent != out:  # epochs/, absent before the first synth
@@ -596,14 +644,16 @@ def run_stage(stage: str, config: dict, known: Digests | None = None) -> dict:
         entry = {
             "stage": stage,
             "inputs": input_sums,
-            "outputs": _checksums(outputs, known),
+            "outputs": _checksums(outputs, digest_of),
             "wall_time_s": round(time.perf_counter() - started, 6),
-            **(record or {}),
+            **(extra or {}),
         }
         order = {name: i for i, name in enumerate(STAGES)}
         stages = [s for s in stages if s["stage"] != stage] + [entry]
         stages.sort(key=lambda s: order.get(s["stage"], 99))
-        staged["manifest"].write_text(json.dumps({"stages": stages}, indent=2, sort_keys=True))
+        # compact: json.dumps encodes in C only without indent
+        staged["manifest"].write_text(json.dumps({"digests": record, "stages": stages},
+                                                 sort_keys=True))
         os.replace(staged["manifest"], manifest)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
@@ -611,17 +661,12 @@ def run_stage(stage: str, config: dict, known: Digests | None = None) -> dict:
 
 
 def run_pipeline(config: dict) -> list[dict]:
-    """Run all seven stages in order; returns the manifest entries.
-
-    A file one stage has hashed is not hashed again by a later one while its
-    stat key is unchanged. Errors propagate with the failing stage's name
-    prefixed.
-    """
+    """Run all seven stages in order; returns the manifest entries. Errors
+    propagate with the failing stage's name prefixed."""
     entries = []
-    known: Digests = {}
     for stage in STAGES:
         try:
-            entries.append(run_stage(stage, config, known))
+            entries.append(run_stage(stage, config))
         except NofError as exc:
             raise type(exc)(f"{stage}: {exc}") from exc
     return entries

@@ -62,6 +62,14 @@ def small_overrides(out):
     }
 
 
+def write_template(path):
+    """A channel,weight template CSV weighting every other channel; returns `path`."""
+    path.write_text("channel,weight\n" + "".join(
+        f"{c},{1.0 if i % 2 else 0.0}\n"
+        for i, c in enumerate(testbed.default_montage().channels)))
+    return path
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -199,10 +207,7 @@ class TestStages:
             run_stage("classify", config)
 
     def test_manifest_records_template_csv_for_extract(self, tmp_path):
-        template = tmp_path / "template.csv"
-        template.write_text("channel,weight\n" + "".join(
-            f"{c},{1.0 if i % 2 else 0.0}\n"
-            for i, c in enumerate(testbed.default_montage().channels)))
+        template = write_template(tmp_path / "template.csv")
         overrides = small_overrides(tmp_path / "run")
         overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
         config = load_config(overrides=overrides)
@@ -223,10 +228,7 @@ class TestStages:
             return sha256_file(path)
 
         monkeypatch.setattr(pipeline, "sha256_file", counting)
-        template = tmp_path / "template.csv"
-        template.write_text("channel,weight\n" + "".join(
-            f"{c},{1.0 if i % 2 else 0.0}\n"
-            for i, c in enumerate(testbed.default_montage().channels)))
+        template = write_template(tmp_path / "template.csv")
         overrides = small_overrides(tmp_path / "run")
         overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
         overrides["partition"] = {"expert_rules": str(EXPERT_EXAMPLE)}
@@ -255,6 +257,67 @@ class TestStages:
                 r"^decomposition\.json is stale: data\.npy changed since decompose ran")):
             run_stage("extract", config)
         assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("via", ["run_stage", "main"])
+    def test_stage_alone_hashes_only_its_outputs(self, tmp_path, monkeypatch, via):
+        # run.json's digest record holds every input's digest under its stat
+        # key, the template CSV's and the expert file's too
+        template = write_template(tmp_path / "template.csv")
+        out = tmp_path / "run"
+        overrides = small_overrides(out)
+        overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
+        overrides["partition"] = {"expert_rules": str(EXPERT_EXAMPLE)}
+        config = load_config(overrides=overrides)
+        run_pipeline(config)
+        argv = ["--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
+                "--set", "decompose.n_components=2", "--set", "cluster.k=2",
+                "--set", "extract.template=" + json.dumps(overrides["extract"]["template"]),
+                "--set", f"partition.expert_rules={EXPERT_EXAMPLE}"]
+        hashed = Counter()
+
+        def counting(path):
+            hashed[Path(path)] += 1
+            return sha256_file(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counting)
+        paths = artifact_paths(out)
+        for stage in ("extract", "cluster", "classify", "mine", "partition"):
+            hashed.clear()
+            if via == "main":
+                assert main([stage, *argv]) == 0
+            else:
+                run_stage(stage, config)
+            assert hashed == Counter(paths[key] for key in _STAGES[stage][2]), stage
+
+    def test_stage_alone_rehashes_data_replaced_with_same_size(self, tmp_path):
+        # a new inode, mtime and ctime, whatever the bytes
+        config = load_config(overrides=small_overrides(tmp_path))
+        run_pipeline(config)
+        data = artifact_paths(tmp_path)["epochs_data"]
+        other = tmp_path / "other.npy"
+        other.write_bytes(data.read_bytes()[:-8] + bytes(8))
+        os.replace(other, data)
+        before = snapshot(tmp_path)
+        with pytest.raises(MissingInputError, match=(
+                r"^decomposition\.json is stale: data\.npy changed since decompose ran")):
+            run_stage("extract", config)
+        assert snapshot(tmp_path) == before
+
+    def test_stage_alone_runs_on_run_json_without_digest_record(self, tmp_path):
+        # run.json as written before the record: every file is hashed anew
+        config = load_config(overrides=small_overrides(tmp_path))
+        run_pipeline(config)
+        manifest = tmp_path / "run.json"
+        doc = json.loads(manifest.read_text())
+        del doc["digests"]
+        manifest.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        before = artifact_checksums(tmp_path)
+        run_stage("extract", config)
+        assert artifact_checksums(tmp_path) == before
+        record = json.loads(manifest.read_text())["digests"]
+        assert sorted(record) == ["decomposition.json", "epochs/data.npy", "epochs/meta.json",
+                                  "summary.csv"]
+        assert record["epochs/data.npy"]["sha256"] == sha256_file(tmp_path / "epochs" / "data.npy")
 
     def test_unknown_stage_rejected(self, tmp_path):
         config = load_config(overrides={"out": str(tmp_path)})
@@ -810,6 +873,26 @@ class TestCli:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "epochs").exists()
 
+    @pytest.mark.parametrize("text", [
+        "{", '{"stages": 5}', "[]", '{"stages": [{"stage": "cluster"}]}',
+        '{"stages": [{"stage": "mine", "inputs": {}, "outputs": {}, "gate": {"kept": 1}}]}',
+        '{"stages": [], "digests": []}', '{"stages": [], "digests": {"summary.csv": "0f"}}',
+        '{"stages": [], "digests": {"summary.csv": {"sha256": "0f", "stat": [1, 2, 3]}}}',
+    ], ids=["truncated", "stages-int", "list", "entry", "gate", "digests-list", "digest-str",
+            "stat-short"])
+    @pytest.mark.parametrize("stage", ["cluster", "partition"])
+    def test_cli_rejects_malformed_run_json_and_publishes_nothing(
+            self, tmp_path, capsys, published_run, text, stage):
+        out = tmp_path / "run"
+        shutil.copytree(published_run, out)
+        (out / "run.json").write_text(text)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main([stage, "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
+                     "--set", "decompose.n_components=2", "--set", "cluster.k=2"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {out / 'run.json'}: ")
+        assert snapshot(out) == before
+
     @pytest.mark.parametrize("max_len", ["0", "-2"])
     def test_cli_pipeline_rejects_max_len_below_one(self, tmp_path, capsys, max_len):
         # before, mine returned the 1-itemsets and the report read "qualified rules: 0"
@@ -902,19 +985,19 @@ class TestCli:
 
     def test_cli_cluster_refuses_a_summary_extracted_with_an_old_template(self, tmp_path,
                                                                          capsys):
-        def write_template(roi):
+        def write_roi_template(roi):
             montage = testbed.default_montage()
             template.write_text("channel,weight\n" + "".join(
                 f"{c},{1.0 if montage.roi_of[c] == roi else 0.0}\n" for c in montage.channels))
 
         template = tmp_path / "weights.csv"
-        write_template("frontal")
+        write_roi_template("frontal")
         out = tmp_path / "run"
         base = ["--out", str(out), "--seed", "3", "--set", "synth.n_trials=24",
                 "--set", "decompose.n_components=2", "--set", "cluster.k=2",
                 "--set", f'extract.template={{"kind":"csv","path":"{template}"}}']
         assert main(["pipeline", *base]) == 0
-        write_template("occipital")
+        write_roi_template("occipital")
         before = snapshot(out)
         capsys.readouterr()
         assert main(["cluster", *base]) == 2
