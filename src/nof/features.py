@@ -44,10 +44,7 @@ COLUMNS = (
     "ROI",
     "SP_cor",
     "TI_max",
-    "EVENT",
-    "STIM",
-    "MOD",
-)
+) + METADATA_KEYS
 
 NUMERIC_COLUMNS = ("IN_min", "IN_max", "IN_mean", "SP_cor", "TI_max")
 CATEGORICAL_COLUMNS = tuple(c for c in COLUMNS if c not in NUMERIC_COLUMNS)
@@ -172,9 +169,7 @@ def _summary_row(
         "IN_max": float(wave_at_max.max()),
         "IN_mean": float(np.mean(np.outer(mean_weights, avg_act))),
         "TI_max": float(epochs.t0 + peak * 1000.0 / epochs.fs),
-        "EVENT": _condition_value(condition, "EVENT", epochs, trials),
-        "STIM": _condition_value(condition, "STIM", epochs, trials),
-        "MOD": _condition_value(condition, "MOD", epochs, trials),
+        **{k: _condition_value(condition, k, epochs, trials) for k in METADATA_KEYS},
     }
     # keys in COLUMNS order: the decision tree breaks gain ties by it
     return {c: row[c] for c in COLUMNS}

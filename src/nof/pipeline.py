@@ -390,7 +390,11 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     classes, and the taxonomy is built over the k component means, so its
     leaf j is component j, which is class C{j+1}."""
     cfg = config["cluster"]
-    X = clustering.encode_observations(features.read_summary_csv(paths["summary"])).X
+    # EM groups the rows by their pattern attributes, not by the condition
+    encoding = clustering.EncodingConfig(
+        categorical=tuple(c for c in features.CATEGORICAL_COLUMNS if c not in testbed.METADATA_KEYS)
+    )
+    X = clustering.encode_observations(features.read_summary_csv(paths["summary"]), encoding).X
     em_config = clustering.EMConfig(seed=config["seed"] + 2)
     if cfg["k"] is not None:
         model = clustering.em_fit(X, cfg["k"], em_config)
