@@ -1,7 +1,7 @@
 """Multistage ERP-style epoch mining.
 
 Submodules follow the pipeline order: testbed (synthetic epochs and
-averaging), decomposition (whitening + ICA), features (13-attribute
+averaging), decomposition (whitening + ICA), features (12-attribute
 summaries), clustering (EM mixtures and hierarchies), classification
 (gain-ratio trees and rules), rulemining (discretization and frequent
 itemsets), ontology (expert rule base and knowledge partitioning), and

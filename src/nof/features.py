@@ -1,6 +1,6 @@
 """Per-factor, per-condition summary attributes.
 
-Each factor x condition pair collapses to one row of 13 spatiotemporal
+Each factor x condition pair collapses to one row of 12 spatiotemporal
 attributes, a dict keyed by the names in COLUMNS, in that order (the decision
 tree breaks gain ties by it). summary.csv, those rows and nothing else, is the
 contract between the front half of the pipeline (signal processing) and the
@@ -41,7 +41,6 @@ COLUMNS = (
     "IN_min",
     "IN_max",
     "IN_mean",
-    "ROI",
     "SP_cor",
     "TI_max",
 ) + METADATA_KEYS
@@ -139,7 +138,6 @@ def _factor_part(
         "SP_max_ROI": epochs.montage.roi(sp_max),
         "SP_min": sp_min,
         "SP_min_ROI": epochs.montage.roi(sp_min),
-        "ROI": epochs.montage.roi(sp_max),
         "SP_cor": _pearson(topo, template),
     }
     return spatial, topo[i_max], topo[mean_idx]
@@ -238,7 +236,7 @@ def _fmt(value: float | str) -> str:
 
 
 def write_summary_csv(rows: list[Row], path: str | Path) -> None:
-    """Write the 13-column summary CSV."""
+    """Write the 12-column summary CSV."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(COLUMNS)

@@ -132,7 +132,6 @@ def contradicts(mined: AssociationRule, expert: ExpertRule) -> bool:
 def align_cluster_labels(
     mined: list[AssociationRule],
     expert_rules: list[ExpertRule],
-    cluster_attribute: str = "CLUSTER",
 ) -> tuple[list[AssociationRule], dict[str, str]]:
     """Rename cluster-valued consequents to expert pattern names.
 
@@ -154,7 +153,7 @@ def align_cluster_labels(
         if len(r.consequent) != 1:
             continue
         (c,) = r.consequent
-        if c.kind != "eq" or c.attribute != cluster_attribute:
+        if c.kind != "eq" or c.attribute != "CLUSTER":
             continue
         cluster_items[c.value] = c
         for e in voters:

@@ -20,7 +20,7 @@ from nof.testbed import EpochTensor, generate_dataset, p300_template
 from conftest import make_montage
 from helpers import masked_condition_average
 
-HEADER = "SP_max,SP_max_ROI,SP_min,SP_min_ROI,IN_min,IN_max,IN_mean,ROI,SP_cor,TI_max,EVENT,STIM,MOD"
+HEADER = "SP_max,SP_max_ROI,SP_min,SP_min_ROI,IN_min,IN_max,IN_mean,SP_cor,TI_max,EVENT,STIM,MOD"
 
 
 def manual_setup(mixing, activations, montage, fs=250.0, t0=0.0, n_trials=1,
@@ -59,7 +59,6 @@ class TestExtractSummary:
                               template=np.array([0.9, 0.1, -0.4]))
         assert row["SP_max"] == "Fz" and row["SP_max_ROI"] == "frontal"
         assert row["SP_min"] == "Oz" and row["SP_min_ROI"] == "occipital"
-        assert row["ROI"] == "frontal"
 
     def test_latency_index_arithmetic(self):
         m = make_montage(TRIO)
@@ -379,10 +378,10 @@ class TestSummaryCsv:
     def _rows(self):
         return [
             dict(zip(COLUMNS, ("Fz", "frontal", "Oz", "occipital", -1.25, 4.5,
-                               0.3333333333333333, "frontal", 0.98765, 400.0,
+                               0.3333333333333333, 0.98765, 400.0,
                                "stimon", "s1", "visual"))),
             dict(zip(COLUMNS, ("Oz", "occipital", "Fz", "frontal", -4.0, 1.0,
-                               -0.125, "occipital", -0.5, 150.0,
+                               -0.125, -0.5, 150.0,
                                "stimon", "s2", "visual"))),
         ]
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -31,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
 
 # Stage parameters the pipeline leaves at the library's defaults
-# (FastIcaConfig, EMConfig, EncodingConfig, TreeConfig, summarize_dataset,
+# (FastIcaConfig, EMConfig, EncodingConfig but for the categorical columns
+# cluster encodes, TreeConfig, summarize_dataset,
 # generate_rules, the testbed presets); none of them is a config key. Every
 # stage seed derives from the top-level `seed`. The support, confidence and
 # reliability gates are the expert rule base's thresholds, and classes.json
@@ -633,6 +635,15 @@ def mined_items(out):
         next(fh)
         return {item for line in fh for side in line.split(";")[:2]
                 for item in side.split("&")}
+
+
+def test_no_summary_column_copies_another(expert_run):
+    with open(expert_run / "summary.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    values = dict(zip(header, zip(*rows)))
+    copies = [(a, b) for i, a in enumerate(header) for b in header[i + 1:]
+              if values[a] == values[b]]
+    assert not copies
 
 
 class TestArtifactEncoding:

@@ -117,11 +117,11 @@ class TestDiscretize:
         txs = discretize([{"ROI": "frontal", "TI_max": 100.0}], {"TI_max": []})
         assert txs[0] == frozenset([parse_item("ROI=frontal"), parse_item("TI_max=ANY")])
 
-    def test_summary_rows_have_thirteen_items(self):
+    def test_summary_rows_have_twelve_items(self):
         row = dict(zip(COLUMNS, ("Fz", "frontal", "Oz", "occipital", -1.0, 2.0, 0.5,
-                                 "frontal", 0.9, 400.0, "stimon", "s1", "visual")))
+                                 0.9, 400.0, "stimon", "s1", "visual")))
         txs = discretize([row], {"TI_max": [350.0], "IN_max": [1.0]})
-        assert len(txs[0]) == len(COLUMNS) == 13
+        assert len(txs[0]) == len(COLUMNS) == 12
         attrs = {item.attribute for item in txs[0]}
         assert attrs == set(COLUMNS)
 
