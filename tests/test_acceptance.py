@@ -370,13 +370,13 @@ def _expert_config(out, seed, overrides=None):
                                   "partition": {"expert_rules": str(EXPERT_EXAMPLE)}})
 
 
-def _sweep(tmp_path, run, seeds=range(20)):
-    """run(out, seed) for each seed; returns the seeds whose report lists the
+def _sweep(tmp_path, run):
+    """run(out, seed) for seeds 0-19; returns the seeds whose report lists the
     planted rule as known with high strength, and those whose report lists
     any contradiction."""
     recovered = []
     contradicted = []
-    for seed in seeds:
+    for seed in range(20):
         out = tmp_path / f"seed{seed}"
         run(out, seed)
         report = json.loads((out / "report.json").read_text(encoding="utf-8"))
@@ -419,15 +419,16 @@ def test_criterion_08_recovery_across_seeds_many_rows(tmp_path):
     _ok(8, f"many_rows: planted rule recovered on {len(recovered)}/20 seeds")
 
 
-def _null_templates(montage, case):
-    if case == "p300_zero":
-        return [testbed.p300_template(montage, amplitude=0.0),
-                testbed.occipital_template(montage)]
-    return [testbed.occipital_template(montage)]
+# source templates with no frontal late pattern, by montage
+NULL_TEMPLATES = {
+    "p300_zero": lambda montage: [testbed.p300_template(montage, amplitude=0.0),
+                                  testbed.occipital_template(montage)],
+    "occ_only": lambda montage: [testbed.occipital_template(montage)],
+}
 
 
 @pytest.mark.filterwarnings("ignore:fastica did not converge:RuntimeWarning")
-@pytest.mark.parametrize("case", ["p300_zero", "occ_only"])
+@pytest.mark.parametrize("case", list(NULL_TEMPLATES))
 def test_criterion_08_no_recovery_without_the_planted_source(tmp_path, case):
     """Epochs with no frontal late source (the P300 at zero amplitude beside
     the occipital source, or the occipital source alone), at the default
@@ -439,7 +440,7 @@ def test_criterion_08_no_recovery_without_the_planted_source(tmp_path, case):
         config = _expert_config(out, seed)
         synth = config["synth"]
         testbed.generate_dataset(
-            _null_templates(montage, case), 0.1, synth["noise_std"], synth["n_trials"],
+            NULL_TEMPLATES[case](montage), 0.1, synth["noise_std"], synth["n_trials"],
             seed, montage, synth["conditions"],
         ).save(out / "epochs")
         for stage in STAGES[STAGES.index("decompose"):]:
