@@ -11,6 +11,12 @@ the same binary-tree taxonomy type, which can be cut into ordered classes.
 Every clustering function takes a plain observations x attributes array,
 such as `encode_observations(rows).X`.
 
+Work whose outcome is fixed in advance is skipped: BIC selection fits no
+k > n/2, since such a k cannot give each component two rows; a one-component
+fit runs one restart, since every restart reaches the same parameters; and
+the divisive hierarchy splits a two-point node into its points without
+2-means. Each cut leaves every result bit for bit as the full work gives it.
+
 The pipeline's ontology is the mixture's own partition: `ClusterModel.classes`
 puts component j's rows in class C{j+1}, the name `labels` gives them, and
 the taxonomy is a hierarchy over the k component means, so its leaf j is
@@ -199,19 +205,27 @@ def _floor_value(X: np.ndarray) -> float:
 def _m_step(
     X: np.ndarray, resp: np.ndarray, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights, means and floored variances."""
-    nk = resp.sum(axis=0)
-    means = (resp.T @ X) / nk[:, None]
-    diff = X[None, :, :] - means[:, None, :]           # k x n x d
-    var = np.matmul(resp.T[:, None, :], diff**2)[:, 0, :] / nk[:, None]
+    """Weights (... x k), means and floored variances (... x k x d) for
+    responsibilities of shape ... x n x k. matmul makes the same BLAS call
+    for each leading index as for a lone n x k array, so every restart gets
+    the bits it would get alone."""
+    nk = resp.sum(axis=-2)
+    resp_t = np.swapaxes(resp, -1, -2)                 # ... x k x n
+    means = (resp_t @ X) / nk[..., None]
+    diff = X - means[..., None, :]                     # ... x k x n x d
+    var = (resp_t[..., None, :] @ diff**2)[..., 0, :] / nk[..., None]
     return nk / X.shape[0], means, np.maximum(var, floor)
 
 
 def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterModel:
     """Best-of-restarts EM fit; restarts are independently seeded and ties
     resolve to the lowest restart index. The restarts are stepped together,
-    one stacked E-step per iteration over those still running and then each
-    one's own M-step, so each does the arithmetic it would do alone."""
+    one stacked E-step and one stacked M-step per iteration over those still
+    running, so each does the arithmetic it would do alone.
+
+    At k = 1 restart 0 runs alone: after its first E-step every restart's
+    responsibilities are exactly 1, so all restarts reach the same
+    parameters and log-likelihood, and restart 0 wins the tie."""
     config = config or EMConfig()
     data = np.asarray(X, dtype=float)
     if data.ndim != 2:
@@ -221,7 +235,7 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
         raise ConfigError("k must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of observations ({n})")
-    n_restarts = max(config.n_restarts, 1)
+    n_restarts = max(config.n_restarts, 1) if k > 1 else 1
     floor = _floor_value(data)
     # the parameters of the running restarts, stacked in restart order
     running = list(range(n_restarts))
@@ -247,16 +261,15 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
             history.append(ll)
             if len(history) > 1 and ll - history[-2] < _EM_TOL:
                 final[r] = (weights[i], means[i], variances[i], True)
-                continue
-            going.append(i)
-            resp[r] = step_resp[i]
-            weights[i], means[i], variances[i] = _m_step(data, step_resp[i], floor)
-        if len(going) < len(running):
-            # a new stack, so the finished restarts' rows above stay as they are
-            running = [running[i] for i in going]
-            weights, means, variances = weights[going], means[going], variances[going]
-            if not running:
-                break
+            else:
+                going.append(i)
+        running = [running[i] for i in going]
+        if not running:
+            break
+        step_resp = step_resp[going]
+        resp[running] = step_resp
+        # new stacks, so the finished restarts' rows in `final` stay as they are
+        weights, means, variances = _m_step(data, step_resp, floor)
     if running:
         # make assignments consistent with the final parameters
         log_norm, resp[running] = _e_step(data, weights, means, variances)
@@ -297,7 +310,8 @@ def select_k(X: np.ndarray, k_max: int, config: EMConfig | None = None) -> Clust
     A k > 1 fit whose hard assignment leaves some component with fewer than
     two rows is skipped, its BIC recorded as None: a one-row component on
     the floored variances has unbounded likelihood, so BIC would drift
-    towards k = n.
+    towards k = n. A k > n/2 is not fitted at all, its BIC None: k
+    components of two rows each need 2k rows.
     """
     data = np.asarray(X, dtype=float)
     n = data.shape[0]
@@ -306,6 +320,9 @@ def select_k(X: np.ndarray, k_max: int, config: EMConfig | None = None) -> Clust
     curve: dict[int, float | None] = {}
     best: ClusterModel | None = None
     for k in range(1, min(k_max, n) + 1):
+        if k > 1 and 2 * k > n:
+            curve[k] = None
+            continue
         model = em_fit(data, k, config)
         if k > 1 and np.bincount(model.assignments, minlength=k).min() < 2:
             curve[k] = None
@@ -417,7 +434,12 @@ def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> T
     """Top-down taxonomy: recursively split by 2-means until the split stops
     paying for itself (fractional SSE reduction below _MIN_IMPROVEMENT) or a
     node has no scatter left. Node heights are the node SSEs, monotone from
-    root to leaves."""
+    root to leaves.
+
+    Each node split is seeded by a counter over the nodes in preorder. A
+    two-point node with scatter is split into its two points without running
+    2-means, whose split of it is always that one, and still takes its
+    counter value."""
     config = config or DivisiveConfig()
     data = np.asarray(X, dtype=float)
     if data.ndim == 1:
@@ -433,9 +455,12 @@ def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> T
         node = TaxNode(indices=indices, height=height)
         if len(indices) < 2 or height == 0.0:
             return node
-        rng = np.random.default_rng([config.seed, counter[0]])
+        rng_key = [config.seed, counter[0]]
         counter[0] += 1
-        labels = _two_means(sub, rng)
+        if len(indices) == 2:
+            node.left, node.right = build(indices[:1]), build(indices[1:])
+            return node
+        labels = _two_means(sub, np.random.default_rng(rng_key))
         child_sse = _sse(sub[labels == 0]) + _sse(sub[labels == 1])
         if (height - child_sse) < _MIN_IMPROVEMENT * height:
             return node

@@ -666,7 +666,13 @@ def run_stage(stage: str, config: dict) -> dict:
 
 def run_pipeline(config: dict) -> list[dict]:
     """Run all seven stages in order; returns the manifest entries. Errors
-    propagate with the failing stage's name prefixed."""
+    propagate with the failing stage's name prefixed. The expert rule base
+    is read first, so a file that mine would reject stops the run before any
+    stage publishes."""
+    try:
+        _expert_base(config)
+    except NofError as exc:
+        raise type(exc)(f"partition.expert_rules: {exc}") from exc
     entries = []
     for stage in STAGES:
         try:

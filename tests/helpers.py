@@ -86,7 +86,10 @@ def loop_log_gaussians_diag(X, means, variances):
 
 
 def loop_m_step(X, resp, floor):
-    """M-step weights, means and floored variances, one component at a time."""
+    """M-step weights, means and floored variances, one component at a time
+    and one restart at a time over any leading axis."""
+    if resp.ndim > 2:
+        return tuple(np.stack(part) for part in zip(*(loop_m_step(X, r, floor) for r in resp)))
     n, d = X.shape
     nk = resp.sum(axis=0)
     weights = nk / n
@@ -316,6 +319,38 @@ def best_two_partition_by_sse(points: np.ndarray) -> tuple[frozenset, frozenset]
             if best is None or cost < best[0]:
                 best = (cost, frozenset(left), frozenset(right))
     return best[1], best[2]
+
+
+def loop_divisive_hierarchy(X, seed=0):
+    """nof.clustering.divisive_hierarchy as a recursion that runs 2-means on
+    every node with scatter, two-point nodes too, seeding node splits by a
+    preorder counter. Returns the tree as nested (indices, height, children)
+    tuples, children empty at a leaf."""
+    from nof import clustering
+
+    data = np.asarray(X, dtype=float)
+    counter = 0
+
+    def sse(rows):
+        sub = data[list(rows)]
+        return float(np.sum((sub - sub.mean(axis=0)) ** 2))
+
+    def build(indices):
+        nonlocal counter
+        height = sse(indices)
+        if len(indices) < 2 or height == 0.0:
+            return (indices, height, ())
+        rng = np.random.default_rng([seed, counter])
+        counter += 1
+        labels = clustering._two_means(data[list(indices)], rng)
+        sides = [tuple(i for i, label in zip(indices, labels) if label == side)
+                 for side in (0, 1)]
+        if height - (sse(sides[0]) + sse(sides[1])) < clustering._MIN_IMPROVEMENT * height:
+            return (indices, height, ())
+        sides.sort(key=min)
+        return (indices, height, tuple(build(side) for side in sides))
+
+    return build(tuple(range(len(data))))
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from helpers import (
     assert_loglik_monotone,
     best_two_partition_by_sse,
     loop_em_fit,
+    loop_divisive_hierarchy,
     loop_em_restarts,
     loop_log_gaussians_diag,
     loop_m_step,
@@ -241,6 +242,26 @@ class TestSelectK:
                                   2: bic(model, 4), 3: None, 4: None}
         assert em_fit(X, 2, EMConfig(seed=0)).bic_by_k == {}
 
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_no_fit_for_k_above_half_the_rows(self, n, monkeypatch):
+        # k components of two rows each need 2k rows, so the two-row floor
+        # would reject every fit with 2k > n
+        X = np.random.default_rng(n).normal(size=(n, 3))
+        fitted = []
+
+        def counting_em_fit(X, k, config=None):
+            fitted.append(k)
+            return em_fit(X, k, config)
+
+        monkeypatch.setattr(clustering, "em_fit", counting_em_fit)
+        model = select_k(X, n, EMConfig(seed=1))
+        assert fitted == list(range(1, n // 2 + 1))
+        assert list(model.bic_by_k) == list(range(1, n + 1))
+        assert all(model.bic_by_k[k] is None for k in range(n // 2 + 1, n + 1))
+        for k in range(n // 2 + 1, min(n, 6) + 1):
+            fit = loop_em_fit(X, k, EMConfig(seed=1))
+            assert np.bincount(fit.assignments, minlength=k).min() < 2
+
 
 # The benchmark workloads' summary tables: paper_default's 8 rows (n < d) and
 # many_rows' 16 conditions x 4 factors = 64 rows (n > d).
@@ -290,6 +311,12 @@ class TestStackedEmMatchesLoops:
                     want = loop_m_step(X, resp, floor)
                     for a, b in zip(got, want):
                         assert np.array_equal(a, b)
+                    # stacked restarts: each slice as the lone restart's step
+                    stacked = rng.dirichlet(np.ones(k), size=(3, len(X)))
+                    got = clustering._m_step(X, stacked, floor)
+                    for r, resp_r in enumerate(stacked):
+                        for a, b in zip(got, loop_m_step(X, resp_r, floor)):
+                            assert np.array_equal(a[r], b)
                     _, means, variances = want
                     log_dens = clustering._log_gaussians(X, means, variances)
                     assert log_dens.flags.c_contiguous
@@ -356,6 +383,19 @@ class TestRestartsSteppedTogether:
         monkeypatch.setattr(clustering, "em_fit", loop_em_fit)
         for got, want in zip(stepped, self._fits(testbed_tables, config), strict=True):
             assert_same_fit(got, want)
+
+    def test_one_component_restarts_all_end_alike(self, testbed_tables):
+        # after the first E-step every restart's responsibilities are 1, so
+        # em_fit runs restart 0 alone at k = 1
+        for X in testbed_tables.values():
+            for seed in range(3):
+                config = EMConfig(seed=seed, n_restarts=5)
+                restarts = loop_em_restarts(X, 1, config)
+                for model in restarts[1:]:
+                    for name in ("weights", "means", "variances", "assignments"):
+                        assert np.array_equal(getattr(model, name), getattr(restarts[0], name))
+                    assert model.log_likelihood == restarts[0].log_likelihood
+                assert_same_fit(em_fit(X, 1, config), loop_em_fit(X, 1, config))
 
     def test_unconverged_restarts_beside_converged_ones(self, testbed_tables, monkeypatch):
         # at 4 iterations some restarts of a fit stop unconverged, and are
@@ -428,6 +468,43 @@ class TestDivisive:
                     walk(child)
 
         walk(tax.root)
+
+    @staticmethod
+    def nested(node):
+        children = () if node.is_leaf else (
+            TestDivisive.nested(node.left), TestDivisive.nested(node.right))
+        return (node.indices, node.height, children)
+
+    def assert_matches_the_loop(self, X, seed, monkeypatch):
+        want = loop_divisive_hierarchy(X, seed)
+        two_means = clustering._two_means
+
+        def more_than_two_rows(sub, rng):
+            assert len(sub) > 2
+            return two_means(sub, rng)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_two_means", more_than_two_rows)
+            got = divisive_hierarchy(X, DivisiveConfig(seed=seed))
+        assert self.nested(got.root) == want
+        return want
+
+    def test_two_point_node_before_a_larger_sibling(self, monkeypatch):
+        # the root splits into {0, 1} and {2, 3, 4}; 11 lies midway in the
+        # second, so its split there is a tie that the seed of the third
+        # counter value breaks
+        X = np.array([[0.0], [1.0], [10.0], [11.0], [12.0]])
+        trees = {self.assert_matches_the_loop(X, seed, monkeypatch) for seed in range(8)}
+        assert {tree[2][0][0] for tree in trees} == {(0, 1)}
+        assert {tree[2][1][2][0][0] for tree in trees} == {(2,), (2, 3)}
+
+    def test_matches_the_loop_on_small_random_sets(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        for case in range(120):
+            X = rng.normal(size=(int(rng.integers(2, 9)), int(rng.integers(1, 4))))
+            if case % 3 == 0:
+                X = np.round(X)              # ties and duplicate rows
+            self.assert_matches_the_loop(X, int(rng.integers(0, 50)), monkeypatch)
 
 
 class TestAgglomerative:

@@ -994,6 +994,19 @@ class TestCli:
         assert err.startswith("error: line 3: unknown key 'pi_mn' in thresholds")
         assert snapshot(published_run) == before
 
+    def test_cli_pipeline_rejects_the_expert_file_before_any_stage(self, tmp_path, capsys):
+        # before, mine rejected the undeclared attribute after synth..classify
+        # had published their artifacts and run.json
+        expert = tmp_path / "expert.json"
+        expert.write_text('{"rules": [{"id": "r", "if": ["ROI=frontal"], "then": "P300"}]}')
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["pipeline", "--out", str(out),
+                     "--set", f"partition.expert_rules={expert}"]) == 3
+        assert capsys.readouterr().err == (
+            "error: partition.expert_rules: line 1: undeclared attribute 'ROI' in rule 'r'\n")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_cli_cluster_refuses_a_summary_extracted_with_an_old_template(self, tmp_path,
                                                                          capsys):
         def write_roi_template(roi):
