@@ -42,13 +42,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EncodingConfig:
-    numeric: tuple[str, ...] = NUMERIC_COLUMNS
-    categorical: tuple[str, ...] = CATEGORICAL_COLUMNS
-    scale: bool = True
-
-
-@dataclass
 class ObservationMatrix:
     """Numeric matrix over encoded summary attributes, one name per column."""
 
@@ -57,26 +50,22 @@ class ObservationMatrix:
 
 
 def encode_observations(
-    rows: list[Row], config: EncodingConfig | None = None
+    rows: list[Row], categorical: tuple[str, ...] = CATEGORICAL_COLUMNS
 ) -> ObservationMatrix:
-    """Numeric columns z-scored (std > 0 only), categoricals one-hot."""
-    config = config or EncodingConfig()
+    """The NUMERIC_COLUMNS z-scored (std > 0 only), then the `categorical`
+    columns one-hot."""
     if not rows:
         raise ConfigError("cannot encode an empty summary table")
-    cols: list[np.ndarray] = []
-    names: list[str] = []
-    for c in config.numeric:
-        cols.append(np.array([float(r[c]) for r in rows]))
-        names.append(c)
-    for c in config.categorical:
+    cols = [np.array([float(r[c]) for r in rows]) for c in NUMERIC_COLUMNS]
+    names = list(NUMERIC_COLUMNS)
+    for c in categorical:
         for v in sorted({str(r[c]) for r in rows}):
             cols.append(np.array([1.0 if str(r[c]) == v else 0.0 for r in rows]))
             names.append(f"{c}={v}")
-    X = np.column_stack(cols) if cols else np.zeros((len(rows), 0))
-    n_num = len(config.numeric)
-    if config.scale and n_num:
-        sd = X[:, :n_num].std(axis=0)
-        X[:, :n_num] = (X[:, :n_num] - X[:, :n_num].mean(axis=0)) / np.where(sd > 0, sd, 1.0)
+    X = np.column_stack(cols)
+    num = X[:, :len(NUMERIC_COLUMNS)]
+    sd = num.std(axis=0)
+    num[...] = (num - num.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
     return ObservationMatrix(X=X, columns=tuple(names))
 
 
@@ -286,15 +275,6 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
     return ClusterModel(k=k, weights=weights, means=means, variances=variances,
                         assignments=np.argmax(resp[best], axis=1), log_likelihood=history[-1],
                         n_iter=len(history), loglik_history=history, converged=converged)
-
-
-def em_predict(model: ClusterModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assignments and responsibilities for new rows under a fitted model."""
-    data = np.asarray(X, dtype=float)
-    if data.ndim != 2 or data.shape[1] != model.means.shape[1]:
-        raise ConfigError(f"dimension mismatch: model expects {model.means.shape[1]} columns")
-    _, resp = _e_step(data, model.weights, model.means, model.variances)
-    return np.argmax(resp, axis=1), resp
 
 
 def bic(model: ClusterModel, n: int) -> float:

@@ -56,14 +56,14 @@ def _concatenate(epochs: EpochTensor, overwrite: bool = False) -> np.ndarray:
 
 
 def center_and_whiten(
-    epochs: EpochTensor, n_components: int | float | None = None, *, overwrite: bool = False
+    epochs: EpochTensor, n_components: int | None = None, *, overwrite: bool = False
 ) -> WhitenedData:
     """Remove the channel means and whiten via the covariance eigenbasis.
 
-    n_components may be an integer count, a non-integer variance-fraction
-    threshold in (0, 1), or None for the full numerical rank (integral floats
-    count as counts). Components come out ordered by descending eigenvalue
-    and the sample covariance (ddof=1) of the output is the identity.
+    n_components is a count of at least 1, no more than the numerical rank,
+    or None for the full rank. Components come out ordered by descending
+    eigenvalue and the sample covariance (ddof=1) of the output is the
+    identity.
 
     A constant channel (every sample equal, whatever its value) raises
     NumericalError naming it. The epochs are concatenated into a
@@ -94,20 +94,12 @@ def center_and_whiten(
     rank = int(np.sum(eigvals > eigvals[0] * _RANK_RTOL))
     if n_components is None:
         m = rank
-    elif isinstance(n_components, float) and not float(n_components).is_integer():
-        if not 0 < n_components < 1:
-            raise ConfigError("variance threshold must lie in (0, 1)")
-        frac = np.cumsum(eigvals) / np.sum(eigvals)
-        m = int(np.searchsorted(frac, n_components - 1e-12) + 1)
-        m = min(m, rank)
     else:
         m = int(n_components)
         if m < 1:
             raise ConfigError("n_components must be >= 1")
         if m > rank:
-            raise NumericalError(
-                f"requested {m} components but the data rank is {rank}"
-            )
+            raise NumericalError(f"requested {m} components but the data rank is {rank}")
     kept = eigvals[:m]
     scale = 1.0 / np.sqrt(kept)
     whitening = scale[:, None] * eigvecs[:, :m].T
@@ -292,18 +284,3 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
         n_timepoints=white.n_timepoints,
     )
 
-
-def backproject(
-    dec: FactorDecomposition,
-    factor_subset: list[str] | tuple[str, ...],
-    epochs: EpochTensor,
-) -> np.ndarray:
-    """Channel-space contribution (channels x samples) of the chosen factors.
-
-    Contributions are relative to the removed channel mean; summing over all
-    factors reconstructs the retained-subspace projection of the centered input.
-    """
-    if not factor_subset:
-        raise ConfigError("factor subset must be nonempty")
-    idx = [dec.factor_index(f) for f in factor_subset]
-    return dec.mixing[:, idx] @ dec.activations(epochs)[idx, :]

@@ -15,7 +15,7 @@ Definitions, since the attribute names alone do not fix formulas:
     the maximum |amplitude| so negative deflections get correct latencies.
     The activation is linear in the data, so each condition's trials are
     averaged once and every factor projects that average.
-  * IN_mean is the mean over both time and a configurable channel set of the
+  * IN_mean is the mean over both time and every channel of the
     back-projected factor signal.
   * SP_cor is the zero-lag Pearson correlation between the factor topography
     and a target-pattern topography.
@@ -90,23 +90,16 @@ def _condition_value(
 
 
 def _check_inputs(
-    dec: FactorDecomposition,
-    epochs: EpochTensor,
-    template: np.ndarray,
-    mean_channel_set: list[str] | tuple[str, ...] | None,
-) -> tuple[np.ndarray, list[int]]:
-    """Validated template and the channel indices IN_mean averages over."""
+    dec: FactorDecomposition, epochs: EpochTensor, template: np.ndarray
+) -> np.ndarray:
+    """The template as a float array, once it and the epochs fit `dec`."""
     dec.check_epochs(epochs)
     template = np.asarray(template, dtype=float)
     if template.size != epochs.n_channels:
         raise ConfigError(
             f"template length {template.size} does not match channel count {epochs.n_channels}"
         )
-    if mean_channel_set is None:
-        mean_channel_set = epochs.montage.channels
-    if not mean_channel_set:
-        raise ConfigError("mean_channel_set must be nonempty")
-    return template, [epochs.montage.index(c) for c in mean_channel_set]
+    return template
 
 
 def _condition_average(
@@ -120,14 +113,10 @@ def _condition_average(
 
 
 def _factor_part(
-    dec: FactorDecomposition,
-    epochs: EpochTensor,
-    j: int,
-    template: np.ndarray,
-    mean_idx: list[int],
+    dec: FactorDecomposition, epochs: EpochTensor, j: int, template: np.ndarray
 ) -> tuple[dict[str, str | float], float, np.ndarray]:
-    """What every row of factor j shares: its spatial columns, and the
-    topography weights at SP_max and over the IN_mean channels."""
+    """What every row of factor j shares: its spatial columns, its topography
+    weight at SP_max and its whole topography."""
     topo = dec.mixing[:, j]
     i_max = _argmax_with_tie_warning(topo, "topography argmax")
     i_min = _argmax_with_tie_warning(-topo, "topography argmin")
@@ -140,7 +129,7 @@ def _factor_part(
         "SP_min_ROI": epochs.montage.roi(sp_min),
         "SP_cor": _pearson(topo, template),
     }
-    return spatial, topo[i_max], topo[mean_idx]
+    return spatial, topo[i_max], topo
 
 
 def _summary_row(
@@ -152,7 +141,7 @@ def _summary_row(
     trials: list[int],
     centered_avg: np.ndarray,
 ) -> Row:
-    spatial, weight_at_max, mean_weights = factor
+    spatial, weight_at_max, topo = factor
     avg_act = dec.unmixing[j] @ centered_avg
     if not np.any(avg_act):
         warnings.warn(
@@ -165,7 +154,7 @@ def _summary_row(
         **spatial,
         "IN_min": float(wave_at_max.min()),
         "IN_max": float(wave_at_max.max()),
-        "IN_mean": float(np.mean(np.outer(mean_weights, avg_act))),
+        "IN_mean": float(np.mean(np.outer(topo, avg_act))),
         "TI_max": float(epochs.t0 + peak * 1000.0 / epochs.fs),
         **{k: _condition_value(condition, k, epochs, trials) for k in METADATA_KEYS},
     }
@@ -179,49 +168,38 @@ def extract_summary(
     factor: str,
     condition: dict[str, str],
     template: np.ndarray,
-    mean_channel_set: list[str] | tuple[str, ...] | None = None,
 ) -> Row:
     """One summary row for a factor under a metadata condition."""
-    template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
+    template = _check_inputs(dec, epochs, template)
     j = dec.factor_index(factor)
     trials = _select_trials(epochs, condition)
     centered_avg = _condition_average(dec, epochs, trials)
-    part = _factor_part(dec, epochs, j, template, mean_idx)
+    part = _factor_part(dec, epochs, j, template)
     return _summary_row(dec, epochs, j, part, condition, trials, centered_avg)
 
 
-def conditions_of(
-    epochs: EpochTensor, group_by: tuple[str, ...] = METADATA_KEYS
-) -> list[dict[str, str]]:
-    """Distinct metadata combinations, in sorted order."""
-    return [dict(zip(group_by, key)) for key in group_trials(epochs, group_by)]
-
-
 def summarize_dataset(
-    dec: FactorDecomposition,
-    epochs: EpochTensor,
-    template: np.ndarray,
-    mean_channel_set: list[str] | tuple[str, ...] | None = None,
-    group_by: tuple[str, ...] = METADATA_KEYS,
+    dec: FactorDecomposition, epochs: EpochTensor, template: np.ndarray
 ) -> list[Row]:
-    """All factor x condition rows, factor-major, conditions sorted.
+    """All factor x condition rows, factor-major, conditions sorted; a
+    condition is one combination of the METADATA_KEYS values.
 
     Equal to `extract_summary` for every factor and condition, but the
     trials are grouped by condition in one pass, each condition's trials are
     averaged once for all factors, and each factor's spatial columns are
     computed once for all conditions.
     """
-    template, mean_idx = _check_inputs(dec, epochs, template, mean_channel_set)
+    template = _check_inputs(dec, epochs, template)
     conds = []
-    for key, trials in group_trials(epochs, group_by).items():
-        cond = dict(zip(group_by, key))
+    for key, trials in group_trials(epochs, METADATA_KEYS).items():
+        cond = dict(zip(METADATA_KEYS, key))
         # a value unequal to itself (NaN) matches no trial in extract_summary
         if any(v != v for v in key):
             raise ConfigError(f"condition {cond} selects no trials")
         conds.append((cond, trials, _condition_average(dec, epochs, trials)))
     rows: list[Row] = []
     for j in range(dec.n_factors):
-        part = _factor_part(dec, epochs, j, template, mean_idx)
+        part = _factor_part(dec, epochs, j, template)
         rows.extend(
             _summary_row(dec, epochs, j, part, cond, trials, centered_avg)
             for cond, trials, centered_avg in conds

@@ -18,10 +18,9 @@ adopted.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .clustering import TaxonomyClass
 from .errors import ConfigError, MissingInputError, ParseError
 from .features import COLUMNS
 from .rulemining import AssociationRule, Item, label_item, parse_item
@@ -55,7 +54,6 @@ class ExpertRule:
 @dataclass
 class OntologyRuleBase:
     rules: list[ExpertRule] = field(default_factory=list)
-    classes: list[TaxonomyClass] = field(default_factory=list)
     beta_sup: float = DEFAULT_THRESHOLDS["beta_sup"]
     beta_conf: float = DEFAULT_THRESHOLDS["beta_conf"]
     pi_min: float = DEFAULT_THRESHOLDS["pi_min"]
@@ -111,18 +109,6 @@ def _same_rule(mined: AssociationRule, expert: ExpertRule) -> bool:
     return _itemsets_match(mined.antecedent, expert.antecedent) and _itemsets_match(
         mined.consequent, frozenset([expert.consequent])
     )
-
-
-def rule_match(mined: AssociationRule, expert: ExpertRule) -> bool:
-    """True when antecedents and (positive) consequents are equal after
-    interval alignment. A negated expert rule never *matches*."""
-    return not expert.negated and _same_rule(mined, expert)
-
-
-def contradicts(mined: AssociationRule, expert: ExpertRule) -> bool:
-    """True when the antecedents match and the mined consequent asserts
-    exactly what the expert consequent negates."""
-    return expert.negated and _same_rule(mined, expert)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +313,6 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     Schema: {"thresholds": {"beta_sup", "beta_conf", "pi_min"},
              "attributes": [...],          # optional, defaults to the summary
                                            # columns plus CLUSTER
-             "classes": [{"name", "parent", "members"}],   # optional
              "rules": [{"id", "if": [items...], "then": "P300" | {"not": "P300"}}]}
 
     Every key is optional. An unknown key, a duplicate rule id or an
@@ -359,7 +344,7 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                     line=_find_line(text, f'"{key}"'),
                 )
 
-    known_keys(doc, ("thresholds", "attributes", "classes", "rules"), "at the top level")
+    known_keys(doc, ("thresholds", "attributes", "rules"), "at the top level")
     thresholds = doc.get("thresholds", {})
     expect(isinstance(thresholds, dict) and all(map(_is_number, thresholds.values())),
            "thresholds", "an object of numbers")
@@ -373,14 +358,6 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     expect(_list_of(attributes, str), "attributes", "a list of strings")
     attributes = tuple(attributes)
     declared = set(attributes)
-
-    raw_classes = doc.get("classes", [])
-    expect(_list_of(raw_classes, dict) and all("name" in c for c in raw_classes),
-           "classes", "a list of objects with a name")
-    classes = []
-    for c in raw_classes:
-        known_keys(c, ("name", "parent", "members"), f"in class {c['name']!r}")
-        classes.append(TaxonomyClass(c["name"], c.get("parent"), tuple(c.get("members", ()))))
 
     raw_rules = doc.get("rules", [])
     expect(_list_of(raw_rules, dict), "rules", "a list of objects")
@@ -421,28 +398,8 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
             )
         rules.append(ExpertRule(rule_id, frozenset(antecedent), consequent, negated))
     # an absent threshold keeps its DEFAULT_THRESHOLDS value
-    return OntologyRuleBase(rules, classes, attributes=attributes,
+    return OntologyRuleBase(rules, attributes=attributes,
                             **{name: float(value) for name, value in thresholds.items()})
-
-
-def export_rule_base(base: OntologyRuleBase, path: str | Path) -> None:
-    doc = {
-        "thresholds": {name: getattr(base, name) for name in DEFAULT_THRESHOLDS},
-        "attributes": list(base.attributes),
-        "classes": [asdict(c) for c in base.classes],
-        "rules": [
-            {
-                "id": r.rule_id,
-                "if": [i.canonical for i in sorted(r.antecedent)],
-                "then": (
-                    {"not": r.consequent.canonical} if r.negated else r.consequent.canonical
-                ),
-            }
-            for r in base.rules
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def _annotated_doc(ar: AnnotatedRule) -> dict:

@@ -16,6 +16,7 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -68,7 +69,8 @@ DEFAULT_CONFIG: dict = {
 
 # Numeric config keys: the types each accepts, whether null is allowed, and
 # the range a number must lie in, as a test and its wording. No key accepts a
-# boolean: bool is a subclass of int, and `true` would run as 1.
+# boolean: bool is a subclass of int, and `true` would run as 1. No key
+# accepts NaN or an infinity, which --set parses from `NaN` and `Infinity`.
 _INT, _REAL = (int,), (int, float)
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _COUNT = (lambda v: v >= 1, ">= 1")
@@ -76,9 +78,7 @@ _NUMERIC_KEYS = {
     "seed": (_INT, False, _NON_NEGATIVE),
     "synth.n_trials": (_INT, False, _COUNT),
     "synth.noise_std": (_REAL, False, _NON_NEGATIVE),
-    "decompose.n_components": (_REAL, True, (
-        lambda v: 0 < v < 1 or v >= 1 and float(v).is_integer(),
-        "a count >= 1 or a variance fraction in (0, 1)")),
+    "decompose.n_components": (_INT, False, _COUNT),
     "cluster.k": (_INT, True, _COUNT),
     "cluster.k_max": (_INT, False, _COUNT),
     "mine.max_len": (_INT, True, _COUNT),
@@ -93,6 +93,10 @@ _HIERARCHIES = ("divisive", "agglomerative:single", "agglomerative:complete",
                 "agglomerative:average")
 # Config keys that name one of a fixed set of choices
 _CHOICES = {"synth.preset": tuple(_PRESETS), "cluster.hierarchy": _HIERARCHIES}
+# The keys an extract.template may hold, and the kinds it may name. Both
+# kinds carry the default's roi and value, merged in under a csv spec.
+_TEMPLATE_KEYS = ("kind", "roi", "value", "path")
+_TEMPLATE_KINDS = ("roi", "csv")
 
 
 def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> None:
@@ -101,6 +105,30 @@ def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> N
     if not isinstance(value, types) or isinstance(value, bool):
         kind = "an integer" if types is _INT else "a number"
         raise ConfigError(f"{key} must be {kind}{' or null' if nullable else ''}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
+def _check_template(template) -> None:
+    """Raise ConfigError naming the extract.template key that is not a
+    template spec: an object of _TEMPLATE_KEYS with a known kind, a string
+    roi, a finite value, and for csv a string path."""
+    if not isinstance(template, dict):
+        raise ConfigError(f"extract.template must be an object, got {template!r}")
+    unknown = sorted(set(template) - set(_TEMPLATE_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown keys in extract.template: {unknown}; "
+                          f"expected {', '.join(_TEMPLATE_KEYS)}")
+    kind = template.get("kind")
+    if kind not in _TEMPLATE_KINDS:
+        raise ConfigError(f"unknown extract.template.kind {kind!r}; "
+                          f"pick one of {', '.join(_TEMPLATE_KINDS)}")
+    if not isinstance(template.get("roi", ""), str):
+        raise ConfigError(f"extract.template.roi must be a string, got {template['roi']!r}")
+    _check_number("extract.template.value", template.get("value", 1.0), _REAL, False)
+    if kind == "csv" and not isinstance(template.get("path"), str):
+        raise ConfigError(
+            f"extract.template.path must name a file, got {template.get('path')!r}")
 
 
 def _lookup(config: dict, key: str):
@@ -154,9 +182,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         value = _lookup(config, key)
         if value not in choices:
             raise ConfigError(f"unknown {key} {value!r}; pick one of {', '.join(choices)}")
-    template = config["extract"]["template"]
-    if isinstance(template, dict) and template.get("kind") == "roi":
-        _check_number("extract.template.value", template.get("value", 1.0), _REAL, False)
+    _check_template(config["extract"]["template"])
     return config
 
 
@@ -346,8 +372,9 @@ def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Pat
     dec.to_json(staged["decomposition"])
 
 
-def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
-    if isinstance(cfg, dict) and cfg.get("kind") == "roi":
+def _resolve_template(montage: testbed.ChannelMontage, cfg: dict) -> np.ndarray:
+    """Per-channel weights of a template spec that load_config has checked."""
+    if cfg["kind"] == "roi":
         roi = cfg.get("roi", "frontal")
         if roi not in montage.rois():
             raise ConfigError(f"template ROI {roi!r} not present in the montage")
@@ -355,26 +382,32 @@ def _resolve_template(montage: testbed.ChannelMontage, cfg) -> np.ndarray:
         return np.array(
             [value if montage.roi_of[c] == roi else 0.0 for c in montage.channels]
         )
-    if isinstance(cfg, dict) and cfg.get("kind") == "csv":
-        weights: dict[str, float] = {}
-        with open(cfg["path"], newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["channel", "weight"]:
-                raise ConfigError("template CSV header must be 'channel,weight'")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    channel, weight = row
-                    weights[channel] = float(weight)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"template CSV line {lineno}: expected channel,weight, got {row}"
-                    ) from exc
-        missing = [c for c in montage.channels if c not in weights]
-        if missing:
-            raise ConfigError(f"template CSV lacks channels: {missing}")
-        return np.array([weights[c] for c in montage.channels])
-    raise ConfigError(f"unsupported template spec: {cfg!r}")
+    weights: dict[str, float] = {}
+    with open(cfg["path"], newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["channel", "weight"]:
+            raise ConfigError("template CSV header must be 'channel,weight'")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                channel, weight = row
+                value = float(weight)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"template CSV line {lineno}: expected channel,weight, got {row}"
+                ) from exc
+            if not math.isfinite(value):
+                raise ConfigError(f"template CSV line {lineno}: weight {weight!r} is not finite")
+            if channel in weights:
+                raise ConfigError(f"template CSV line {lineno}: channel {channel!r} is repeated")
+            if channel not in montage.roi_of:
+                raise ConfigError(
+                    f"template CSV line {lineno}: channel {channel!r} is not in the montage")
+            weights[channel] = value
+    missing = [c for c in montage.channels if c not in weights]
+    if missing:
+        raise ConfigError(f"template CSV lacks channels: {missing}")
+    return np.array([weights[c] for c in montage.channels])
 
 
 def _stage_extract(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
@@ -391,10 +424,10 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     leaf j is component j, which is class C{j+1}."""
     cfg = config["cluster"]
     # EM groups the rows by their pattern attributes, not by the condition
-    encoding = clustering.EncodingConfig(
-        categorical=tuple(c for c in features.CATEGORICAL_COLUMNS if c not in testbed.METADATA_KEYS)
-    )
-    X = clustering.encode_observations(features.read_summary_csv(paths["summary"]), encoding).X
+    X = clustering.encode_observations(
+        features.read_summary_csv(paths["summary"]),
+        tuple(c for c in features.CATEGORICAL_COLUMNS if c not in testbed.METADATA_KEYS),
+    ).X
     em_config = clustering.EMConfig(seed=config["seed"] + 2)
     if cfg["k"] is not None:
         model = clustering.em_fit(X, cfg["k"], em_config)

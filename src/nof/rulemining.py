@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import itertools
 import math
 import re
 from collections.abc import Collection
@@ -270,11 +269,9 @@ def generate_rules(
     itemsets: dict[frozenset[Item], float],
     beta_conf: float,
     transactions: list[Transaction],
-    single_consequent: bool = True,
 ) -> list[AssociationRule]:
-    """Antecedent/consequent partitions of frequent itemsets at confidence
-    >= beta_conf. Consequents are single items unless single_consequent is
-    off, in which case every nonempty proper partition is emitted."""
+    """The rules A -> {c} of every frequent itemset A | {c} of two or more
+    items, one per member c, at confidence >= beta_conf."""
     if not 0 < beta_conf <= 1:
         raise ConfigError(f"beta_conf must lie in (0, 1], got {beta_conf}")
     n = len(transactions)
@@ -282,25 +279,19 @@ def generate_rules(
         raise ConfigError("transaction list must be nonempty")
     rules: list[AssociationRule] = []
     # (consequent, antecedent) positions into an itemset's sorted members, per
-    # itemset size; both come out ascending, so each side's canonical strings
-    # are sorted as they are picked
-    splits: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    # itemset size; the antecedent's come out ascending, so its canonical
+    # strings are sorted as they are picked
+    splits: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for itemset, support in itemsets.items():
         size = len(itemset)
         if size < 2:
             continue
         if size not in splits:
-            positions = range(size)
-            sizes = [1] if single_consequent else range(1, size)
-            splits[size] = [
-                (combo, tuple(j for j in positions if j not in combo))
-                for k in sizes
-                for combo in itertools.combinations(positions, k)
-            ]
+            splits[size] = [(c, tuple(j for j in range(size) if j != c)) for c in range(size)]
         members = sorted(itemset, key=attrgetter("canonical"))
         names = [m.canonical for m in members]
         for cons_at, ante_at in splits[size]:
-            cons = frozenset([members[j] for j in cons_at])
+            cons = frozenset([members[cons_at]])
             ante = itemset - cons
             sup_ante = itemsets.get(ante)
             if sup_ante is None:
@@ -313,7 +304,7 @@ def generate_rules(
             sup_cons = itemsets.get(cons)
             if sup_cons is None:
                 sup_cons = _support_count(cons, transactions) / n
-            key = (tuple([names[j] for j in ante_at]), tuple([names[j] for j in cons_at]))
+            key = (tuple([names[j] for j in ante_at]), (names[cons_at],))
             rules.append(
                 AssociationRule(ante, cons, support, conf, abs(conf - sup_cons), key)
             )

@@ -45,9 +45,6 @@ class ChannelMontage:
     def index(self, channel: str) -> int:
         return self.channels.index(channel)
 
-    def channels_in(self, roi: str) -> tuple[str, ...]:
-        return tuple(c for c in self.channels if self.roi_of[c] == roi)
-
     def rois(self) -> tuple[str, ...]:
         seen: list[str] = []
         for c in self.channels:
@@ -62,25 +59,6 @@ class ChannelMontage:
             w.writerow(["channel", "roi"])
             for c in self.channels:
                 w.writerow([c, self.roi_of[c]])
-
-    @classmethod
-    def load_csv(cls, path: str | Path) -> "ChannelMontage":
-        path = Path(path)
-        if not path.exists():
-            raise MissingInputError(f"montage file not found: {path}")
-        channels: list[str] = []
-        roi_of: dict[str, str] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["channel", "roi"]:
-                raise ConfigError(f"montage header must be 'channel,roi', got {header}")
-            for row in reader:
-                if len(row) != 2:
-                    raise ConfigError(f"malformed montage row: {row}")
-                channels.append(row[0])
-                roi_of[row[0]] = row[1]
-        return cls(tuple(channels), roi_of)
 
 
 _DEFAULT_ROIS = {
@@ -273,10 +251,6 @@ class EpochTensor:
     def n_timepoints(self) -> int:
         return self.data.shape[2]
 
-    def times(self) -> np.ndarray:
-        """Sample times in ms relative to the event."""
-        return self.t0 + np.arange(self.n_timepoints) * 1000.0 / self.fs
-
     def save(self, directory: str | Path) -> None:
         """Write meta.json plus data.npy (float64, C-order, trials x channels x timepoints)."""
         directory = Path(directory)
@@ -436,21 +410,6 @@ def generate_dataset(
         data[i] += signal
     trial_info = [dict(conditions[i % len(conditions)]) for i in range(n_trials)]
     return EpochTensor(data=data, fs=fs, t0=t0, montage=montage, trial_info=trial_info)
-
-
-def signal_power(templates: list[SourceTemplate]) -> float:
-    """Mean squared amplitude of the noise-free trial over channels and time."""
-    if not templates:
-        raise ConfigError("template list must be nonempty")
-    signal = sum(np.outer(t.topography, t.waveform) for t in templates)
-    return float(np.mean(signal**2))
-
-
-def noise_std_for_snr(templates: list[SourceTemplate], snr: float) -> float:
-    """Noise standard deviation giving signal/noise variance ratio ~= snr."""
-    if snr <= 0:
-        raise ConfigError("snr must be positive")
-    return float(np.sqrt(signal_power(templates) / snr))
 
 
 def mean_of_trials(epochs: EpochTensor, trials: list[int]) -> np.ndarray:

@@ -223,13 +223,7 @@ def var_center_and_whiten(epochs, n_components=None):
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
     rank = int(np.sum(eigvals > eigvals[0] * 1e-10))
-    if n_components is None:
-        m = rank
-    elif isinstance(n_components, float) and not float(n_components).is_integer():
-        frac = np.cumsum(eigvals) / np.sum(eigvals)
-        m = min(int(np.searchsorted(frac, n_components - 1e-12) + 1), rank)
-    else:
-        m = int(n_components)
+    m = rank if n_components is None else int(n_components)
     kept = eigvals[:m]
     whitening = (1.0 / np.sqrt(kept))[:, None] * eigvecs[:, :m].T
     return WhitenedData(

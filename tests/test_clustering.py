@@ -9,7 +9,6 @@ from nof.clustering import (
     ClusterModel,
     DivisiveConfig,
     EMConfig,
-    EncodingConfig,
     Taxonomy,
     TaxonomyClass,
     agglomerative_hierarchy,
@@ -17,13 +16,12 @@ from nof.clustering import (
     classes_to_json,
     divisive_hierarchy,
     em_fit,
-    em_predict,
     encode_observations,
     select_k,
     taxonomy_to_classes,
 )
 from nof.errors import ConfigError, NumericalError
-from nof.features import COLUMNS, read_summary_csv
+from nof.features import COLUMNS, NUMERIC_COLUMNS, read_summary_csv
 from nof.pipeline import load_config, run_stage
 
 from helpers import (
@@ -84,15 +82,14 @@ class TestEncoding:
                         EVENT=("e1" if i % 2 else "e2"))
             for i in range(12)
         ]
-        om_scaled = encode_observations(rows, EncodingConfig(scale=True))
-        # manually z-score the numeric block, then encode scale-free
-        om_raw = encode_observations(rows, EncodingConfig(scale=False))
-        X = om_raw.X.copy()
-        n_num = 5
-        mu = X[:, :n_num].mean(axis=0)
-        sd = X[:, :n_num].std(axis=0)
+        om_scaled = encode_observations(rows, categorical=("EVENT",))
+        # z-score the raw numeric columns by hand, then one-hot EVENT
+        raw = np.array([[r[c] for c in NUMERIC_COLUMNS] for r in rows])
+        sd = raw.std(axis=0)
         sd[sd == 0] = 1.0
-        X[:, :n_num] = (X[:, :n_num] - mu) / sd
+        X = np.column_stack([(raw - raw.mean(axis=0)) / sd] + [
+            [1.0 if r["EVENT"] == v else 0.0 for r in rows] for v in ("e1", "e2")])
+        assert om_scaled.columns == NUMERIC_COLUMNS + ("EVENT=e1", "EVENT=e2")
         assert np.array_equal(X, om_scaled.X)
         a = em_fit(X, 2, EMConfig(seed=1))
         b = em_fit(om_scaled.X, 2, EMConfig(seed=1))
@@ -162,44 +159,12 @@ class TestEmFit:
         assert model.variances.min() >= floor * (1 - 1e-9)
 
 
-class TestEmPredict:
-    def _symmetric_model(self):
-        return ClusterModel(
-            k=2,
-            weights=np.array([0.5, 0.5]),
-            means=np.array([[-2.0, 0.0], [2.0, 0.0]]),
-            variances=np.ones((2, 2)),
-            assignments=np.array([0, 1]),
-            log_likelihood=0.0,
-            n_iter=1,
-        )
-
-    def test_cluster_mean_assigned_to_own_cluster(self):
-        model = self._symmetric_model()
-        assign, _ = em_predict(model, np.array([[-2.0, 0.0], [2.0, 0.0]]))
-        assert assign.tolist() == [0, 1]
-
-    def test_equidistant_point_splits_half_half(self):
-        model = self._symmetric_model()
-        _, resp = em_predict(model, np.array([[0.0, 0.0]]))
-        np.testing.assert_allclose(resp[0], [0.5, 0.5], atol=1e-9)
-
-    def test_responsibilities_rows_sum_to_one(self):
-        model = self._symmetric_model()
-        rng = np.random.default_rng(11)
-        _, resp = em_predict(model, rng.normal(size=(20, 2)))
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_training_data_reproduces_fit_assignments(self):
+class TestAssignments:
+    def test_fit_assignments_are_the_final_e_step_argmax(self):
         X, _ = two_blobs(seed=12, n=50)
         model = em_fit(X, 2, EMConfig(seed=0))
-        assign, _ = em_predict(model, X)
-        assert np.array_equal(assign, model.assignments)
-
-    def test_dimension_mismatch_rejected(self):
-        model = self._symmetric_model()
-        with pytest.raises(ConfigError):
-            em_predict(model, np.zeros((3, 5)))
+        _, resp = clustering._e_step(X, model.weights, model.means, model.variances)
+        assert np.array_equal(np.argmax(resp, axis=1), model.assignments)
 
 
 class TestSelectK:
@@ -339,15 +304,15 @@ class TestStackedEmMatchesLoops:
         for got, want in zip(closed_form, looped, strict=True):
             assert_same_fit(got, want)
 
-    def test_em_predict(self, testbed_tables):
+    def test_e_step(self, testbed_tables):
         X = testbed_tables["many_rows"]
         model = em_fit(X, 4, EMConfig())
         log_joint = np.log(model.weights) + loop_log_gaussians_diag(
             X, model.means, model.variances)
         resp = np.exp(log_joint - scipy_logsumexp(log_joint)[:, None])
-        assign, got = em_predict(model, X)
+        _, got = clustering._e_step(X, model.weights, model.means, model.variances)
         assert np.array_equal(got, resp)
-        assert np.array_equal(assign, np.argmax(resp, axis=1))
+        assert np.array_equal(model.assignments, np.argmax(resp, axis=1))
 
     @pytest.mark.parametrize("case", ["normal", "ties", "neg_inf", "large"])
     def test_logsumexp(self, case):
@@ -419,7 +384,7 @@ class TestEmErrors:
             assignments=np.array([0, 1]), log_likelihood=0.0, n_iter=1,
         )
         with pytest.raises(NumericalError, match="^cluster 1 covariance is singular"):
-            em_predict(model, np.zeros((3, 2)))
+            clustering._e_step(np.zeros((3, 2)), model.weights, model.means, model.variances)
 
     def test_loglik_decrease_names_k_and_iteration(self, monkeypatch):
         m_step = clustering._m_step

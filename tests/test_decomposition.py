@@ -7,7 +7,6 @@ from nof.decomposition import (
     FactorDecomposition,
     FastIcaConfig,
     WhitenedData,
-    backproject,
     center_and_whiten,
     fastica,
 )
@@ -101,12 +100,10 @@ class TestWhitening:
         with pytest.raises(NumericalError, match="rank"):
             center_and_whiten(wrap_as_epochs(data), 3)
 
-    def test_variance_threshold_selection(self):
-        rng = np.random.default_rng(6)
-        data = rng.standard_normal((2, 5000))
-        data[0] *= 2.0  # eigenvalues ~ (4, 1): top component ~ 80% variance
-        assert center_and_whiten(wrap_as_epochs(data), 0.7).n_components == 1
-        assert center_and_whiten(wrap_as_epochs(data), 0.99).n_components == 2
+    def test_n_components_below_one_rejected(self):
+        data = np.random.default_rng(5).standard_normal((2, 400))
+        with pytest.raises(ConfigError, match=">= 1"):
+            center_and_whiten(wrap_as_epochs(data), 0)
 
     def test_retained_variance_fraction(self):
         rng = np.random.default_rng(7)
@@ -253,31 +250,13 @@ class TestFastIca:
             dec.activations(shorter)
 
 
-class TestBackproject:
-    def test_full_subset_reconstructs_retained_projection(self, two_pattern_epochs,
-                                                           two_pattern_decomposition):
+class TestFactorSpace:
+    def test_mixing_reconstructs_retained_projection(self, two_pattern_epochs,
+                                                      two_pattern_decomposition):
         white, dec = two_pattern_decomposition
-        full = backproject(dec, list(dec.factor_ids), two_pattern_epochs)
+        full = dec.mixing @ dec.activations(two_pattern_epochs)
         reconstructed = white.dewhitening @ white.whitened
         np.testing.assert_allclose(full, reconstructed, atol=1e-6)
-
-    def test_complement_pair_linearity(self, two_pattern_epochs, two_pattern_decomposition):
-        _, dec = two_pattern_decomposition
-        ids = list(dec.factor_ids)
-        left = backproject(dec, ids[:1], two_pattern_epochs)
-        right = backproject(dec, ids[1:], two_pattern_epochs)
-        both = backproject(dec, ids, two_pattern_epochs)
-        np.testing.assert_allclose(left + right, both, atol=1e-10)
-
-    def test_unknown_factor_rejected(self, two_pattern_epochs, two_pattern_decomposition):
-        _, dec = two_pattern_decomposition
-        with pytest.raises(ConfigError, match="unknown factor"):
-            backproject(dec, ["FA99"], two_pattern_epochs)
-
-    def test_empty_subset_rejected(self, two_pattern_epochs, two_pattern_decomposition):
-        _, dec = two_pattern_decomposition
-        with pytest.raises(ConfigError):
-            backproject(dec, [], two_pattern_epochs)
 
     def test_planted_topography_recovered(self, montage):
         tpl = p300_template(montage)
@@ -287,12 +266,6 @@ class TestBackproject:
         dec = fastica(white, FastIcaConfig(seed=3))
         topo = dec.mixing[:, 0]
         corr = np.corrcoef(topo, tpl.topography)[0, 1]
-        assert abs(corr) >= 0.95
-        # and via the back-projected single-factor signal: its dominant
-        # spatial direction must also match the planted topography
-        contribution = backproject(dec, ["FA1"], epochs)
-        u, _, _ = np.linalg.svd(contribution, full_matrices=False)
-        corr = np.corrcoef(u[:, 0], tpl.topography)[0, 1]
         assert abs(corr) >= 0.95
 
 
@@ -345,7 +318,6 @@ class TestInPlaceAgainstAllocatingOracles:
         dec = fastica(center_and_whiten(epochs, 2), FastIcaConfig(seed=4))
         assert epochs.data.tobytes() == before
         dec.activations(epochs)
-        backproject(dec, ["FA1"], epochs)
         assert epochs.data.tobytes() == before
 
 
@@ -360,7 +332,7 @@ class TestOverwrite:
         epochs.save(tmp_path)
         return EpochTensor.load(tmp_path, channels_major=True)
 
-    @pytest.mark.parametrize("n_components", [None, 4, 0.9])
+    @pytest.mark.parametrize("n_components", [None, 4])
     @pytest.mark.parametrize("n_trials", [1, 30])
     def test_bytes_equal_the_default_and_the_oracle(self, montage, tmp_path, n_trials,
                                                     n_components):

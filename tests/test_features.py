@@ -9,13 +9,12 @@ from nof.errors import ConfigError, ParseError
 from nof.features import (
     COLUMNS,
     _condition_average,
-    conditions_of,
     extract_summary,
     read_summary_csv,
     summarize_dataset,
     write_summary_csv,
 )
-from nof.testbed import EpochTensor, generate_dataset, p300_template
+from nof.testbed import METADATA_KEYS, EpochTensor, generate_dataset, group_trials, p300_template
 
 from conftest import make_montage
 from helpers import masked_condition_average
@@ -109,11 +108,10 @@ class TestExtractSummary:
         m = make_montage(TRIO)
         act = np.array([[1.0, -2.0, 3.0, 0.0]])
         dec, epochs = manual_setup([[2.0], [1.0], [0.5]], act, m)
-        row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]),
-                              mean_channel_set=("Fz",))
-        # waveform at Fz is 2 * activation
+        row = extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]))
+        # waveform at Fz is 2 * activation; IN_mean averages every channel
         assert row["IN_min"] == -4.0 and row["IN_max"] == 6.0
-        assert row["IN_mean"] == pytest.approx(2 * act.mean())
+        assert row["IN_mean"] == pytest.approx(np.mean([2.0, 1.0, 0.5]) * act.mean())
 
     def test_ti_max_uses_absolute_peak(self):
         m = make_montage(TRIO)
@@ -150,12 +148,11 @@ class TestExtractSummary:
         with pytest.raises(ConfigError, match="template"):
             extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0.5]))
 
-    def test_empty_mean_channel_set_rejected(self):
+    def test_unknown_factor_rejected(self):
         m = make_montage(TRIO)
         dec, epochs = manual_setup([[1.0], [0.5], [0.2]], np.ones((1, 8)), m, n_trials=2)
-        with pytest.raises(ConfigError, match="nonempty"):
-            extract_summary(dec, epochs, "FA1", {}, template=np.array([1.0, 0, 0]),
-                            mean_channel_set=())
+        with pytest.raises(ConfigError, match="unknown factor id 'FA99'"):
+            extract_summary(dec, epochs, "FA99", {}, template=np.array([1.0, 0, 0]))
 
     def test_montage_mismatch_rejected(self):
         dec, epochs = manual_setup([[1.0], [0.5], [0.2]], np.ones((1, 8)),
@@ -198,7 +195,7 @@ class TestSummarizeDataset:
                                    n_trials=4, info=info)
         rows = summarize_dataset(dec, epochs, template=np.array([1.0, 0, 0]))
         assert len(rows) == 3 * 2
-        assert conditions_of(epochs) == [
+        assert [{k: row[k] for k in METADATA_KEYS} for row in rows[:2]] == [
             {"EVENT": "e1", "STIM": "s", "MOD": "m"},
             {"EVENT": "e2", "STIM": "s", "MOD": "m"},
         ]
@@ -299,11 +296,11 @@ class TestConditionAverages:
         dec, epochs = self._four_conditions()
         dec = dataclasses.replace(dec, mean=np.array([0.25, -1.5, 3.0]))
         template = np.array([1.0, 0.5, -0.2])
-        conds = conditions_of(epochs)
+        conds = [dict(zip(METADATA_KEYS, key)) for key in group_trials(epochs, METADATA_KEYS)]
         assert len(conds) == 4 and len(dec.factor_ids) == 3
-        rows = summarize_dataset(dec, epochs, template, mean_channel_set=["Fz", "Oz"])
+        rows = summarize_dataset(dec, epochs, template)
         assert rows == [
-            extract_summary(dec, epochs, f, c, template, mean_channel_set=["Fz", "Oz"])
+            extract_summary(dec, epochs, f, c, template)
             for f in dec.factor_ids for c in conds
         ]
 
@@ -341,7 +338,7 @@ class TestConditionAverages:
         dec, epochs = manual_setup([[1.0], [0.5], [0.2]], np.ones((1, 8)), m, n_trials=2,
                                    info=[{"EVENT": nan, "STIM": "s", "MOD": "m"}] * 2)
         with pytest.raises(ConfigError, match="selects no trials"):
-            summarize_dataset(dec, epochs, np.array([1.0, 0, 0]), group_by=("EVENT",))
+            summarize_dataset(dec, epochs, np.array([1.0, 0, 0]))
 
     # interleaved, uneven and single-trial conditions of 31 trials
     @pytest.mark.parametrize("trials", [

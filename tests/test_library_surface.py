@@ -1,7 +1,8 @@
-"""The library's settable parameters, the cluster model's stored fields, and
-imports that nothing uses."""
+"""The library's settable parameters, the cluster model's stored fields,
+imports that nothing uses, and names that nothing calls."""
 import ast
 import dataclasses
+import functools
 import inspect
 import json
 from pathlib import Path
@@ -11,13 +12,13 @@ import pytest
 
 from nof import classification, clustering, decomposition
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nof"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nof"
 
 # Each kept field has a caller: a pipeline stage, an acceptance criterion, or
 # a test that uses it as its reference path.
 CONFIG_FIELDS = [
     (clustering.EMConfig, ("seed", "n_restarts")),
-    (clustering.EncodingConfig, ("numeric", "categorical", "scale")),
     (clustering.DivisiveConfig, ("seed",)),
     (classification.TreeConfig, ("prune_cf",)),
     (decomposition.FastIcaConfig, ("max_iter", "seed")),
@@ -74,6 +75,25 @@ def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _reads(tree: ast.AST, skip: set[int] = frozenset()) -> set[str]:
+    """Every name `tree` reads: loaded names, attribute names and names
+    imported from a module, outside the nodes whose id() is in `skip`."""
+    read: set[str] = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return read
+
+
 def unread_private_names(source: str, readers: list[str]) -> list[str]:
     """Single-underscore names `source` defines at module level (function,
     class or assignment) that neither it nor any of `readers` reads."""
@@ -88,15 +108,7 @@ def unread_private_names(source: str, readers: list[str]) -> list[str]:
             continue
         defined.update((name, node.lineno) for name in names
                        if name.startswith("_") and not name.startswith("__"))
-    read: set[str] = set()
-    for text in (source, *readers):
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+    read = set().union(*(_reads(ast.parse(text)) for text in (source, *readers)))
     return [f"{name} (line {line})" for name, line in defined.items() if name not in read]
 
 
@@ -112,3 +124,74 @@ def test_private_name_check_flags_an_orphan():
 def test_module_private_names_are_read(path):
     readers = [p.read_text(encoding="utf-8") for p in SRC.glob("*.py") if p != path]
     assert unread_private_names(path.read_text(encoding="utf-8"), readers) == []
+
+
+def uncalled_public_names(source: str, read: set[str]) -> list[str]:
+    """Public module-level functions and classes, and public methods, of
+    `source` whose name is neither in `read` nor read by the module itself.
+    A module's own reads count only outside the definition being checked and
+    outside every definition already found uncalled, so a helper whose one
+    caller is uncalled is found too."""
+    tree = ast.parse(source)
+    defined: dict[str, ast.AST] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defined[node.name] = node
+            defined.update((f"{node.name}.{m.name}", m) for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    uncalled: dict[str, int] = {}
+    while True:
+        dead = {id(defined[name]) for name in uncalled}
+        found = {name: node.lineno for name, node in defined.items()
+                 if name not in uncalled and name.rpartition(".")[2] not in read
+                 and name.rpartition(".")[2] not in _reads(tree, dead | {id(node)})}
+        if not found:
+            return [f"{name} (line {line})" for name, line in uncalled.items()]
+        uncalled.update(found)
+
+
+def test_uncalled_name_check_flags_an_orphan_and_its_helper():
+    source = ("def helper(): pass\ndef orphan(): return helper()\ndef kept(): return 1\n"
+              "class Kept:\n    def used(self): pass\n    def unused(self): pass\n"
+              "def recursive(n): return recursive(n - 1)\n")
+    assert uncalled_public_names(source, {"kept", "Kept", "used"}) \
+        == ["orphan (line 2)", "Kept.unused (line 6)", "recursive (line 7)", "helper (line 1)"]
+
+
+def _target_names(text: str) -> set[str]:
+    """The dotted names in the strings of a module's TARGETS assignment,
+    split at the dots: the attributes bench/tracer.py patches."""
+    names: set[str] = set()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            names.update(part for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                         for part in c.value.split("."))
+    return names
+
+
+@functools.cache
+def _file_reads(path: Path) -> frozenset[str]:
+    text = path.read_text(encoding="utf-8")
+    return frozenset(_reads(ast.parse(text)) | _target_names(text))
+
+
+# Public names kept although only tests call them, each with its reason
+UNCALLED_KEPT = {
+    "features": {"extract_summary"},  # the one-row reference for summarize_dataset
+}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_public_names_have_a_caller(path):
+    """A public function, class or method is read by another module of the
+    package, by the benchmark (bench/*.py, the tracer's TARGETS included), or
+    by the acceptance criteria; otherwise it is deleted."""
+    readers = [p for p in SRC.glob("*.py") if p != path]
+    readers += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_file_reads, readers))
+    uncalled = uncalled_public_names(path.read_text(encoding="utf-8"), read)
+    kept = UNCALLED_KEPT.get(path.stem, set())
+    assert [n for n in uncalled if n.partition(" ")[0] not in kept] == []

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nof.clustering import TaxonomyClass
 from nof.errors import ConfigError, MissingInputError, ParseError
 from nof import ontology
 from nof.ontology import (
@@ -18,13 +17,10 @@ from nof.ontology import (
     OntologyRuleBase,
     PartitionReport,
     align_cluster_labels,
-    contradicts,
-    export_rule_base,
     ingest_expert_rules,
     partition,
     report_to_json,
     report_to_text,
-    rule_match,
 )
 from nof.pipeline import load_config, run_pipeline
 from nof.rulemining import (
@@ -61,78 +57,90 @@ def expert(rule_id, ante, cons, negated=False):
     )
 
 
-class TestRuleMatch:
+def contradicted(r, e):
+    """Whether partition files the qualified rule r as contradicting e."""
+    base = OntologyRuleBase(rules=[e], beta_sup=0.1, beta_conf=0.1)
+    return [a.contradicted_expert for a in partition([r], base).contradictory] == [e.rule_id]
+
+
+class TestSameRule:
+    """ontology._same_rule, the comparison partition runs for each pair of a
+    qualified rule and an expert rule of the same consequent key."""
+
     def test_identical_rules_match(self):
         r = mined(["SP_max_ROI=frontal", "TI_max>350"], "P300")
         e = expert("e1", ["SP_max_ROI=frontal", "TI_max>350"], "P300")
-        assert rule_match(r, e)
+        assert ontology._same_rule(r, e)
 
     def test_different_consequent_label(self):
         r = mined(["SP_max_ROI=frontal"], "P300")
         e = expert("e1", ["SP_max_ROI=frontal"], "N400")
-        assert not rule_match(r, e)
+        assert not ontology._same_rule(r, e)
 
     def test_interval_alignment_example(self):
         r = mined(["TI_max>350", "SP_max_ROI=frontal"], "P300")
         e = expert("e1", ["TI_max>350", "SP_max_ROI=frontal"], "P300")
-        assert rule_match(r, e)
+        assert ontology._same_rule(r, e)
 
     def test_catch_all_snaps_to_expert_interval(self):
         r = mined(["TI_max=ANY", "SP_max_ROI=frontal"], "P300")
         e = expert("e1", ["TI_max∈(300,500]", "SP_max_ROI=frontal"], "P300")
-        assert rule_match(r, e)
+        assert ontology._same_rule(r, e)
 
     def test_coarse_mined_interval_snaps(self):
         r = mined(["TI_max>250", "SP_max_ROI=frontal"], "P300")
         e = expert("e1", ["TI_max∈(300,500]", "SP_max_ROI=frontal"], "P300")
-        assert rule_match(r, e)
+        assert ontology._same_rule(r, e)
 
     def test_disjoint_interval_does_not_snap(self):
         r = mined(["TI_max∈(377,523]", "SP_max_ROI=frontal"], "P300")
         e = expert("e1", ["TI_max∈(300,500]", "SP_max_ROI=frontal"], "P300")
-        assert not rule_match(r, e)
+        assert not ontology._same_rule(r, e)
 
     def test_partially_contained_interval_does_not_match(self):
         r = mined(["TI_max≤461.5"], "P300")
         e = expert("e1", ["TI_max∈(300,500]"], "P300")
-        assert not rule_match(r, e)
+        assert not ontology._same_rule(r, e)
 
     def test_antecedent_attribute_sets_must_agree(self):
         r = mined(["SP_max_ROI=frontal", "EVENT=stimon"], "P300")
         e = expert("e1", ["SP_max_ROI=frontal"], "P300")
-        assert not rule_match(r, e)
+        assert not ontology._same_rule(r, e)
 
-    def test_negated_expert_rule_never_matches(self):
+    def test_negated_expert_rule_contradicts_and_never_matches(self):
         r = mined(["SP_max_ROI=frontal"], "P300")
         e = expert("e1", ["SP_max_ROI=frontal"], "P300", negated=True)
-        assert not rule_match(r, e)
+        assert ontology._same_rule(r, e)  # negation is not compared
+        base = OntologyRuleBase(rules=[e], beta_sup=0.1, beta_conf=0.1)
+        (annotated,) = partition([r], base).arec
+        assert (annotated.matched_expert, annotated.contradicted_expert) == (None, "e1")
 
 
 class TestContradicts:
     def test_direct_negation(self):
         r = mined(["SP_max_ROI=frontal", "TI_max>350"], "P300")
         e = expert("e1", ["SP_max_ROI=frontal", "TI_max>350"], "P300", negated=True)
-        assert contradicts(r, e)
+        assert contradicted(r, e)
 
     def test_disjoint_antecedents_no_contradiction(self):
         r = mined(["SP_max_ROI=occipital"], "P300")
         e = expert("e1", ["SP_max_ROI=frontal"], "P300", negated=True)
-        assert not contradicts(r, e)
+        assert not contradicted(r, e)
 
     def test_difference_is_not_contradiction(self):
         r = mined(["SP_max_ROI=frontal"], "N400")
         e = expert("e1", ["SP_max_ROI=frontal"], "P300")
-        assert not contradicts(r, e)
+        assert not contradicted(r, e)
 
     def test_negation_of_other_label_no_contradiction(self):
         r = mined(["SP_max_ROI=frontal"], "N400")
         e = expert("e1", ["SP_max_ROI=frontal"], "P300", negated=True)
-        assert not contradicts(r, e)
+        assert not contradicted(r, e)
 
     def test_interval_snapping_applies_to_contradictions(self):
         r = mined(["TI_max=ANY"], "P300")
         e = expert("e1", ["TI_max∈(300,500]"], "P300", negated=True)
-        assert contradicts(r, e)
+        assert contradicted(r, e)
 
 
 class TestPartitionWorkedExample:
@@ -309,7 +317,7 @@ class TestPartitionAgainstBruteForce:
             # recount: matched mined rules cannot outnumber matched expert rules
             matched_experts = {
                 e.rule_id for e in lib_expert
-                if any(rule_match(a.rule, e) for a in report.arec)
+                if not e.negated and any(ontology._same_rule(a.rule, e) for a in report.arec)
             }
             matched_contr = sum(
                 1 for a in report.contradictory if a.matched_expert is not None
@@ -367,16 +375,27 @@ def _narrowed(item):
     return interval_item(item.attribute, item.lo, item.lo + 1.0)
 
 
+def _moved(rule, txs):
+    """rule with its first antecedent item moved to the consequent, measured
+    on txs: a rule of a two-item consequent, which a rules CSV can hold."""
+    item = min(rule.antecedent)
+    ante, cons = rule.antecedent - {item}, rule.consequent | {item}
+    n_ante, n_both, n_cons = (sum(s <= t for t in txs) for s in (ante, ante | cons, cons))
+    conf = n_both / n_ante
+    return AssociationRule(ante, cons, n_both / len(txs), conf, abs(conf - n_cons / len(txs)))
+
+
 def random_mined_base(rng):
-    """Rules mined from a random table with every consequent partition, and an
-    expert base drawn from them: eq, interval and label consequents, negated
-    rules, narrowed intervals that snap, and experts sharing a consequent.
-    Returns the aligned mined rules and the base."""
+    """Rules mined from a random table, some of them moved to a two-item
+    consequent, and an expert base drawn from them: eq, interval and label
+    consequents, negated rules, narrowed intervals that snap, and experts
+    sharing a consequent. Returns the aligned mined rules and the base."""
     rows = [{"x": float(rng.normal()), "y": float(rng.normal()),
              "M": str(rng.choice(["a", "b"])), "CLUSTER": str(rng.choice(["C1", "C2", "C3"]))}
             for _ in range(int(rng.integers(6, 16)))]
     txs = discretize(rows, {"x": [-0.5, 0.5], "y": [0.0]})
-    rules = generate_rules(apriori(txs, 0.15), 0.3, txs, single_consequent=False)
+    rules = generate_rules(apriori(txs, 0.15), 0.3, txs)
+    rules += [_moved(r, txs) for r in rules[::2] if len(r.antecedent) > 1]
     universe = sorted({i for t in txs for i in t})
     experts = []
     for idx in range(int(rng.integers(1, 9))):
@@ -537,21 +556,6 @@ class TestExpertRuleFile:
         assert base.rules[1].negated
         assert base.rules[0].consequent == label_item("P300")
 
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "expert.json"
-        path.write_text(json.dumps(self._doc(), ensure_ascii=False), encoding="utf-8")
-        base = ingest_expert_rules(path)
-        base.classes = [TaxonomyClass("ROOT", None, (0, 1)), TaxonomyClass("C1", "ROOT", (0,))]
-        out = tmp_path / "exported.json"
-        export_rule_base(base, out)
-        again = ingest_expert_rules(out)
-        assert again.rules == base.rules
-        assert again.classes == base.classes
-        assert (again.beta_sup, again.beta_conf, again.pi_min) == (
-            base.beta_sup, base.beta_conf, base.pi_min
-        )
-        assert again.attributes == base.attributes
-
     def test_unknown_attribute_names_line_and_attribute(self, tmp_path):
         doc = self._doc()
         doc["rules"][0]["if"] = ["TI_maxx>350"]
@@ -595,7 +599,6 @@ class TestExpertRuleFile:
         ({"rules": {"a": 1}}, "rules"),
         ({"thresholds": [1, 2]}, "thresholds"),
         ({"thresholds": {"beta_sup": True}}, "thresholds"),
-        ({"classes": [{"parent": None}]}, "classes"),
         ({"attributes": "TI_max"}, "attributes"),
         ({"attributes": ["TI_max", 3]}, "attributes"),
     ])
@@ -654,10 +657,11 @@ class TestExpertRuleFile:
         doc["rules"][0]["iff"] = doc["rules"][0].pop("if")
         self._rejected(tmp_path, doc, "unknown key 'iff' in rule 'p300_rule'", '"iff"')
 
-    def test_unknown_class_key_rejected(self, tmp_path):
+    def test_classes_key_rejected(self, tmp_path):
+        # the pipeline's classes are the EM clusters; an expert file holds none
         doc = self._doc()
-        doc["classes"] = [{"name": "ROOT", "parent": None, "member": [0]}]
-        self._rejected(tmp_path, doc, "unknown key 'member' in class 'ROOT'", '"member"')
+        doc["classes"] = [{"name": "ROOT", "parent": None, "members": [0]}]
+        self._rejected(tmp_path, doc, "unknown key 'classes' at the top level", '"classes"')
 
     def test_duplicate_rule_id_rejected(self, tmp_path):
         doc = self._doc()
@@ -671,7 +675,7 @@ class TestExpertRuleFile:
         path = tmp_path / "expert.json"
         path.write_text(json.dumps({"thresholds": {"beta_sup": 0.4}}), encoding="utf-8")
         base = ingest_expert_rules(path)
-        assert base.rules == [] and base.classes == []
+        assert base.rules == []
         assert (base.beta_sup, base.beta_conf, base.pi_min) == (0.4, 0.8, 0.5)
 
 

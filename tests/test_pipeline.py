@@ -32,9 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
 
 # Stage parameters the pipeline leaves at the library's defaults
-# (FastIcaConfig, EMConfig, EncodingConfig but for the categorical columns
-# cluster encodes, TreeConfig, summarize_dataset,
-# generate_rules, the testbed presets); none of them is a config key. Every
+# (FastIcaConfig, EMConfig, TreeConfig, the testbed presets), and options the
+# library does not have (an IN_mean channel set, a condition grouping,
+# multi-item consequents); none of them is a config key. Every
 # stage seed derives from the top-level `seed`. The support, confidence and
 # reliability gates are the expert rule base's thresholds, and classes.json
 # holds the EM clusters.
@@ -147,19 +147,18 @@ class TestConfig:
     def test_numeric_keys_accept_ints_floats_and_null_where_allowed(self):
         config = load_config(overrides={
             "synth": {"noise_std": 2},
-            "decompose": {"n_components": 0.9},
+            "decompose": {"n_components": 3},
             "mine": {"max_len": None},
             "cluster": {"k": None, "k_max": 3},
             "extract": {"template": {"kind": "roi", "roi": "frontal", "value": 2}},
         })
         assert config["mine"]["max_len"] is None
-        assert load_config(overrides={"decompose": {"n_components": None}})
 
-    def test_variance_fraction_lies_in_the_open_unit_interval(self):
-        # 1.0 is a count of one component, not all of the variance
-        assert load_config(overrides={"decompose": {"n_components": 1.0}})
-        with pytest.raises(ConfigError, match=r"variance fraction in \(0, 1\), got 1\.5$"):
-            load_config(overrides={"decompose": {"n_components": 1.5}})
+    @pytest.mark.parametrize("value", [None, 1.0, 0.9, 1.5])
+    def test_n_components_is_a_count(self, value):
+        with pytest.raises(ConfigError, match=(
+                rf"^decompose\.n_components must be an integer, got {re.escape(repr(value))}$")):
+            load_config(overrides={"decompose": {"n_components": value}})
 
     def test_config_round_trips_through_json(self, tmp_path):
         config = load_config(overrides=small_overrides(tmp_path))
@@ -454,18 +453,6 @@ class TestStages:
 
         classes = json.loads((out / "classes.json").read_text())
         assert sum(1 for c in classes if c["parent"]) == leaves(taxonomy["root"]) == model["k"]
-
-    def test_variance_threshold_components(self, tmp_path):
-        out = tmp_path / "var_frac"
-        config = load_config(overrides={
-            "out": str(out), "seed": 6,
-            "synth": {"n_trials": 24, "noise_std": 0.2},
-            "decompose": {"n_components": 0.9},
-        })
-        run_stage("synth", config)
-        run_stage("decompose", config)
-        doc = json.loads((out / "decomposition.json").read_text())
-        assert 1 <= len(doc["factor_ids"]) <= 32
 
     def test_p300_only_preset(self, tmp_path):
         out = tmp_path / "p300"
@@ -871,7 +858,8 @@ class TestCli:
 
     @pytest.mark.parametrize("setting", [
         "synth.n_trials=true", "synth.n_trials=2.7", "synth.noise_std=true",
-        "decompose.n_components=true", "decompose.n_components=four", "cluster.k=true",
+        "decompose.n_components=true", "decompose.n_components=four",
+        "decompose.n_components=null", "decompose.n_components=1.0", "cluster.k=true",
         "cluster.k_max=2.5", "cluster.k_max=false", "synth.noise_std=null",
         "cluster.k_max=null", "mine.max_len=true", "mine.max_len=2.5",
         'extract.template={"kind":"roi","roi":"frontal","value":true}',
@@ -927,6 +915,65 @@ class TestCli:
         assert main(["pipeline", "--out", str(out), "--set", setting]) == 3
         assert setting.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting,message", [
+        ("synth.noise_std=Infinity", "synth.noise_std must be finite, got inf"),
+        ("synth.noise_std=NaN", "synth.noise_std must be finite, got nan"),
+        ("extract.template.value=NaN", "extract.template.value must be finite, got nan"),
+        ("extract.template.value=-Infinity",
+         "extract.template.value must be finite, got -inf"),
+        ("extract.template=frontal", "extract.template must be an object, got 'frontal'"),
+        ("extract.template.kind=weights",
+         "unknown extract.template.kind 'weights'; pick one of roi, csv"),
+        ("extract.template.rio=central", "unknown keys in extract.template: ['rio']"),
+        ("extract.template.roi=3", "extract.template.roi must be a string, got 3"),
+        ('extract.template={"kind":"csv"}', "extract.template.path must name a file, got None"),
+        ('extract.template={"kind":"csv","path":3}',
+         "extract.template.path must name a file, got 3"),
+    ], ids=["noise-inf", "noise-nan", "value-nan", "value-neg-inf", "not-object", "kind",
+            "unknown-key", "roi-number", "csv-no-path", "csv-path-number"])
+    def test_cli_pipeline_rejects_a_bad_value_before_any_stage(self, tmp_path, capsys, setting,
+                                                               message):
+        # before, noise_std=Infinity published non-finite epochs and decompose
+        # failed on rank 0, and value=NaN published a summary with SP_cor nan
+        out = tmp_path / "out"
+        assert main(["pipeline", "--out", str(out), "--set", setting]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_cli_pipeline_rejects_a_misspelt_template_key_in_a_config_file(self, tmp_path,
+                                                                           capsys):
+        # before, the file ran with the default's frontal ROI
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"extract": {"template": {"rio": "central"}}}))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 3
+        assert "unknown keys in extract.template: ['rio']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda lines: [lines[0].replace("0.0", "nan")] + lines[1:],
+         "line 2: weight 'nan' is not finite"),
+        (lambda lines: lines[:5] + [lines[5].replace("1.0", "inf")] + lines[6:],
+         "line 7: weight 'inf' is not finite"),
+        (lambda lines: lines + [lines[1].replace("1.0", "2.0")],
+         "line 34: channel 'Fp2' is repeated"),
+        (lambda lines: lines[:1] + ["Q9,1.0"] + lines[1:],
+         "line 3: channel 'Q9' is not in the montage"),
+    ], ids=["nan", "inf", "repeated", "unknown"])
+    def test_cli_template_csv_rejects_a_bad_line(self, published_run, tmp_path, capsys, edit,
+                                                 message):
+        # before, nan ended as a singular covariance in cluster, a repeated
+        # channel kept its last weight, and an unknown channel was ignored
+        template = write_template(tmp_path / "template.csv")
+        header, *lines = template.read_text().splitlines()
+        template.write_text("\n".join([header, *edit(lines)]) + "\n")
+        before = snapshot(published_run)
+        capsys.readouterr()
+        assert main(["extract", "--out", str(published_run), "--set",
+                     f'extract.template={{"kind":"csv","path":"{template}"}}']) == 3
+        assert capsys.readouterr().err == f"error: template CSV {message}\n"
+        assert snapshot(published_run) == before
 
     def test_cli_csv_template_without_path_is_config_error(self, published_run, capsys):
         before = snapshot(published_run)

@@ -299,18 +299,12 @@ class TestGenerateRules:
         rule = generate_rules(itemsets, 0.8, txs)[0]
         assert rule.reliability == 0.0  # |1 - supp(a)| with supp(a) = 1
 
-    def test_vanishing_confidence_emits_every_partition(self):
-        txs = [tx(A, B, C)] * 5
-        itemsets = apriori(txs, 0.5)
-        rules = generate_rules(itemsets, 1e-9, txs, single_consequent=False)
-        # per itemset of size k: 2^k - 2 ordered partitions
-        expected = sum(2 ** len(s) - 2 for s in itemsets if len(s) >= 2)
-        assert len(rules) == expected
-
-    def test_single_consequent_default(self):
+    def test_vanishing_confidence_emits_a_rule_per_member(self):
         txs = [tx(A, B, C)] * 5
         itemsets = apriori(txs, 0.5)
         rules = generate_rules(itemsets, 1e-9, txs)
+        # per itemset of size k >= 2: k rules, each with a one-item consequent
+        assert len(rules) == sum(len(s) for s in itemsets if len(s) >= 2)
         assert all(len(r.consequent) == 1 for r in rules)
 
     def test_emitted_rules_respect_thresholds(self):
@@ -443,7 +437,7 @@ class TestRulesCsv:
                  "M": str(rng.choice(["a", "b"])), "N": str(rng.choice(["u", "v", "w"])),
                  "O": str(rng.choice(["p", "q"]))} for _ in range(40)]
         txs = discretize(rows, splits)
-        rules = generate_rules(apriori(txs, 0.05), 0.3, txs, single_consequent=False)
+        rules = generate_rules(apriori(txs, 0.05), 0.3, txs)
         assert len(rules) >= 1000
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_rules_csv(rules, first)
@@ -560,30 +554,26 @@ class TestReaderAgainstLoop:
 
 
 class TestGenerateRulesKeys:
-    @pytest.mark.parametrize("single_consequent", [True, False])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(),
            pool=st.lists(_items, min_size=2, max_size=7, unique_by=lambda i: i.canonical))
-    def test_sort_key_is_sorted_canonicals_of_the_sides(self, single_consequent, data, pool):
+    def test_sort_key_is_sorted_canonicals_of_the_sides(self, data, pool):
         transactions = data.draw(st.lists(
             st.lists(st.sampled_from(pool), min_size=1).map(frozenset), min_size=1, max_size=8))
-        rules = generate_rules(apriori(transactions, 0.25), 0.3, transactions,
-                               single_consequent=single_consequent)
+        rules = generate_rules(apriori(transactions, 0.25), 0.3, transactions)
         for r in rules:
             assert r.sort_key() == (tuple(sorted(i.canonical for i in r.antecedent)),
                                     tuple(sorted(i.canonical for i in r.consequent)))
         assert [r.sort_key() for r in rules] == sorted(r.sort_key() for r in rules)
 
-    @pytest.mark.parametrize("single_consequent", [True, False])
-    def test_mined_rules_of_a_summary_table(self, single_consequent):
+    def test_mined_rules_of_a_summary_table(self):
         rng = np.random.default_rng(9)
         rows = [{"x": float(rng.normal()), "y": float(rng.normal()),
                  "M": str(rng.choice(["a", "b"])), "N": str(rng.choice(["u", "v", "w"]))}
                 for _ in range(30)]
         txs = discretize(rows, {"x": [-0.5, 0.5], "y": [0.0]})
-        rules = generate_rules(apriori(txs, 0.05), 0.3, txs, single_consequent=single_consequent)
+        rules = generate_rules(apriori(txs, 0.05), 0.3, txs)
         assert len(rules) > 50
-        assert any(len(r.consequent) > 1 for r in rules) is not single_consequent
         for r in rules:
             assert r.sort_key() == (tuple(sorted(i.canonical for i in r.antecedent)),
                                     tuple(sorted(i.canonical for i in r.consequent)))

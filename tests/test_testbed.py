@@ -13,7 +13,6 @@ from nof.testbed import (
     default_montage,
     gaussian_source,
     generate_dataset,
-    noise_std_for_snr,
     p300_template,
     two_pattern_preset,
 )
@@ -34,7 +33,6 @@ class TestMontage:
         m = default_montage()
         assert m.roi("Fz") == "frontal"
         assert m.roi("Oz") == "occipital"
-        assert "Fz" in m.channels_in("frontal")
 
     def test_too_few_channels_rejected(self):
         with pytest.raises(ConfigError):
@@ -48,13 +46,12 @@ class TestMontage:
         with pytest.raises(ConfigError):
             ChannelMontage(("a", "b"), {"a": "roi"})
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_lists_each_channel_and_its_roi(self, tmp_path):
         m = default_montage()
         path = tmp_path / "montage.csv"
         m.save_csv(path)
-        again = ChannelMontage.load_csv(path)
-        assert again == m
-        assert path.read_text().splitlines()[0] == "channel,roi"
+        assert path.read_text().splitlines() == ["channel,roi"] + [
+            f"{c},{m.roi(c)}" for c in m.channels]
 
 
 class TestSourceTemplate:
@@ -101,19 +98,16 @@ class TestGenerateDataset:
         peak_ms = epochs.t0 + peak_idx * 1000.0 / epochs.fs
         assert 300.0 <= peak_ms <= 500.0
         assert avg[fz, peak_idx] > 0
-        frontal_idx = [montage.index(c) for c in montage.channels_in("frontal")]
+        frontal_idx = [i for i, c in enumerate(montage.channels) if montage.roi(c) == "frontal"]
         assert avg[frontal_idx, peak_idx].mean() > 0
 
-    def test_requested_snr_within_ten_percent(self, montage):
+    def test_noise_has_the_requested_std(self, montage):
         _, templates = two_pattern_preset(montage)
-        std = noise_std_for_snr(templates, 1.0)
-        noisy = generate_dataset(templates, mixing_noise=0.0, noise_std=std,
+        noisy = generate_dataset(templates, mixing_noise=0.0, noise_std=2.5,
                                  n_trials=50, seed=7, montage=montage)
         clean = generate_dataset(templates, mixing_noise=0.0, noise_std=0.0,
                                  n_trials=50, seed=7, montage=montage)
-        noise = noisy.data - clean.data
-        ratio = np.mean(clean.data**2) / np.var(noise)
-        assert abs(ratio - 1.0) <= 0.1
+        assert abs(np.std(noisy.data - clean.data) / 2.5 - 1.0) <= 0.05
 
     def test_deterministic_for_seed(self, montage):
         _, templates = two_pattern_preset(montage)
@@ -282,13 +276,6 @@ class TestEpochContainer:
         assert np.array_equal(loaded.data, default.data)
         assert loaded.data.transpose(1, 0, 2).flags.c_contiguous
         assert loaded.montage == default.montage and loaded.trial_info == default.trial_info
-
-    def test_times_axis(self):
-        m = make_montage({"a": "r", "b": "r"})
-        epochs = EpochTensor(np.zeros((1, 2, 4)), fs=1000.0, t0=-100.0,
-                             montage=m,
-                             trial_info=[{"EVENT": "e", "STIM": "s", "MOD": "m"}])
-        assert np.array_equal(epochs.times(), [-100.0, -99.0, -98.0, -97.0])
 
 
 def _save_raw(path, data, **kwargs):

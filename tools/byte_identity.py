@@ -6,7 +6,7 @@
 SRC_A and SRC_B are directories holding the `nof` package, such as the `src`
 directory of two checkouts. Each tree runs `run_pipeline` in its own
 interpreter for seeds 0-11 of the `paper_default` and `many_rows` workloads
-of bench/spec.json (read, never written), and for seeds 0-2 of six edge
+of bench/spec.json (read, never written), and for seeds 0-2 of seven edge
 configs defined here (EDGE_CONFIGS), with the expert rule base
 docs/expert.example.json. The two sides are compared on the checksums of
 every artifact (`artifact_checksums`) and on every run.json entry with its
@@ -32,7 +32,10 @@ SEEDS = range(12)
 # source, a single trial (its concatenated epochs are a reshape of the
 # tensor), and noise-free data, whose rank is the number of sources; the
 # two agglomerative linkages besides many_rows' average linkage; and a fixed
-# k, which fits EM without select_k and grows a divisive tree over three means
+# k, which fits EM without select_k and grows a divisive tree over three
+# means; and a template read from a channel,weight CSV, which each side writes
+# as TEMPLATE_CSV in its own temp dir with the default ROI template's weights
+TEMPLATE_CSV = "template.csv"
 EDGE_CONFIGS = {
     "p300_only": {"synth": {"preset": "p300_only"}},
     "one_trial": {"synth": {"n_trials": 1}},
@@ -40,20 +43,29 @@ EDGE_CONFIGS = {
     "single_linkage": {"cluster": {"hierarchy": "agglomerative:single"}},
     "complete_linkage": {"cluster": {"hierarchy": "agglomerative:complete"}},
     "fixed_k": {"cluster": {"k": 3}},
+    "csv_template": {"extract": {"template": {"kind": "csv", "path": TEMPLATE_CSV}}},
 }
 EDGE_SEEDS = range(3)
 
 # Runs in the child interpreter: argv[1] is a JSON list of
-# [run name, config overrides]; prints {run name: {"artifacts", "entries"}}.
+# [run name, config overrides], argv[3] the template CSV to write; prints
+# {run name: {"artifacts", "entries"}}.
 CHILD = """
 import json, sys
 from pathlib import Path
 import nof
-from nof.pipeline import artifact_checksums, load_config, run_pipeline
+from nof.pipeline import DEFAULT_CONFIG, artifact_checksums, load_config, run_pipeline
+from nof.testbed import default_montage
 
 src = Path(sys.argv[2]).resolve()
 if src not in Path(nof.__file__).resolve().parents:
     sys.exit(f"nof was imported from {nof.__file__}, not from {src}")
+roi = DEFAULT_CONFIG["extract"]["template"]
+montage = default_montage()
+template = Path(sys.argv[3])
+template.parent.mkdir(parents=True, exist_ok=True)
+template.write_text("channel,weight\\n" + "".join(
+    f"{c},{roi['value'] if montage.roi(c) == roi['roi'] else 0.0}\\n" for c in montage.channels))
 result = {}
 for name, overrides in json.loads(sys.argv[1]):
     entries = run_pipeline(load_config(overrides=overrides))
@@ -76,6 +88,9 @@ def runs(out: Path) -> list[tuple[str, dict]]:
             overrides["seed"] = seed
             overrides["out"] = str(out / name)
             overrides.setdefault("partition", {})["expert_rules"] = str(EXPERT)
+            template = overrides.get("extract", {}).get("template", {})
+            if template.get("kind") == "csv":
+                template["path"] = str(out / template["path"])
             out_runs.append((name, overrides))
     return out_runs
 
@@ -83,7 +98,7 @@ def runs(out: Path) -> list[tuple[str, dict]]:
 def run_side(src: Path, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(runs(out)), str(src)],
+        [sys.executable, "-c", CHILD, json.dumps(runs(out)), str(src), str(out / TEMPLATE_CSV)],
         env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
