@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, MissingInputError
+from .rulemining import _fmt_num
 
 Row = dict[str, float | str]
 
@@ -97,15 +98,12 @@ def _branch_stats(
 @dataclass
 class _Candidate:
     attribute: str
-    attr_index: int
     threshold: float | None
     gain: float
     ratio: float
 
 
-def _numeric_candidates(
-    attr: str, attr_index: int, rows: list[Row], labels: list[str]
-) -> list[_Candidate]:
+def _numeric_candidates(attr: str, rows: list[Row], labels: list[str]) -> list[_Candidate]:
     """One candidate per midpoint between adjacent distinct values. As the
     thresholds rise, the rows with v <= thr move from `right` to `left` in one
     pass; a label left at count 0 adds nothing to _entropy."""
@@ -124,13 +122,11 @@ def _numeric_candidates(
         gain, split_info = _branch_stats(parent, [left, right])
         if split_info <= 0:
             continue
-        out.append(_Candidate(attr, attr_index, thr, gain, gain / split_info))
+        out.append(_Candidate(attr, thr, gain, gain / split_info))
     return out
 
 
-def _categorical_candidate(
-    attr: str, attr_index: int, rows: list[Row], labels: list[str]
-) -> list[_Candidate]:
+def _categorical_candidate(attr: str, rows: list[Row], labels: list[str]) -> list[_Candidate]:
     values = sorted({str(r[attr]) for r in rows})
     if len(values) < 2:
         return []
@@ -141,7 +137,7 @@ def _categorical_candidate(
     gain, split_info = _branch_stats(Counter(labels), branches)
     if split_info <= 0:
         return []
-    return [_Candidate(attr, attr_index, None, gain, gain / split_info)]
+    return [_Candidate(attr, None, gain, gain / split_info)]
 
 
 # Candidates whose scores differ by no more than this are ties; ties resolve
@@ -155,20 +151,20 @@ def _best_split(
     attributes: tuple[str, ...],
     kinds: dict[str, str],
 ) -> _Candidate | None:
-    per_attr: list[tuple[int, list[_Candidate]]] = []
-    for idx, attr in enumerate(attributes):
+    per_attr: list[list[_Candidate]] = []
+    for attr in attributes:
         if kinds[attr] == "numeric":
-            cands = _numeric_candidates(attr, idx, rows, labels)
+            cands = _numeric_candidates(attr, rows, labels)
         else:
-            cands = _categorical_candidate(attr, idx, rows, labels)
+            cands = _categorical_candidate(attr, rows, labels)
         if cands:
-            per_attr.append((idx, cands))
+            per_attr.append(cands)
     if not per_attr:
         return None
-    attr_gains = [max(c.gain for c in cands) for _, cands in per_attr]
+    attr_gains = [max(c.gain for c in cands) for cands in per_attr]
     mean_gain = sum(attr_gains) / len(attr_gains)
     best: _Candidate | None = None
-    for (idx, cands), g_a in zip(per_attr, attr_gains):
+    for cands, g_a in zip(per_attr, attr_gains):
         if g_a < mean_gain - _TIE_EPS:
             continue
         for c in cands:
@@ -445,12 +441,7 @@ class Condition:
     def render(self) -> str:
         if self.op == "=":
             return f"{self.attribute} = {self.value}"
-        return f"{self.attribute} {self.op} {_num(self.value)}"
-
-
-def _num(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
+        return f"{self.attribute} {self.op} {_fmt_num(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -524,32 +515,20 @@ def extract_rules(tree: DecisionTree) -> list[ClassificationRule]:
     return rules
 
 
-def split_points(tree: DecisionTree, attribute: str) -> list[float]:
-    """Sorted distinct numeric thresholds the tree tests for one attribute."""
-    if attribute not in tree.kinds:
-        raise ConfigError(f"unknown attribute {attribute!r}")
-    if tree.kinds[attribute] != "numeric":
-        raise ConfigError(f"attribute {attribute!r} is categorical, not numeric")
-    found: set[float] = set()
+def all_split_points(tree: DecisionTree) -> dict[str, list[float]]:
+    """Each numeric attribute the tree knows about, in attribute order, with
+    the sorted distinct thresholds the tree tests it at (none if untested)."""
+    found: dict[str, set[float]] = {a: set() for a in tree.attributes if tree.kinds[a] == "numeric"}
 
     def walk(node: Leaf | Split) -> None:
         if isinstance(node, Split):
-            if node.is_numeric and node.attribute == attribute:
-                found.add(node.threshold)
+            if node.is_numeric and node.attribute in found:
+                found[node.attribute].add(node.threshold)
             for child in node.children.values():
                 walk(child)
 
     walk(tree.root)
-    return sorted(found)
-
-
-def all_split_points(tree: DecisionTree) -> dict[str, list[float]]:
-    """Split points for every numeric attribute the tree knows about."""
-    return {
-        attr: split_points(tree, attr)
-        for attr in tree.attributes
-        if tree.kinds[attr] == "numeric"
-    }
+    return {attr: sorted(points) for attr, points in found.items()}
 
 
 def leaf_count(tree: DecisionTree) -> int:

@@ -9,7 +9,7 @@ average linkage by nearest-neighbour chain: numpy ports of scipy's linkage
 algorithms, so exact distance ties merge in scipy's order), both producing
 the same binary-tree taxonomy type, which can be cut into ordered classes.
 Every clustering function takes a plain observations x attributes array,
-such as `encode_observations(rows).X`.
+such as `encode_observations(rows)`.
 
 Work whose outcome is fixed in advance is skipped: BIC selection fits no
 k > n/2, since such a k cannot give each component two rows; a one-component
@@ -41,32 +41,22 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # observation encoding
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ObservationMatrix:
-    """Numeric matrix over encoded summary attributes, one name per column."""
-
-    X: np.ndarray
-    columns: tuple[str, ...]
-
-
 def encode_observations(
     rows: list[Row], categorical: tuple[str, ...] = CATEGORICAL_COLUMNS
-) -> ObservationMatrix:
-    """The NUMERIC_COLUMNS z-scored (std > 0 only), then the `categorical`
-    columns one-hot."""
+) -> np.ndarray:
+    """The NUMERIC_COLUMNS z-scored (std > 0 only), then for each
+    `categorical` column a 0/1 column per value it takes, in sorted order."""
     if not rows:
         raise ConfigError("cannot encode an empty summary table")
     cols = [np.array([float(r[c]) for r in rows]) for c in NUMERIC_COLUMNS]
-    names = list(NUMERIC_COLUMNS)
     for c in categorical:
         for v in sorted({str(r[c]) for r in rows}):
             cols.append(np.array([1.0 if str(r[c]) == v else 0.0 for r in rows]))
-            names.append(f"{c}={v}")
     X = np.column_stack(cols)
     num = X[:, :len(NUMERIC_COLUMNS)]
     sd = num.std(axis=0)
     num[...] = (num - num.mean(axis=0)) / np.where(sd > 0, sd, 1.0)
-    return ObservationMatrix(X=X, columns=tuple(names))
+    return X
 
 
 # ---------------------------------------------------------------------------

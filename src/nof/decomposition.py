@@ -29,10 +29,8 @@ class WhitenedData:
 
     whitened: np.ndarray      # components x samples
     whitening: np.ndarray     # components x channels
-    dewhitening: np.ndarray   # channels x components
+    dewhitening: np.ndarray   # channels x components, column norms sqrt(eigenvalues), descending
     mean: np.ndarray          # per-channel mean removed before projection
-    retained_variance: float
-    eigenvalues: np.ndarray   # descending, length = components
     channels: tuple[str, ...]
     n_trials: int
     n_timepoints: int
@@ -110,8 +108,6 @@ def center_and_whiten(
         whitening=whitening,
         dewhitening=dewhitening,
         mean=mean,
-        retained_variance=float(np.sum(kept) / np.sum(eigvals)),
-        eigenvalues=kept,
         channels=tuple(epochs.montage.channels),
         n_trials=epochs.n_trials,
         n_timepoints=epochs.n_timepoints,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import ConfigError, MissingInputError, ParseError
 from .features import COLUMNS
-from .rulemining import AssociationRule, Item, label_item, parse_item
+from .rulemining import AssociationRule, Item, eq_item, label_item, parse_item
 
 DEFAULT_ATTRIBUTES = tuple(COLUMNS) + ("CLUSTER",)
 
@@ -106,9 +106,9 @@ def _itemsets_match(mined: frozenset[Item], expert: frozenset[Item]) -> bool:
 def _same_rule(mined: AssociationRule, expert: ExpertRule) -> bool:
     """Antecedents and consequents equal after interval alignment, whether
     or not the expert consequent is negated."""
-    return _itemsets_match(mined.antecedent, expert.antecedent) and _itemsets_match(
-        mined.consequent, frozenset([expert.consequent])
-    )
+    (c,) = mined.consequent
+    return _items_align(c, expert.consequent) and _itemsets_match(
+        mined.antecedent, expert.antecedent)
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +134,10 @@ def align_cluster_labels(
     voters = [e for e in expert_rules if e.consequent.kind == "label"
               and (not e.negated or e.consequent.value not in named)]
     votes: dict[tuple[str, str], float] = {}
-    cluster_items: dict[str, Item] = {}
     for r in mined:
-        if len(r.consequent) != 1:
-            continue
         (c,) = r.consequent
         if c.kind != "eq" or c.attribute != "CLUSTER":
             continue
-        cluster_items[c.value] = c
         for e in voters:
             if _itemsets_match(r.antecedent, e.antecedent):
                 key = (c.value, e.consequent.value)
@@ -156,11 +152,9 @@ def align_cluster_labels(
     if not mapping:
         return list(mined), {}
 
-    # Items are equal by canonical string, so these keys also find the mapped
-    # cluster items in antecedents
-    labels = {
-        cluster_items[cluster]: label_item(pattern) for cluster, pattern in mapping.items()
-    }
+    # Items are equal by canonical string, so these keys find the mapped
+    # cluster items in consequents and antecedents alike
+    labels = {eq_item("CLUSTER", c): label_item(p) for c, p in mapping.items()}
     renamed = []
     for r in mined:
         if labels.keys().isdisjoint(r.antecedent) and labels.keys().isdisjoint(r.consequent):
@@ -216,7 +210,7 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
         r for r in mined if r.support >= base.beta_sup and r.confidence >= base.beta_conf
     ]
     qualified = sorted(set(qualified), key=AssociationRule.sort_key)
-    # _same_rule holds only for a one-item mined consequent with the expert
+    # _same_rule holds only if the mined consequent's one item has the expert
     # consequent's _item_key, so each rule is compared with those experts alone
     by_consequent: dict[str, list[tuple[int, ExpertRule]]] = {}
     for idx, e in enumerate(base.rules):
@@ -225,11 +219,8 @@ def partition(mined: list[AssociationRule], base: OntologyRuleBase) -> Partition
     found: set[int] = set()  # indices of the expert rules some qualified rule matches
     for r in qualified:
         matched = contra = None
-        candidates = ()
-        if len(r.consequent) == 1:
-            (c,) = r.consequent
-            candidates = by_consequent.get(_item_key(c), ())
-        for idx, e in candidates:
+        (c,) = r.consequent
+        for idx, e in by_consequent.get(_item_key(c), ()):
             if not _same_rule(r, e):
                 continue
             if e.negated:

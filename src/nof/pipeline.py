@@ -131,6 +131,22 @@ def _check_template(template) -> None:
             f"extract.template.path must name a file, got {template.get('path')!r}")
 
 
+def _check_conditions(conditions) -> None:
+    """Raise ConfigError naming the synth.conditions entry that a trial cannot carry."""
+    if not isinstance(conditions, list) or not conditions:
+        raise ConfigError(f"synth.conditions must be a nonempty list, got {conditions!r}")
+    for i, condition in enumerate(conditions):
+        if not (isinstance(condition, dict) and set(condition) == set(testbed.METADATA_KEYS)
+                and all(isinstance(v, str) for v in condition.values())):
+            raise ConfigError(f"synth.conditions[{i}] must map "
+                              f"{', '.join(testbed.METADATA_KEYS)} to strings, got {condition!r}")
+        for key, value in condition.items():
+            try:
+                rulemining.eq_item(key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"synth.conditions[{i}].{key}: {exc}") from exc
+
+
 def _lookup(config: dict, key: str):
     """The value of a `seed` or `section.key` config key."""
     section, _, name = key.rpartition(".")
@@ -182,7 +198,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         value = _lookup(config, key)
         if value not in choices:
             raise ConfigError(f"unknown {key} {value!r}; pick one of {', '.join(choices)}")
+    for key, nullable in (("out", False), ("partition.expert_rules", True)):
+        value = _lookup(config, key)
+        if not (isinstance(value, str) or nullable and value is None):
+            raise ConfigError(f"{key} must be a path{' or null' if nullable else ''}, got {value!r}")
     _check_template(config["extract"]["template"])
+    _check_conditions(config["synth"]["conditions"])
     return config
 
 
@@ -427,7 +448,7 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
     X = clustering.encode_observations(
         features.read_summary_csv(paths["summary"]),
         tuple(c for c in features.CATEGORICAL_COLUMNS if c not in testbed.METADATA_KEYS),
-    ).X
+    )
     em_config = clustering.EMConfig(seed=config["seed"] + 2)
     if cfg["k"] is not None:
         model = clustering.em_fit(X, cfg["k"], em_config)
@@ -572,14 +593,8 @@ def _config_file(config: dict, key: str) -> Path | None:
     template spec names a file only when its kind is csv."""
     value = _lookup(config, key)
     if isinstance(value, dict):
-        if value.get("kind") != "csv":
-            return None
-        value = value.get("path")
-    elif value is None:
-        return None
-    if not isinstance(value, str):
-        raise ConfigError(f"{key} must name a file, got {value!r}")
-    return Path(value)
+        value = value["path"] if value["kind"] == "csv" else None
+    return None if value is None else Path(value)
 
 
 def _stage_inputs(keys: tuple[str, ...], config: dict, paths: dict[str, Path]) -> list[Path]:

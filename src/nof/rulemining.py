@@ -236,7 +236,7 @@ def apriori(
 @dataclass(slots=True, unsafe_hash=True)
 class AssociationRule:
     antecedent: frozenset[Item]
-    consequent: frozenset[Item]
+    consequent: frozenset[Item]  # exactly one item; read_rules_csv rejects more
     support: float
     confidence: float
     reliability: float
@@ -271,11 +271,11 @@ def generate_rules(
     transactions: list[Transaction],
 ) -> list[AssociationRule]:
     """The rules A -> {c} of every frequent itemset A | {c} of two or more
-    items, one per member c, at confidence >= beta_conf."""
+    items, one per member c, at confidence >= beta_conf. Supports are read
+    from `itemsets`, which must be downward closed, as apriori's is."""
     if not 0 < beta_conf <= 1:
         raise ConfigError(f"beta_conf must lie in (0, 1], got {beta_conf}")
-    n = len(transactions)
-    if n == 0:
+    if not transactions:
         raise ConfigError("transaction list must be nonempty")
     rules: list[AssociationRule] = []
     # (consequent, antecedent) positions into an itemset's sorted members, per
@@ -293,20 +293,12 @@ def generate_rules(
         for cons_at, ante_at in splits[size]:
             cons = frozenset([members[cons_at]])
             ante = itemset - cons
-            sup_ante = itemsets.get(ante)
-            if sup_ante is None:
-                sup_ante = _support_count(ante, transactions) / n
-            if sup_ante == 0:
-                continue
-            conf = support / sup_ante
+            conf = support / itemsets[ante]
             if conf < beta_conf:
                 continue
-            sup_cons = itemsets.get(cons)
-            if sup_cons is None:
-                sup_cons = _support_count(cons, transactions) / n
             key = (tuple([names[j] for j in ante_at]), (names[cons_at],))
             rules.append(
-                AssociationRule(ante, cons, support, conf, abs(conf - sup_cons), key)
+                AssociationRule(ante, cons, support, conf, abs(conf - itemsets[cons]), key)
             )
     rules.sort(key=AssociationRule.sort_key)
     return rules
@@ -350,17 +342,17 @@ def write_rules_csv(rules: list[AssociationRule], path: str | Path) -> None:
 
 
 def read_rules_csv(path: str | Path) -> list[AssociationRule]:
-    """Read a rules CSV. A side that is empty, holds an empty item or names
-    an item twice is a ParseError naming its line, as is a bad number."""
+    """Read a rules CSV. An empty side or item, an item named twice, a consequent of
+    more than one item or a bad number is a ParseError naming its line."""
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"rules file not found: {path}")
     rules: list[AssociationRule] = []
     # a rule file repeats a few hundred distinct sides, over a few dozen
     # distinct items, thousands of times: each distinct item and each
-    # distinct side is parsed once per call
+    # distinct side is parsed once per call and per column
     parsed: dict[str, Item] = {}
-    sides: dict[str, tuple[frozenset[Item], tuple[str, ...]]] = {}
+    sides: dict[str, dict] = {"antecedent": {}, "consequent": {}}
 
     def item(token: str) -> Item:
         got = parsed.get(token)
@@ -375,11 +367,13 @@ def read_rules_csv(path: str | Path) -> list[AssociationRule]:
         tokens = text.split("&")
         if not all(tokens):
             raise ConfigError(f"empty item in {name} {text!r}")
+        if name == "consequent" and len(tokens) > 1:
+            raise ConfigError(f"consequent {text!r} holds more than one item")
         items = frozenset(map(item, tokens))
         if len(items) != len(tokens):
             raise ConfigError(f"{name} {text!r} names an item twice")
-        sides[text] = items, tuple(sorted(i.canonical for i in items))
-        return sides[text]
+        sides[name][text] = items, tuple(sorted(i.canonical for i in items))
+        return sides[name][text]
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=";")
@@ -390,8 +384,8 @@ def read_rules_csv(path: str | Path) -> list[AssociationRule]:
             if len(rec) != 5:
                 raise ParseError(f"expected 5 fields, got {len(rec)}", line=lineno)
             try:
-                ante, ante_key = sides.get(rec[0]) or side(rec[0], "antecedent")
-                cons, cons_key = sides.get(rec[1]) or side(rec[1], "consequent")
+                ante, ante_key = sides["antecedent"].get(rec[0]) or side(rec[0], "antecedent")
+                cons, cons_key = sides["consequent"].get(rec[1]) or side(rec[1], "consequent")
                 sup, conf, rel = float(rec[2]), float(rec[3]), float(rec[4])
             except (ValueError, ConfigError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc

@@ -231,8 +231,6 @@ def var_center_and_whiten(epochs, n_components=None):
         whitening=whitening,
         dewhitening=eigvecs[:, :m] * np.sqrt(kept)[None, :],
         mean=mean,
-        retained_variance=float(np.sum(kept) / np.sum(eigvals)),
-        eigenvalues=kept,
         channels=tuple(epochs.montage.channels),
         n_trials=epochs.n_trials,
         n_timepoints=epochs.n_timepoints,

@@ -27,7 +27,6 @@ from nof.classification import (
     extract_rules,
     leaf_count,
     rules_to_text,
-    split_points,
     tree_from_json,
     tree_to_json,
 )
@@ -118,7 +117,7 @@ class TestBuildTree:
             values[values == 7] = np.nextafter(6.0, 7.0)
             labels = [str(v) for v in rng.choice(["A", "B", "C"], size=n)]
             rows = [{"x": v} for v in values]
-            cands = _numeric_candidates("x", 0, rows, labels)
+            cands = _numeric_candidates("x", rows, labels)
             want = []
             distinct = sorted(set(values))
             for lo, hi in zip(distinct, distinct[1:]):
@@ -539,24 +538,16 @@ class TestSplitPoints:
         )
 
     def test_direct_read_off(self):
-        assert split_points(self._manual_tree(), "TI_max") == [350.0, 450.0]
+        assert all_split_points(self._manual_tree())["TI_max"] == [350.0, 450.0]
 
     def test_unused_numeric_attribute_empty(self):
         rows = [{"x": 1.0, "TI_max": 5.0}, {"x": 9.0, "TI_max": 5.0}]
         tree = build_tree(rows, ["A", "B"], TreeConfig(prune_cf=None))
-        assert split_points(tree, "TI_max") == []
-
-    def test_categorical_attribute_rejected(self):
-        with pytest.raises(ConfigError, match="categorical"):
-            split_points(self._manual_tree(), "ROI")
-
-    def test_unknown_attribute_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            split_points(self._manual_tree(), "nope")
+        assert all_split_points(tree)["TI_max"] == []
 
     def test_separable_split_point_in_gap(self):
         tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS)
-        pts = split_points(tree, "x")
+        pts = all_split_points(tree)["x"]
         assert len(pts) == 1 and 4.0 < pts[0] < 6.0
         oracle_attr, oracle_thr = brute_force_root_split(SEPARABLE_ROWS, SEPARABLE_LABELS)
         assert pts[0] == oracle_thr
@@ -564,6 +555,21 @@ class TestSplitPoints:
     def test_all_split_points(self):
         tree = self._manual_tree()
         assert all_split_points(tree) == {"TI_max": [350.0, 450.0]}
+
+    def test_every_numeric_attribute_in_attribute_order(self):
+        # ROI = a -> (SP <= 2 -> A, SP > 2 -> (TI <= 7 -> B, TI > 7 -> A)); ROI = b -> B
+        ti = Split(attribute="TI", threshold=7.0, n=2, counts={"A": 1, "B": 1},
+                   children={"le": Leaf("B", 1, {"B": 1}), "gt": Leaf("A", 1, {"A": 1})})
+        sp = Split(attribute="SP", threshold=2.0, n=3, counts={"A": 2, "B": 1},
+                   children={"le": Leaf("A", 1, {"A": 1}), "gt": ti})
+        root = Split(attribute="ROI", threshold=None, n=4, counts={"A": 2, "B": 2},
+                     children={"a": sp, "b": Leaf("B", 1, {"B": 1})}, majority_value="a")
+        tree = DecisionTree(root=root, attributes=("TI", "ROI", "SP", "IN"),
+                            kinds={"TI": "numeric", "ROI": "categorical", "SP": "numeric",
+                                   "IN": "numeric"},
+                            n_rows=4, class_labels=("A", "B"), config=TreeConfig())
+        points = all_split_points(tree)
+        assert list(points.items()) == [("TI", [7.0]), ("SP", [2.0]), ("IN", [])]
 
 
 class TestSerialization:

@@ -21,7 +21,7 @@ from nof.clustering import (
     taxonomy_to_classes,
 )
 from nof.errors import ConfigError, NumericalError
-from nof.features import COLUMNS, NUMERIC_COLUMNS, read_summary_csv
+from nof.features import CATEGORICAL_COLUMNS, COLUMNS, NUMERIC_COLUMNS, read_summary_csv
 from nof.pipeline import load_config, run_stage
 
 from helpers import (
@@ -59,18 +59,22 @@ class TestEncoding:
         rows = [summary_row(TI_max=100.0, EVENT="e1"),
                 summary_row(TI_max=300.0, EVENT="e2"),
                 summary_row(TI_max=200.0, EVENT="e1")]
-        om = encode_observations(rows)
-        ti = om.X[:, list(om.columns).index("TI_max")]
+        X = encode_observations(rows)
+        ti = X[:, NUMERIC_COLUMNS.index("TI_max")]
         assert ti.mean() == pytest.approx(0.0, abs=1e-12)
         assert ti.std() == pytest.approx(1.0, abs=1e-12)
-        assert "EVENT=e1" in om.columns and "EVENT=e2" in om.columns
-        col = om.X[:, list(om.columns).index("EVENT=e1")]
-        assert col.tolist() == [1.0, 0.0, 1.0]
+        # the numeric columns, then one column per value of each categorical
+        # column in CATEGORICAL_COLUMNS order: SP_max, SP_max_ROI, SP_min and
+        # SP_min_ROI take one value here, EVENT two, STIM and MOD one
+        assert CATEGORICAL_COLUMNS.index("EVENT") == 4
+        assert X.shape == (3, len(NUMERIC_COLUMNS) + 8)
+        event = len(NUMERIC_COLUMNS) + 4
+        assert X[:, event].tolist() == [1.0, 0.0, 1.0]
+        assert X[:, event + 1].tolist() == [0.0, 1.0, 0.0]
 
     def test_constant_numeric_column_not_scaled(self):
         rows = [summary_row(), summary_row()]
-        om = encode_observations(rows)
-        ti = om.X[:, list(om.columns).index("TI_max")]
+        ti = encode_observations(rows)[:, NUMERIC_COLUMNS.index("TI_max")]
         assert np.array_equal(ti, np.zeros(2))  # centered only
 
     def test_scaling_invariance_of_memberships(self):
@@ -82,17 +86,16 @@ class TestEncoding:
                         EVENT=("e1" if i % 2 else "e2"))
             for i in range(12)
         ]
-        om_scaled = encode_observations(rows, categorical=("EVENT",))
+        scaled = encode_observations(rows, categorical=("EVENT",))
         # z-score the raw numeric columns by hand, then one-hot EVENT
         raw = np.array([[r[c] for c in NUMERIC_COLUMNS] for r in rows])
         sd = raw.std(axis=0)
         sd[sd == 0] = 1.0
         X = np.column_stack([(raw - raw.mean(axis=0)) / sd] + [
             [1.0 if r["EVENT"] == v else 0.0 for r in rows] for v in ("e1", "e2")])
-        assert om_scaled.columns == NUMERIC_COLUMNS + ("EVENT=e1", "EVENT=e2")
-        assert np.array_equal(X, om_scaled.X)
+        assert np.array_equal(X, scaled)
         a = em_fit(X, 2, EMConfig(seed=1))
-        b = em_fit(om_scaled.X, 2, EMConfig(seed=1))
+        b = em_fit(scaled, 2, EMConfig(seed=1))
         assert np.array_equal(a.assignments, b.assignments)
 
     def test_empty_rows_rejected(self):
@@ -247,7 +250,7 @@ def testbed_tables(tmp_path_factory):
         for stage in ("synth", "decompose", "extract"):
             run_stage(stage, config)
         rows = read_summary_csv(out / "summary.csv")
-        tables[name] = encode_observations(rows).X
+        tables[name] = encode_observations(rows)
         assert tables[name].shape == shape
     return tables
 

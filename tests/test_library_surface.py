@@ -195,3 +195,57 @@ def test_public_names_have_a_caller(path):
     uncalled = uncalled_public_names(path.read_text(encoding="utf-8"), read)
     kept = UNCALLED_KEPT.get(path.stem, set())
     assert [n for n in uncalled if n.partition(" ")[0] not in kept] == []
+
+
+def _loads_and_strings(tree: ast.AST) -> set[str]:
+    """The attribute names `tree` loads, and its string constants other than
+    docstrings, such as a getattr key."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)} | {
+        node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+        and isinstance(node.value, str) and id(node) not in docstrings}
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def unread_dataclass_fields(source: str, readers: list[str]) -> list[str]:
+    """Fields of the dataclasses `source` defines that neither it nor any of
+    `readers` loads as an attribute or names in a string."""
+    tree = ast.parse(source)
+    read = set().union(*(_loads_and_strings(ast.parse(text)) for text in (source, *readers)))
+    return [f"{node.name}.{f.target.id} (line {f.lineno})" for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+            for f in node.body if isinstance(f, ast.AnnAssign) and f.target.id not in read]
+
+
+def test_unread_field_check_flags_an_orphan():
+    source = ('"""A.lost"""\nfrom dataclasses import dataclass\n'
+              '@dataclass(frozen=True)\nclass A:\n    """lost"""\n    kept: int\n'
+              '    keyed: int\n    lost: int = 0\n    stored: int = 0\n'
+              'class B:\n    plain: int\n')
+    assert unread_dataclass_fields(source, ["a.kept\ngetattr(a, 'keyed')\na.stored = 1\n"]) \
+        == ["A.lost (line 8)", "A.stored (line 9)"]
+
+
+# Dataclasses whose writers emit every field through dataclasses.fields or
+# asdict, so each field is read without being named
+READ_WHOLE = {"clustering": {"ClusterModel", "TaxonomyClass"}}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_dataclass_fields_are_read(path):
+    """A dataclass field is read somewhere in the package, by the benchmark
+    (bench/*.py) or by the acceptance criteria; otherwise it is deleted."""
+    readers = [p for p in SRC.glob("*.py") if p != path]
+    readers += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    unread = unread_dataclass_fields(path.read_text(encoding="utf-8"),
+                                     [p.read_text(encoding="utf-8") for p in readers])
+    whole = READ_WHOLE.get(path.stem, set())
+    assert [n for n in unread if n.partition(".")[0] not in whole] == []

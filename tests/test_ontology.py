@@ -375,27 +375,16 @@ def _narrowed(item):
     return interval_item(item.attribute, item.lo, item.lo + 1.0)
 
 
-def _moved(rule, txs):
-    """rule with its first antecedent item moved to the consequent, measured
-    on txs: a rule of a two-item consequent, which a rules CSV can hold."""
-    item = min(rule.antecedent)
-    ante, cons = rule.antecedent - {item}, rule.consequent | {item}
-    n_ante, n_both, n_cons = (sum(s <= t for t in txs) for s in (ante, ante | cons, cons))
-    conf = n_both / n_ante
-    return AssociationRule(ante, cons, n_both / len(txs), conf, abs(conf - n_cons / len(txs)))
-
-
 def random_mined_base(rng):
-    """Rules mined from a random table, some of them moved to a two-item
-    consequent, and an expert base drawn from them: eq, interval and label
-    consequents, negated rules, narrowed intervals that snap, and experts
-    sharing a consequent. Returns the aligned mined rules and the base."""
+    """Rules mined from a random table and an expert base drawn from them:
+    eq, interval and label consequents, negated rules, narrowed intervals
+    that snap, and experts sharing a consequent. Returns the aligned mined
+    rules and the base."""
     rows = [{"x": float(rng.normal()), "y": float(rng.normal()),
              "M": str(rng.choice(["a", "b"])), "CLUSTER": str(rng.choice(["C1", "C2", "C3"]))}
             for _ in range(int(rng.integers(6, 16)))]
     txs = discretize(rows, {"x": [-0.5, 0.5], "y": [0.0]})
     rules = generate_rules(apriori(txs, 0.15), 0.3, txs)
-    rules += [_moved(r, txs) for r in rules[::2] if len(r.antecedent) > 1]
     universe = sorted({i for t in txs for i in t})
     experts = []
     for idx in range(int(rng.integers(1, 9))):
@@ -421,9 +410,9 @@ def random_mined_base(rng):
 
 
 def _compatible(rule, e):
-    """A one-item mined consequent with the expert consequent's item key."""
-    return len(rule.consequent) == 1 and (
-        ontology._item_key(next(iter(rule.consequent))) == ontology._item_key(e.consequent))
+    """A mined consequent item with the expert consequent's item key."""
+    (c,) = rule.consequent
+    return ontology._item_key(c) == ontology._item_key(e.consequent)
 
 
 class TestPartitionAgainstLoop:
@@ -431,7 +420,7 @@ class TestPartitionAgainstLoop:
 
     def test_random_bases(self):
         rng = np.random.default_rng(7)
-        seen = dict.fromkeys(("label", "interval", "multi", "known", "contradictory",
+        seen = dict.fromkeys(("label", "label_antecedent", "interval", "known", "contradictory",
                               "missing", "shared"), 0)
         for _ in range(80):
             mined_rules, base = random_mined_base(rng)
@@ -439,11 +428,12 @@ class TestPartitionAgainstLoop:
             want = loop_partition(mined_rules, base)
             for f in dataclasses.fields(PartitionReport):
                 assert getattr(report, f.name) == getattr(want, f.name), f.name
-            cons = [next(iter(a.rule.consequent)) for a in report.arec
-                    if len(a.rule.consequent) == 1]
+            cons = [c for a in report.arec for c in a.rule.consequent]
             seen["label"] += any(c.kind == "label" for c in cons)
+            # alignment renames a cluster item in antecedents too
+            seen["label_antecedent"] += any(
+                i.kind == "label" for a in report.arec for i in a.rule.antecedent)
             seen["interval"] += any(c.kind == "interval" for c in cons)
-            seen["multi"] += any(len(a.rule.consequent) > 1 for a in report.arec)
             seen["known"] += bool(report.known_high_strength or report.known_low_strength)
             seen["contradictory"] += bool(report.contradictory)
             seen["missing"] += bool(report.missing)

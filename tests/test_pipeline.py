@@ -930,16 +930,32 @@ class TestCli:
         ('extract.template={"kind":"csv"}', "extract.template.path must name a file, got None"),
         ('extract.template={"kind":"csv","path":3}',
          "extract.template.path must name a file, got 3"),
+        ("partition.expert_rules=5", "partition.expert_rules must be a path or null, got 5"),
+        ("out=5", "out must be a path, got 5"),
+        ("synth.conditions=[]", "synth.conditions must be a nonempty list, got []"),
+        ("synth.conditions=5", "synth.conditions must be a nonempty list, got 5"),
+        ('synth.conditions=[{"EVENT":"a"}]',
+         "synth.conditions[0] must map EVENT, STIM, MOD to strings, got {'EVENT': 'a'}"),
+        ('synth.conditions=[{"EVENT":"a","STIM":"b","MOD":"c"},{"EVENT":"a","STIM":1,"MOD":"c"}]',
+         "synth.conditions[1] must map EVENT, STIM, MOD to strings, got {'EVENT': 'a', "),
+        ('synth.conditions=[{"EVENT":"a=b","STIM":"b","MOD":"c"}]',
+         "synth.conditions[0].EVENT: value 'a=b' contains a reserved character"),
+        ('synth.conditions=[{"EVENT":"a","STIM":"b","MOD":"ANY"}]',
+         "synth.conditions[0].MOD: the value 'ANY' is reserved"),
     ], ids=["noise-inf", "noise-nan", "value-nan", "value-neg-inf", "not-object", "kind",
-            "unknown-key", "roi-number", "csv-no-path", "csv-path-number"])
-    def test_cli_pipeline_rejects_a_bad_value_before_any_stage(self, tmp_path, capsys, setting,
-                                                               message):
+            "unknown-key", "roi-number", "csv-no-path", "csv-path-number", "expert-number",
+            "out-number", "conditions-empty", "conditions-number", "condition-keys",
+            "condition-number", "condition-reserved", "condition-any"])
+    def test_cli_pipeline_rejects_a_bad_value_before_any_stage(self, tmp_path, monkeypatch,
+                                                               capsys, setting, message):
         # before, noise_std=Infinity published non-finite epochs and decompose
-        # failed on rank 0, and value=NaN published a summary with SP_cor nan
-        out = tmp_path / "out"
-        assert main(["pipeline", "--out", str(out), "--set", setting]) == 3
+        # failed on rank 0, and value=NaN published a summary with SP_cor nan;
+        # expert_rules=5, out=5 and the first two conditions exited 1, and the
+        # other conditions published synth's artifacts, or more, before failing
+        monkeypatch.chdir(tmp_path)
+        assert main(["pipeline", "--set", "out=out", "--set", setting]) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_cli_pipeline_rejects_a_misspelt_template_key_in_a_config_file(self, tmp_path,
                                                                            capsys):
@@ -1040,6 +1056,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: line 3: unknown key 'pi_mn' in thresholds")
         assert snapshot(published_run) == before
+
+    def test_cli_partition_rejects_a_two_item_consequent(self, published_run, tmp_path,
+                                                         capsys):
+        # before, partition read the rule and left it out of every comparison
+        out = tmp_path / "run"
+        shutil.copytree(published_run, out)
+        rules = out / "mined_rules.csv"
+        header, first, *rest = rules.read_text(encoding="utf-8").splitlines()
+        ante, cons, *metrics = first.split(";")
+        rules.write_text("\n".join([header, ";".join([ante, f"{cons}&P300", *metrics]), *rest])
+                         + "\n", encoding="utf-8")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["partition", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: line 2: consequent '{cons}&P300' holds more than one item\n")
+        assert snapshot(out) == before
 
     def test_cli_pipeline_rejects_the_expert_file_before_any_stage(self, tmp_path, capsys):
         # before, mine rejected the undeclared attribute after synth..classify

@@ -481,7 +481,8 @@ class TestRulesCsv:
         ("a=1;P300&;0.5;1.0;0.5", "empty item in consequent"),
         ("b=2&a=1&a=1;P300;0.5;1.0;0.5", "names an item twice"),
         ("x<=1&x≤1;P300;0.5;1.0;0.5", "names an item twice"),
-        ("a=1;P300&P300;0.5;1.0;0.5", "names an item twice"),
+        ("a=1;P300&P300;0.5;1.0;0.5", "consequent 'P300&P300' holds more than one item"),
+        ("a=1;P300&C1;0.5;1.0;0.5", "consequent 'P300&C1' holds more than one item"),
     ])
     def test_malformed_side_names_line(self, tmp_path, row, why):
         path = tmp_path / "bad.csv"
@@ -491,6 +492,19 @@ class TestRulesCsv:
             encoding="utf-8",
         )
         with pytest.raises(ParseError, match=why) as err:
+            read_rules_csv(path)
+        assert err.value.line == 3
+
+    def test_two_item_consequent_rejected_after_the_same_antecedent(self, tmp_path):
+        # a side read once as an antecedent is checked anew as a consequent
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "antecedent;consequent;support;confidence;reliability\n"
+            "P300&a=1;b=2;0.5;1.0;0.5\n"
+            "b=2;P300&a=1;0.5;1.0;0.5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="holds more than one item") as err:
             read_rules_csv(path)
         assert err.value.line == 3
 
@@ -538,11 +552,13 @@ class TestReaderAgainstLoop:
                                    unique_by=lambda i: i.canonical),
                           min_size=2, max_size=6))
     def test_unsorted_sides(self, tmp_path_factory, data, sides):
-        # each side is written in the order drawn, and sides repeat across rows
+        # each antecedent is written in the order drawn, a consequent is one
+        # item, and both repeat across rows
         texts = ["&".join(i.canonical for i in side) for side in sides]
+        items = [side[0].canonical for side in sides]
         unit = st.floats(0.0, 1.0)
         rows = data.draw(st.lists(
-            st.tuples(st.sampled_from(texts), st.sampled_from(texts), unit, unit, unit),
+            st.tuples(st.sampled_from(texts), st.sampled_from(items), unit, unit, unit),
             min_size=1, max_size=12))
         path = tmp_path_factory.mktemp("csv") / "rules.csv"
         path.write_text(
