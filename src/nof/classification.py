@@ -28,11 +28,6 @@ Row = dict[str, float | str]
 
 
 @dataclass
-class TreeConfig:
-    prune_cf: float | None = 0.25   # None grows the tree unpruned
-
-
-@dataclass
 class Leaf:
     label: str
     n: int
@@ -62,7 +57,7 @@ class DecisionTree:
     kinds: dict[str, str]            # attribute -> "numeric" | "categorical"
     n_rows: int
     class_labels: tuple[str, ...]
-    config: TreeConfig
+    prune_cf: float | None           # None grew the tree unpruned
 
 
 def _entropy(counts: Counter) -> float:
@@ -358,14 +353,14 @@ def infer_kinds(rows: list[Row], attributes: tuple[str, ...]) -> dict[str, str]:
 
 
 def build_tree(
-    rows: list[Row], labels: list[str], config: TreeConfig | None = None
+    rows: list[Row], labels: list[str], prune_cf: float | None = 0.25
 ) -> DecisionTree:
-    """Induce a tree mapping attribute rows to their labels.
+    """Induce a tree mapping attribute rows to their labels, pruned at
+    confidence prune_cf, or unpruned when it is None.
 
     Attribute order (used for tie-breaking) is the key order of the first row.
     """
-    config = config or TreeConfig()
-    _check_prune_cf(config.prune_cf)
+    _check_prune_cf(prune_cf)
     if not rows:
         raise ConfigError("cannot build a tree from zero rows")
     if len(rows) != len(labels):
@@ -379,8 +374,8 @@ def build_tree(
                 raise ConfigError(f"missing value for attribute {attr!r} in row {i}")
     kinds = infer_kinds(rows, attributes)
     root = _grow(rows, labels, attributes, kinds)
-    if config.prune_cf is not None:
-        root, _ = _prune(root, config.prune_cf)
+    if prune_cf is not None:
+        root, _ = _prune(root, prune_cf)
     else:
         _prune_estimates_only(root)
     return DecisionTree(
@@ -389,7 +384,7 @@ def build_tree(
         kinds=kinds,
         n_rows=len(rows),
         class_labels=tuple(sorted(set(labels))),
-        config=config,
+        prune_cf=prune_cf,
     )
 
 
@@ -591,7 +586,7 @@ def tree_to_json(tree: DecisionTree, path: str | Path) -> None:
         "kinds": tree.kinds,
         "n_rows": tree.n_rows,
         "class_labels": list(tree.class_labels),
-        "config": {"prune_cf": tree.config.prune_cf},
+        "config": {"prune_cf": tree.prune_cf},
     }
     # json.dumps encodes in C; json.dump always runs the pure-Python encoder
     with open(path, "w") as fh:
@@ -613,7 +608,7 @@ def tree_from_json(path: str | Path) -> DecisionTree:
         class_labels=tuple(doc["class_labels"]),
         # files written before the config held only prune_cf still load;
         # their other config keys are ignored
-        config=TreeConfig(prune_cf=doc["config"]["prune_cf"]),
+        prune_cf=doc["config"]["prune_cf"],
     )
 
 

@@ -4,10 +4,10 @@ Flat clustering is a diagonal Gaussian mixture fitted by EM, with each
 component's density in closed form and its variances floored; the cluster
 count can be fixed, or chosen by BIC with the BIC of every k tried kept.
 Hierarchies come in a divisive flavour (recursive 2-means) and an
-agglomerative flavour (single linkage by minimum spanning tree, complete and
-average linkage by nearest-neighbour chain: numpy ports of scipy's linkage
-algorithms, so exact distance ties merge in scipy's order), both producing
-the same binary-tree taxonomy type, which can be cut into ordered classes.
+agglomerative flavour (average linkage by nearest-neighbour chain: a numpy
+port of scipy's algorithm, so exact distance ties merge in scipy's order),
+both producing the same binary-tree taxonomy type, which can be cut into
+ordered classes.
 Every clustering function takes a plain observations x attributes array,
 such as `encode_observations(rows)`.
 
@@ -65,16 +65,11 @@ def encode_observations(
 
 # EM stops when the log-likelihood gains less than _EM_TOL, or after
 # _EM_MAX_ITER iterations; variances are floored at _COV_FLOOR times the mean
-# per-attribute variance of the data.
+# per-attribute variance of the data. A fit keeps the best of _EM_RESTARTS.
 _EM_TOL = 1e-8
 _EM_MAX_ITER = 300
 _COV_FLOOR = 1e-6
-
-
-@dataclass
-class EMConfig:
-    seed: int = 0
-    n_restarts: int = 4
+_EM_RESTARTS = 4
 
 
 # ClusterModel fields stored as JSON lists, with their element types
@@ -196,7 +191,7 @@ def _m_step(
     return nk / X.shape[0], means, np.maximum(var, floor)
 
 
-def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterModel:
+def em_fit(X: np.ndarray, k: int, seed: int = 0) -> ClusterModel:
     """Best-of-restarts EM fit; restarts are independently seeded and ties
     resolve to the lowest restart index. The restarts are stepped together,
     one stacked E-step and one stacked M-step per iteration over those still
@@ -205,7 +200,6 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
     At k = 1 restart 0 runs alone: after its first E-step every restart's
     responsibilities are exactly 1, so all restarts reach the same
     parameters and log-likelihood, and restart 0 wins the tie."""
-    config = config or EMConfig()
     data = np.asarray(X, dtype=float)
     if data.ndim != 2:
         raise ConfigError("observations must form a 2-D matrix")
@@ -214,11 +208,11 @@ def em_fit(X: np.ndarray, k: int, config: EMConfig | None = None) -> ClusterMode
         raise ConfigError("k must be >= 1")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of observations ({n})")
-    n_restarts = max(config.n_restarts, 1) if k > 1 else 1
+    n_restarts = _EM_RESTARTS if k > 1 else 1
     floor = _floor_value(data)
     # the parameters of the running restarts, stacked in restart order
     running = list(range(n_restarts))
-    means = data[np.stack([np.random.default_rng([config.seed, r]).choice(n, k, replace=False)
+    means = data[np.stack([np.random.default_rng([seed, r]).choice(n, k, replace=False)
                            for r in running])]
     variances = np.tile(np.maximum(data.var(axis=0), floor), (n_restarts, k, 1))
     weights = np.full((n_restarts, k), 1.0 / k)
@@ -273,7 +267,7 @@ def bic(model: ClusterModel, n: int) -> float:
     return -2.0 * model.log_likelihood + p * float(np.log(n))
 
 
-def select_k(X: np.ndarray, k_max: int, config: EMConfig | None = None) -> ClusterModel:
+def select_k(X: np.ndarray, k_max: int, seed: int = 0) -> ClusterModel:
     """Fit k = 1..k_max and keep the lowest-BIC model (ties to smaller k),
     with the BIC of every k tried in its `bic_by_k`.
 
@@ -293,7 +287,7 @@ def select_k(X: np.ndarray, k_max: int, config: EMConfig | None = None) -> Clust
         if k > 1 and 2 * k > n:
             curve[k] = None
             continue
-        model = em_fit(data, k, config)
+        model = em_fit(data, k, seed)
         if k > 1 and np.bincount(model.assignments, minlength=k).min() < 2:
             curve[k] = None
             continue
@@ -367,11 +361,6 @@ _MIN_IMPROVEMENT = 1e-3
 _SPLIT_RESTARTS = 4
 
 
-@dataclass
-class DivisiveConfig:
-    seed: int = 0
-
-
 def _two_means(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Best 2-means labeling by total SSE; both sides are nonempty."""
     n = X.shape[0]
@@ -400,7 +389,7 @@ def _two_means(X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return best_labels
 
 
-def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> Taxonomy:
+def divisive_hierarchy(X: np.ndarray, seed: int = 0) -> Taxonomy:
     """Top-down taxonomy: recursively split by 2-means until the split stops
     paying for itself (fractional SSE reduction below _MIN_IMPROVEMENT) or a
     node has no scatter left. Node heights are the node SSEs, monotone from
@@ -410,7 +399,6 @@ def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> T
     two-point node with scatter is split into its two points without running
     2-means, whose split of it is always that one, and still takes its
     counter value."""
-    config = config or DivisiveConfig()
     data = np.asarray(X, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
@@ -425,7 +413,7 @@ def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> T
         node = TaxNode(indices=indices, height=height)
         if len(indices) < 2 or height == 0.0:
             return node
-        rng_key = [config.seed, counter[0]]
+        rng_key = [seed, counter[0]]
         counter[0] += 1
         if len(indices) == 2:
             node.left, node.right = build(indices[:1]), build(indices[1:])
@@ -446,9 +434,6 @@ def divisive_hierarchy(X: np.ndarray, config: DivisiveConfig | None = None) -> T
     return Taxonomy(root=root, n=n, method="divisive")
 
 
-_LINKAGES = ("single", "complete", "average")
-
-
 def _euclidean_distances(data: np.ndarray) -> np.ndarray:
     """n x n Euclidean distances, each the sqrt of its squared differences
     summed coordinate by coordinate in order, as scipy's pdist sums them;
@@ -461,34 +446,16 @@ def _euclidean_distances(data: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
-def _mst_single_linkage(D: np.ndarray) -> list[tuple[int, int, float]]:
-    """Single-linkage merges (x, y, height) by Prim's algorithm, in the
-    order scipy's mst_single_linkage finds them: the tree grows from point
-    0, and each step adds the first outside point at the strictly smallest
-    distance to the tree."""
-    n = D.shape[0]
-    merged = np.zeros(n, dtype=bool)
-    reach = np.full(n, np.inf)      # distance to the tree; inf once in it
-    x, out = 0, []
-    for _ in range(n - 1):
-        merged[x], reach[x] = True, np.inf
-        np.minimum(reach, D[x], out=reach, where=~merged)
-        y = int(np.argmin(reach))
-        out.append((x, y, float(reach[y])))
-        x = y
-    return out
-
-
-def _nn_chain(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
-    """Complete- or average-linkage merges (x, y, height) by the
-    nearest-neighbour chain, in the order scipy's nn_chain finds them.
+def _nn_chain(D: np.ndarray) -> list[tuple[int, int, float]]:
+    """Average-linkage merges (x, y, height) by the nearest-neighbour chain,
+    in the order scipy's nn_chain finds them.
 
     D is an n x n distance matrix, updated in place; a cluster lives in the
     slot of one of its points, and a retired slot's row and column are inf.
     The chain's next element is its last element's nearest neighbour: the
     previous chain element if none is strictly nearer, else the first index
     at the smallest distance. Each merge updates the surviving slot's row by
-    Lance-Williams: max(d_xi, d_yi), or (n_x d_xi + n_y d_yi) / (n_x + n_y)."""
+    Lance-Williams: (n_x d_xi + n_y d_yi) / (n_x + n_y)."""
     n = D.shape[0]
     np.fill_diagonal(D, np.inf)
     size = np.ones(n, dtype=int)
@@ -509,10 +476,7 @@ def _nn_chain(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
             x, y = y, x
         nx, ny = int(size[x]), int(size[y])
         out.append((x, y, float(D[x, y])))
-        if linkage == "complete":
-            row = np.maximum(D[x], D[y])
-        else:
-            row = (nx * D[x] + ny * D[y]) / (nx + ny)
+        row = (nx * D[x] + ny * D[y]) / (nx + ny)
         size[x], size[y] = 0, nx + ny
         row[x] = row[y] = np.inf
         D[y], D[:, y] = row, row
@@ -520,17 +484,14 @@ def _nn_chain(D: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
     return out
 
 
-def agglomerative_hierarchy(X: np.ndarray, linkage: str = "single") -> Taxonomy:
-    """Bottom-up taxonomy under single/complete/average linkage on Euclidean
-    distances: n-1 merges, heights non-decreasing, each merge's children
-    ordered by smallest member index. Single linkage grows a minimum
-    spanning tree (Prim), complete and average linkage follow the
-    nearest-neighbour chain (Müllner 2011), and the merges are then stably
-    sorted by height: the algorithms of scipy's `linkage`, ported so that
-    exactly tied distances merge in scipy's order and heights agree bit for
-    bit. Non-finite observations raise ConfigError."""
-    if linkage not in _LINKAGES:
-        raise ConfigError(f"unknown linkage {linkage!r}; pick one of {_LINKAGES}")
+def agglomerative_hierarchy(X: np.ndarray) -> Taxonomy:
+    """Bottom-up taxonomy under average linkage on Euclidean distances: n-1
+    merges, heights non-decreasing, each merge's children ordered by
+    smallest member index. The merges follow the nearest-neighbour chain
+    (Müllner 2011) and are then stably sorted by height: the algorithm of
+    scipy's `linkage(X, "average")`, ported so that exactly tied distances
+    merge in scipy's order and heights agree bit for bit. Non-finite
+    observations raise ConfigError."""
     data = np.asarray(X, dtype=float)
     if data.ndim == 1:
         data = data[:, None]
@@ -545,7 +506,7 @@ def agglomerative_hierarchy(X: np.ndarray, linkage: str = "single") -> Taxonomy:
     D = _euclidean_distances(data)
     if not np.isfinite(D).all():
         raise ConfigError("observations too far apart: a Euclidean distance overflows")
-    found = _mst_single_linkage(D) if linkage == "single" else _nn_chain(D, linkage)
+    found = _nn_chain(D)
     found.sort(key=lambda merge: merge[2])      # stable, as scipy's mergesort
     # replay the sorted merges; node[p] is the cluster holding point p
     node = [TaxNode(indices=(i,), height=0.0) for i in range(n)]
@@ -559,7 +520,7 @@ def agglomerative_hierarchy(X: np.ndarray, linkage: str = "single") -> Taxonomy:
         for p in joined.indices:
             node[p] = joined
         merges.append((a.indices, b.indices, height))
-    return Taxonomy(root=node[0], n=n, method=f"agglomerative:{linkage}", merges=merges)
+    return Taxonomy(root=node[0], n=n, method="agglomerative:average", merges=merges)
 
 
 # ---------------------------------------------------------------------------

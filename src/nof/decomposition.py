@@ -19,8 +19,10 @@ from .errors import ConfigError, MissingInputError, NumericalError
 from .testbed import EpochTensor
 
 _RANK_RTOL = 1e-10
-# FastICA stops once every unmixing row turns by less than this between iterations
+# FastICA stops once every unmixing row turns by less than _ICA_TOL between
+# iterations, or after _ICA_MAX_ITER iterations
 _ICA_TOL = 1e-6
+_ICA_MAX_ITER = 500
 
 
 @dataclass
@@ -112,12 +114,6 @@ def center_and_whiten(
         n_trials=epochs.n_trials,
         n_timepoints=epochs.n_timepoints,
     )
-
-
-@dataclass
-class FastIcaConfig:
-    max_iter: int = 500
-    seed: int = 0
 
 
 @dataclass
@@ -218,27 +214,26 @@ def _sym_decorrelate(W: np.ndarray) -> np.ndarray:
     return (u * (1.0 / np.sqrt(s))) @ u.T @ W
 
 
-def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorDecomposition:
+def fastica(white: WhitenedData, seed: int = 0) -> FactorDecomposition:
     """Symmetric fixed-point ICA on whitened data, one factor per whitened
     component.
 
     Returns the decomposition in channel space; non-convergence keeps the
     best iterate, flags converged=False and emits a warning.
     """
-    config = config or FastIcaConfig()
     Z = white.whitened
     k, n_samples = Z.shape
     if n_samples < k:
         raise ConfigError("fewer samples than whitened components")
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     W = _sym_decorrelate(rng.standard_normal((k, k)))
     converged = False
-    n_iter = config.max_iter
+    n_iter = _ICA_MAX_ITER
     # two k x n work arrays, reused by every iteration: g = tanh(W Z), h = 1 - g^2
     g = np.empty((k, n_samples))
     h = np.empty_like(g)
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _ICA_MAX_ITER + 1):
         np.tanh(np.matmul(W, Z, out=g), out=g)
         np.square(g, out=h)
         g_prime = np.subtract(1.0, h, out=h).mean(axis=1)
@@ -250,10 +245,8 @@ def fastica(white: WhitenedData, config: FastIcaConfig | None = None) -> FactorD
             n_iter = it
             break
     if not converged:
-        warnings.warn(
-            f"fastica did not converge within {config.max_iter} iterations",
-            RuntimeWarning,
-        )
+        warnings.warn(f"fastica did not converge within {_ICA_MAX_ITER} iterations",
+                      RuntimeWarning)
 
     del h  # std allocates one k x n temporary of its own
     scales = np.matmul(W, Z, out=g).std(axis=1)

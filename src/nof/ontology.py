@@ -57,7 +57,6 @@ class OntologyRuleBase:
     beta_sup: float = DEFAULT_THRESHOLDS["beta_sup"]
     beta_conf: float = DEFAULT_THRESHOLDS["beta_conf"]
     pi_min: float = DEFAULT_THRESHOLDS["pi_min"]
-    attributes: tuple[str, ...] = DEFAULT_ATTRIBUTES
 
     def __post_init__(self):
         _check_thresholds(self)
@@ -347,7 +346,6 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                              line=_find_line(text, f'"{key}"'))
     attributes = doc.get("attributes", list(DEFAULT_ATTRIBUTES))
     expect(_list_of(attributes, str), "attributes", "a list of strings")
-    attributes = tuple(attributes)
     declared = set(attributes)
 
     raw_rules = doc.get("rules", [])
@@ -389,8 +387,7 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
             )
         rules.append(ExpertRule(rule_id, frozenset(antecedent), consequent, negated))
     # an absent threshold keeps its DEFAULT_THRESHOLDS value
-    return OntologyRuleBase(rules, attributes=attributes,
-                            **{name: float(value) for name, value in thresholds.items()})
+    return OntologyRuleBase(rules, **{name: float(value) for name, value in thresholds.items()})
 
 
 def _annotated_doc(ar: AnnotatedRule) -> dict:

@@ -89,8 +89,7 @@ _PRESETS = {
     "two_pattern": lambda montage: testbed.two_pattern_preset(montage)[1],
     "p300_only": lambda montage: [testbed.p300_template(montage)],
 }
-_HIERARCHIES = ("divisive", "agglomerative:single", "agglomerative:complete",
-                "agglomerative:average")
+_HIERARCHIES = ("divisive", "agglomerative:average")
 # Config keys that name one of a fixed set of choices
 _CHOICES = {"synth.preset": tuple(_PRESETS), "cluster.hierarchy": _HIERARCHIES}
 # The keys an extract.template may hold, and the kinds it may name. Both
@@ -387,9 +386,7 @@ def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Pat
             config["decompose"]["n_components"],
             overwrite=True,
         )
-        dec = decomposition.fastica(
-            white, decomposition.FastIcaConfig(seed=config["seed"] + 1)
-        )
+        dec = decomposition.fastica(white, config["seed"] + 1)
     dec.to_json(staged["decomposition"])
 
 
@@ -403,6 +400,8 @@ def _resolve_template(montage: testbed.ChannelMontage, cfg: dict) -> np.ndarray:
         return np.array(
             [value if montage.roi_of[c] == roi else 0.0 for c in montage.channels]
         )
+    if not Path(cfg["path"]).exists():
+        raise MissingInputError(f"template CSV not found: {cfg['path']}")
     weights: dict[str, float] = {}
     with open(cfg["path"], newline="") as fh:
         reader = csv.reader(fh)
@@ -449,18 +448,16 @@ def _stage_cluster(config: dict, paths: dict[str, Path], staged: dict[str, Path]
         features.read_summary_csv(paths["summary"]),
         tuple(c for c in features.CATEGORICAL_COLUMNS if c not in testbed.METADATA_KEYS),
     )
-    em_config = clustering.EMConfig(seed=config["seed"] + 2)
+    seed = config["seed"] + 2
     if cfg["k"] is not None:
-        model = clustering.em_fit(X, cfg["k"], em_config)
+        model = clustering.em_fit(X, cfg["k"], seed)
     else:
-        model = clustering.select_k(X, cfg["k_max"], em_config)
+        model = clustering.select_k(X, cfg["k_max"], seed)
     model.to_json(staged["cluster_model"])
     if cfg["hierarchy"] == "divisive":
-        taxonomy = clustering.divisive_hierarchy(
-            model.means, clustering.DivisiveConfig(seed=config["seed"] + 2)
-        )
+        taxonomy = clustering.divisive_hierarchy(model.means, seed)
     else:
-        taxonomy = clustering.agglomerative_hierarchy(model.means, cfg["hierarchy"].split(":")[1])
+        taxonomy = clustering.agglomerative_hierarchy(model.means)
     taxonomy.to_json(staged["taxonomy"])
     clustering.classes_to_json(model.classes(), staged["classes"])
 
@@ -715,12 +712,17 @@ def run_stage(stage: str, config: dict) -> dict:
 def run_pipeline(config: dict) -> list[dict]:
     """Run all seven stages in order; returns the manifest entries. Errors
     propagate with the failing stage's name prefixed. The expert rule base
-    is read first, so a file that mine would reject stops the run before any
-    stage publishes."""
+    and the template are read first, the template against the montage synth
+    writes, so a file or ROI that mine or extract would reject stops the run
+    before any stage publishes."""
     try:
         _expert_base(config)
     except NofError as exc:
         raise type(exc)(f"partition.expert_rules: {exc}") from exc
+    try:
+        _resolve_template(testbed.default_montage(), config["extract"]["template"])
+    except NofError as exc:
+        raise type(exc)(f"extract.template: {exc}") from exc
     entries = []
     for stage in STAGES:
         try:

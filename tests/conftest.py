@@ -46,7 +46,7 @@ def two_pattern_templates(montage):
 @pytest.fixture(scope="session")
 def two_pattern_decomposition(two_pattern_epochs):
     white = decomposition.center_and_whiten(two_pattern_epochs, 2)
-    dec = decomposition.fastica(white, decomposition.FastIcaConfig(seed=3))
+    dec = decomposition.fastica(white, seed=3)
     return white, dec
 
 

@@ -108,20 +108,19 @@ def scipy_logsumexp(a):
     return logsumexp(a, axis=-1)
 
 
-def loop_em_restarts(X, k, config=None):
+def loop_em_restarts(X, k, seed=0):
     """EM restarts one after another, each fitted alone: it runs
     nof.clustering's 2-D E- and M-steps until its log-likelihood gains less
     than the tolerance. The module's constants are read at call time, so a
-    test may lower the iteration cap."""
+    test may lower the iteration cap or change the restart count."""
     from nof import clustering
     from nof.errors import NumericalError
 
-    config = config or clustering.EMConfig()
     X = np.asarray(X, dtype=float)
     floor = clustering._floor_value(X)
     models = []
-    for r in range(max(config.n_restarts, 1)):
-        rng = np.random.default_rng([config.seed, r])
+    for r in range(clustering._EM_RESTARTS):
+        rng = np.random.default_rng([seed, r])
         means = X[rng.choice(len(X), size=k, replace=False)]
         variances = np.tile(np.maximum(X.var(axis=0), floor), (k, 1))
         weights = np.full(k, 1.0 / k)
@@ -150,11 +149,11 @@ def loop_em_restarts(X, k, config=None):
     return models
 
 
-def loop_em_fit(X, k, config=None):
+def loop_em_fit(X, k, seed=0):
     """The best of `loop_em_restarts` by final log-likelihood, ties to the
     lowest restart index."""
     best = None
-    for model in loop_em_restarts(X, k, config):
+    for model in loop_em_restarts(X, k, seed):
         if best is None or model.log_likelihood > best.log_likelihood:
             best = model
     return best
@@ -242,12 +241,13 @@ def allocating_activations(dec, epochs):
     return dec.unmixing @ (_copy_concatenated(epochs) - dec.mean[:, None])
 
 
-def allocating_fastica(white, config):
+def allocating_fastica(white, seed):
     """fastica with fresh k x n arrays for W Z, tanh, its square and 1 minus
-    that in every iteration; warns like the library when unconverged."""
+    that in every iteration; warns like the library when unconverged. The
+    iteration cap is read at call time, so a test may lower it."""
     import warnings
 
-    from nof.decomposition import FactorDecomposition
+    from nof.decomposition import _ICA_MAX_ITER, FactorDecomposition
 
     def sym_decorrelate(W):
         s, u = np.linalg.eigh(W @ W.T)
@@ -255,10 +255,10 @@ def allocating_fastica(white, config):
 
     Z = white.whitened
     k, n_samples = Z.shape
-    W = sym_decorrelate(np.random.default_rng(config.seed).standard_normal((k, k)))
+    W = sym_decorrelate(np.random.default_rng(seed).standard_normal((k, k)))
     converged = False
-    n_iter = config.max_iter
-    for it in range(1, config.max_iter + 1):
+    n_iter = _ICA_MAX_ITER
+    for it in range(1, _ICA_MAX_ITER + 1):
         g = np.tanh(W @ Z)
         g_prime = (1.0 - g**2).mean(axis=1)
         W_new = sym_decorrelate((g @ Z.T) / n_samples - g_prime[:, None] * W)
@@ -350,10 +350,10 @@ def loop_divisive_hierarchy(X, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def scipy_agglomerative_hierarchy(X, linkage="single"):
+def scipy_agglomerative_hierarchy(X):
     """nof.clustering.agglomerative_hierarchy as built from
-    scipy.cluster.hierarchy.linkage; the library ports scipy's algorithms,
-    so the two must agree merge for merge and bit for bit."""
+    scipy.cluster.hierarchy.linkage(X, "average"); the library ports scipy's
+    algorithm, so the two must agree merge for merge and bit for bit."""
     import warnings
 
     from scipy.cluster.hierarchy import ClusterWarning
@@ -370,7 +370,7 @@ def scipy_agglomerative_hierarchy(X, linkage="single"):
     with warnings.catch_warnings():
         # a square symmetric hollow input is still observations here
         warnings.simplefilter("ignore", ClusterWarning)
-        links = scipy_linkage(data, linkage) if n > 1 else np.empty((0, 4))
+        links = scipy_linkage(data, "average") if n > 1 else np.empty((0, 4))
     for i, j, d, _ in links:
         a, b = nodes[int(i)], nodes[int(j)]
         if min(a.indices) > min(b.indices):
@@ -380,7 +380,7 @@ def scipy_agglomerative_hierarchy(X, linkage="single"):
             TaxNode(indices=tuple(sorted(a.indices + b.indices)), height=height, left=a, right=b)
         )
         merges.append((a.indices, b.indices, height))
-    return Taxonomy(root=nodes[-1], n=n, method=f"agglomerative:{linkage}", merges=merges)
+    return Taxonomy(root=nodes[-1], n=n, method="agglomerative:average", merges=merges)
 
 
 # ---------------------------------------------------------------------------

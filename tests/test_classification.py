@@ -14,7 +14,6 @@ from nof.classification import (
     DecisionTree,
     Leaf,
     Split,
-    TreeConfig,
     _branch_stats,
     _log_density,
     _log_lower_tail,
@@ -83,7 +82,7 @@ class TestBuildTree:
         assert tree.root.label == "A" and tree.root.n == 2
 
     def test_separable_1d_threshold_between_groups(self):
-        tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS, TreeConfig(prune_cf=None))
+        tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS, prune_cf=None)
         attr, thr = root_of(tree)
         assert attr == "x" and 4.0 < thr < 6.0
         le, gt = tree.root.children["le"], tree.root.children["gt"]
@@ -99,7 +98,7 @@ class TestBuildTree:
         checked = 0
         for _ in range(120):
             rows, labels = random_dataset(rng)
-            tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+            tree = build_tree(rows, labels, prune_cf=None)
             oracle = brute_force_root_split(rows, labels)
             got = root_of(tree)
             assert got == oracle, f"rows={rows} labels={labels}"
@@ -140,7 +139,7 @@ class TestBuildTree:
     def test_categorical_multiway_split(self):
         rows = [{"color": c} for c in ("red", "red", "green", "green", "blue", "blue")]
         labels = ["A", "A", "B", "B", "C", "C"]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
         assert isinstance(tree.root, Split) and not tree.root.is_numeric
         assert set(tree.root.children) == {"red", "green", "blue"}
 
@@ -161,7 +160,7 @@ class TestBuildTree:
         rows = [{"x": float(rng.integers(0, 20)), "y": float(rng.integers(0, 20))}
                 for _ in range(40)]
         labels = [str(rng.choice(["A", "B", "C"])) for _ in range(40)]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
 
         def walk(node, bounds):
             if isinstance(node, Leaf):
@@ -182,7 +181,7 @@ class TestBuildTree:
         rows = [{"x": float(rng.integers(0, 10)), "c": str(rng.choice(["u", "v"]))}
                 for _ in range(30)]
         labels = [str(rng.choice(["A", "B"])) for _ in range(30)]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
         leaves: list[Leaf] = []
 
         def collect(node):
@@ -204,12 +203,12 @@ class TestPruning:
             rows = [{"x": float(rng.integers(0, 12)), "y": float(rng.integers(0, 12))}
                     for _ in range(25)]
             labels = [str(rng.choice(["A", "B"])) for _ in range(25)]
-            unpruned = build_tree(rows, labels, TreeConfig(prune_cf=None))
-            pruned = build_tree(rows, labels, TreeConfig(prune_cf=0.25))
+            unpruned = build_tree(rows, labels, prune_cf=None)
+            pruned = build_tree(rows, labels, prune_cf=0.25)
             assert leaf_count(pruned) <= leaf_count(unpruned)
 
     def test_pure_tree_survives_pruning(self):
-        tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS, TreeConfig(prune_cf=0.25))
+        tree = build_tree(SEPARABLE_ROWS, SEPARABLE_LABELS, prune_cf=0.25)
         assert leaf_count(tree) == 2
         for row, label in zip(SEPARABLE_ROWS, SEPARABLE_LABELS):
             assert classify(tree, row) == label
@@ -219,9 +218,9 @@ class TestPruning:
         rng = np.random.default_rng(4)
         rows = [{"x": float(i)} for i in range(20)]
         labels = [str(rng.choice(["A", "B"], p=[0.8, 0.2])) for _ in range(20)]
-        pruned = build_tree(rows, labels, TreeConfig(prune_cf=0.01))
+        pruned = build_tree(rows, labels, prune_cf=0.01)
         assert leaf_count(pruned) <= leaf_count(
-            build_tree(rows, labels, TreeConfig(prune_cf=None))
+            build_tree(rows, labels, prune_cf=None)
         )
 
     @pytest.mark.parametrize("signs", [(1,), (-1,), (-1, 1)], ids=["up", "down", "mixed"])
@@ -241,7 +240,7 @@ class TestPruning:
             tables.append((rows, labels))
 
         def shapes():
-            return [tree_shape(build_tree(rows, labels, TreeConfig(prune_cf=cf)).root)
+            return [tree_shape(build_tree(rows, labels, prune_cf=cf).root)
                     for rows, labels in tables for cf in (0.25, 0.5)]
 
         want = shapes()
@@ -385,7 +384,7 @@ class TestPruneCf:
         # 1.5 and -0.2 grew an unpruned tree with NaN error estimates, 1.0
         # collapsed it to one leaf with error 0, and 0 was a second "unpruned"
         with pytest.raises(ConfigError, match="prune_cf"):
-            build_tree(self.ROWS, self.LABELS, TreeConfig(prune_cf=cf))
+            build_tree(self.ROWS, self.LABELS, prune_cf=cf)
         path = tmp_path / "tree.json"
         tree_to_json(build_tree(self.ROWS, self.LABELS), path)
         doc = json.loads(path.read_text())
@@ -396,10 +395,10 @@ class TestPruneCf:
 
     @pytest.mark.parametrize("cf", [None, 0.25, 1e-300, np.float64(0.5), 0.999])
     def test_valid_prune_cf_round_trips(self, cf, tmp_path):
-        tree = build_tree(self.ROWS, self.LABELS, TreeConfig(prune_cf=cf))
+        tree = build_tree(self.ROWS, self.LABELS, prune_cf=cf)
         path = tmp_path / "tree.json"
         tree_to_json(tree, path)
-        assert tree_from_json(path).config.prune_cf == cf
+        assert tree_from_json(path).prune_cf == cf
 
 
 class TestClassify:
@@ -435,7 +434,7 @@ class TestClassify:
     def test_unseen_categorical_routes_to_majority_child(self):
         rows = [{"c": "red"}, {"c": "red"}, {"c": "red"}, {"c": "blue"}, {"c": "blue"}]
         labels = ["A", "A", "A", "B", "B"]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
         with pytest.warns(UserWarning, match="unseen"):
             assert classify(tree, {"c": "green"}) == "A"
 
@@ -462,7 +461,7 @@ class TestExtractRules:
             {"x": 9.0, "c": "v"}, {"x": 10.0, "c": "v"},
         ]
         labels = ["A", "A", "B", "B", "C", "C"]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
         rules = extract_rules(tree)
         assert len(rules) == leaf_count(tree) == 3
         consequents = {r.consequent for r in rules}
@@ -500,7 +499,7 @@ class TestExtractRules:
         # force two splits on the same attribute along one path
         rows = [{"x": float(v)} for v in (1, 2, 3, 4, 5, 6, 7, 8)]
         labels = ["A", "A", "B", "B", "B", "B", "C", "C"]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
         rules = extract_rules(tree)
         for rule in rules:
             per_attr_ops = {}
@@ -513,7 +512,7 @@ class TestExtractRules:
         rule_text = rules_to_text(extract_rules(build_tree(
             [{"TI_max": 300.0, "SP_max_ROI": "frontal"},
              {"TI_max": 400.0, "SP_max_ROI": "frontal"}],
-            ["C1", "C2"], TreeConfig(prune_cf=None))))
+            ["C1", "C2"], prune_cf=None)))
         assert "IF TI_max" in rule_text and "THEN" in rule_text
 
 
@@ -534,7 +533,7 @@ class TestSplitPoints:
             kinds={"TI_max": "numeric", "ROI": "categorical"},
             n_rows=6,
             class_labels=("A", "B", "C"),
-            config=TreeConfig(),
+            prune_cf=0.25,
         )
 
     def test_direct_read_off(self):
@@ -542,7 +541,7 @@ class TestSplitPoints:
 
     def test_unused_numeric_attribute_empty(self):
         rows = [{"x": 1.0, "TI_max": 5.0}, {"x": 9.0, "TI_max": 5.0}]
-        tree = build_tree(rows, ["A", "B"], TreeConfig(prune_cf=None))
+        tree = build_tree(rows, ["A", "B"], prune_cf=None)
         assert all_split_points(tree)["TI_max"] == []
 
     def test_separable_split_point_in_gap(self):
@@ -567,7 +566,7 @@ class TestSplitPoints:
         tree = DecisionTree(root=root, attributes=("TI", "ROI", "SP", "IN"),
                             kinds={"TI": "numeric", "ROI": "categorical", "SP": "numeric",
                                    "IN": "numeric"},
-                            n_rows=4, class_labels=("A", "B"), config=TreeConfig())
+                            n_rows=4, class_labels=("A", "B"), prune_cf=0.25)
         points = all_split_points(tree)
         assert list(points.items()) == [("TI", [7.0]), ("SP", [2.0]), ("IN", [])]
 
@@ -604,7 +603,7 @@ class TestSerialization:
     def test_config_holds_only_prune_cf_and_old_config_keys_are_ignored(self, tmp_path):
         rows = [{"x": float(i % 5), "c": "uv"[i % 2]} for i in range(12)]
         labels = ["A" if i % 5 < 2 or i % 2 else "B" for i in range(12)]
-        tree = build_tree(rows, labels, TreeConfig(prune_cf=None))
+        tree = build_tree(rows, labels, prune_cf=None)
         path = tmp_path / "tree.json"
         tree_to_json(tree, path)
         doc = json.loads(path.read_text())
@@ -613,7 +612,7 @@ class TestSerialization:
         doc["config"].update(min_leaf=1, max_depth=None, missing="error")
         path.write_text(json.dumps(doc))
         again = tree_from_json(path)
-        assert again.config == TreeConfig(prune_cf=None)
+        assert again.prune_cf is None
         assert all_split_points(tree)["x"]
         assert all_split_points(again) == all_split_points(tree)
         assert [classify(again, r) for r in rows] == [classify(tree, r) for r in rows]

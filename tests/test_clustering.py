@@ -7,8 +7,6 @@ import pytest
 from nof import clustering
 from nof.clustering import (
     ClusterModel,
-    DivisiveConfig,
-    EMConfig,
     Taxonomy,
     TaxonomyClass,
     agglomerative_hierarchy,
@@ -94,8 +92,8 @@ class TestEncoding:
         X = np.column_stack([(raw - raw.mean(axis=0)) / sd] + [
             [1.0 if r["EVENT"] == v else 0.0 for r in rows] for v in ("e1", "e2")])
         assert np.array_equal(X, scaled)
-        a = em_fit(X, 2, EMConfig(seed=1))
-        b = em_fit(scaled, 2, EMConfig(seed=1))
+        a = em_fit(X, 2, seed=1)
+        b = em_fit(scaled, 2, seed=1)
         assert np.array_equal(a.assignments, b.assignments)
 
     def test_empty_rows_rejected(self):
@@ -107,7 +105,7 @@ class TestEmFit:
     def test_k1_closed_form(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3)) * [1.0, 2.0, 0.5] + [0.0, 1.0, -2.0]
-        model = em_fit(X, 1, EMConfig(seed=0))
+        model = em_fit(X, 1, seed=0)
         np.testing.assert_allclose(model.means[0], X.mean(axis=0), atol=1e-10)
         np.testing.assert_allclose(model.variances[0], X.var(axis=0), atol=1e-10)
         assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -115,19 +113,19 @@ class TestEmFit:
 
     def test_two_gaussians_recovered(self):
         X, labels = two_blobs(seed=7)
-        model = em_fit(X, 2, EMConfig(seed=0))
+        model = em_fit(X, 2, seed=0)
         assert adjusted_rand_index(model.assignments, labels) >= 0.99
         assert_loglik_monotone(model)
 
     def test_weights_sum_to_one(self):
         X, _ = two_blobs(seed=8, n=40)
-        model = em_fit(X, 3, EMConfig(seed=0))
+        model = em_fit(X, 3, seed=0)
         assert abs(model.weights.sum() - 1.0) <= 1e-12
 
     def test_k_exceeding_rows_rejected(self):
         X = np.zeros((4, 2))
         with pytest.raises(ConfigError):
-            em_fit(X, 5, EMConfig(seed=0))
+            em_fit(X, 5, seed=0)
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -135,8 +133,8 @@ class TestEmFit:
 
     def test_seeded_determinism(self):
         X, _ = two_blobs(seed=9, n=30)
-        a = em_fit(X, 2, EMConfig(seed=4))
-        b = em_fit(X, 2, EMConfig(seed=4))
+        a = em_fit(X, 2, seed=4)
+        b = em_fit(X, 2, seed=4)
         assert np.array_equal(a.assignments, b.assignments)
         assert a.log_likelihood == b.log_likelihood
 
@@ -145,19 +143,19 @@ class TestEmFit:
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(30, 3))
             for k in (1, 2, 3):
-                model = em_fit(X, k, EMConfig(seed=seed, n_restarts=2))
+                model = em_fit(X, k, seed)
                 assert_loglik_monotone(model)
 
     def test_duplicate_rows_survive_floor(self):
         X = np.ones((10, 2))
-        model = em_fit(X, 1, EMConfig(seed=0))
+        model = em_fit(X, 1, seed=0)
         assert np.isfinite(model.log_likelihood)
 
     def test_covariance_eigenvalues_respect_floor(self):
         rng = np.random.default_rng(22)
         X = rng.normal(size=(40, 3))
         X[:, 2] = 0.0  # degenerate dimension forces the floor to bite
-        model = em_fit(X, 2, EMConfig(seed=0))
+        model = em_fit(X, 2, seed=0)
         floor = 1e-6 * float(np.sum(X.var(axis=0))) / X.shape[1]
         assert model.variances.min() >= floor * (1 - 1e-9)
 
@@ -165,7 +163,7 @@ class TestEmFit:
 class TestAssignments:
     def test_fit_assignments_are_the_final_e_step_argmax(self):
         X, _ = two_blobs(seed=12, n=50)
-        model = em_fit(X, 2, EMConfig(seed=0))
+        model = em_fit(X, 2, seed=0)
         _, resp = clustering._e_step(X, model.weights, model.means, model.variances)
         assert np.array_equal(np.argmax(resp, axis=1), model.assignments)
 
@@ -173,12 +171,12 @@ class TestAssignments:
 class TestSelectK:
     def test_bic_picks_two_for_two_blobs(self):
         X, _ = two_blobs(seed=13, n=80)
-        model = select_k(X, 4, EMConfig(seed=0))
+        model = select_k(X, 4, seed=0)
         assert model.k == 2
 
     def test_bic_value_consistency(self):
         X, _ = two_blobs(seed=14, n=30)
-        model = em_fit(X, 2, EMConfig(seed=0))
+        model = em_fit(X, 2, seed=0)
         d = X.shape[1]
         p = (2 - 1) + 2 * d + 2 * d
         expected = -2 * model.log_likelihood + p * np.log(len(X))
@@ -191,24 +189,24 @@ class TestSelectK:
         # likelihood on the floored variances and win BIC at k = n
         X = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0],
                       [-2.0, 0.0, 0.0], [-2.0, 0.0, 1.0]])
-        model = select_k(X, 4, EMConfig(seed=seed))
+        model = select_k(X, 4, seed=seed)
         assert model.k == 2
         assert model.assignments[0] == model.assignments[1]
         assert model.assignments[2] == model.assignments[3]
 
     def test_no_chosen_component_below_two_rows(self):
         X, _ = two_blobs(seed=15, n=12)
-        model = select_k(X, 6, EMConfig(seed=0))
+        model = select_k(X, 6, seed=0)
         assert np.bincount(model.assignments, minlength=model.k).min() >= 2
 
     def test_bic_by_k_records_every_k_tried(self):
         X = np.array([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0],
                       [-2.0, 0.0, 0.0], [-2.0, 0.0, 1.0]])
-        model = select_k(X, 6, EMConfig(seed=0))
+        model = select_k(X, 6, seed=0)
         # k = 5 and 6 exceed the 4 rows; k = 3 and 4 leave a one-row component
-        assert model.bic_by_k == {1: bic(em_fit(X, 1, EMConfig(seed=0)), 4),
+        assert model.bic_by_k == {1: bic(em_fit(X, 1, seed=0), 4),
                                   2: bic(model, 4), 3: None, 4: None}
-        assert em_fit(X, 2, EMConfig(seed=0)).bic_by_k == {}
+        assert em_fit(X, 2, seed=0).bic_by_k == {}
 
     @pytest.mark.parametrize("n", range(2, 14))
     def test_no_fit_for_k_above_half_the_rows(self, n, monkeypatch):
@@ -217,17 +215,17 @@ class TestSelectK:
         X = np.random.default_rng(n).normal(size=(n, 3))
         fitted = []
 
-        def counting_em_fit(X, k, config=None):
+        def counting_em_fit(X, k, seed=0):
             fitted.append(k)
-            return em_fit(X, k, config)
+            return em_fit(X, k, seed)
 
         monkeypatch.setattr(clustering, "em_fit", counting_em_fit)
-        model = select_k(X, n, EMConfig(seed=1))
+        model = select_k(X, n, seed=1)
         assert fitted == list(range(1, n // 2 + 1))
         assert list(model.bic_by_k) == list(range(1, n + 1))
         assert all(model.bic_by_k[k] is None for k in range(n // 2 + 1, n + 1))
         for k in range(n // 2 + 1, min(n, 6) + 1):
-            fit = loop_em_fit(X, k, EMConfig(seed=1))
+            fit = loop_em_fit(X, k, seed=1)
             assert np.bincount(fit.assignments, minlength=k).min() < 2
 
 
@@ -309,7 +307,7 @@ class TestStackedEmMatchesLoops:
 
     def test_e_step(self, testbed_tables):
         X = testbed_tables["many_rows"]
-        model = em_fit(X, 4, EMConfig())
+        model = em_fit(X, 4)
         log_joint = np.log(model.weights) + loop_log_gaussians_diag(
             X, model.means, model.variances)
         resp = np.exp(log_joint - scipy_logsumexp(log_joint)[:, None])
@@ -338,44 +336,44 @@ class TestRestartsSteppedTogether:
     when fitted alone, and the best one wins as in the restart loop of
     tests/helpers.py."""
 
-    def _fits(self, tables, config):
+    def _fits(self, tables, seed):
         return [fit for X in tables.values()
-                for fit in [clustering.em_fit(X, k, config) for k in range(1, 7)]
-                + [clustering.select_k(X, 6, config)]]
+                for fit in [clustering.em_fit(X, k, seed) for k in range(1, 7)]
+                + [clustering.select_k(X, 6, seed)]]
 
     @pytest.mark.parametrize("n_restarts", [1, 4, 7])
     def test_em_fit_and_select_k_match_the_restart_loop(self, testbed_tables, monkeypatch,
                                                         n_restarts):
-        config = EMConfig(seed=3, n_restarts=n_restarts)
-        stepped = self._fits(testbed_tables, config)
+        monkeypatch.setattr(clustering, "_EM_RESTARTS", n_restarts)
+        stepped = self._fits(testbed_tables, 3)
         monkeypatch.setattr(clustering, "em_fit", loop_em_fit)
-        for got, want in zip(stepped, self._fits(testbed_tables, config), strict=True):
+        for got, want in zip(stepped, self._fits(testbed_tables, 3), strict=True):
             assert_same_fit(got, want)
 
-    def test_one_component_restarts_all_end_alike(self, testbed_tables):
+    def test_one_component_restarts_all_end_alike(self, testbed_tables, monkeypatch):
         # after the first E-step every restart's responsibilities are 1, so
         # em_fit runs restart 0 alone at k = 1
+        monkeypatch.setattr(clustering, "_EM_RESTARTS", 5)
         for X in testbed_tables.values():
             for seed in range(3):
-                config = EMConfig(seed=seed, n_restarts=5)
-                restarts = loop_em_restarts(X, 1, config)
+                restarts = loop_em_restarts(X, 1, seed)
                 for model in restarts[1:]:
                     for name in ("weights", "means", "variances", "assignments"):
                         assert np.array_equal(getattr(model, name), getattr(restarts[0], name))
                     assert model.log_likelihood == restarts[0].log_likelihood
-                assert_same_fit(em_fit(X, 1, config), loop_em_fit(X, 1, config))
+                assert_same_fit(em_fit(X, 1, seed), loop_em_fit(X, 1, seed))
 
     def test_unconverged_restarts_beside_converged_ones(self, testbed_tables, monkeypatch):
         # at 4 iterations some restarts of a fit stop unconverged, and are
         # assigned by a final E-step, while others have converged
         monkeypatch.setattr(clustering, "_EM_MAX_ITER", 4)
-        config = EMConfig(n_restarts=7)
+        monkeypatch.setattr(clustering, "_EM_RESTARTS", 7)
         mixed = 0
         for X in testbed_tables.values():
             for k in range(1, 7):
-                restarts = loop_em_restarts(X, k, config)
+                restarts = loop_em_restarts(X, k)
                 mixed += len({m.converged for m in restarts}) == 2
-                assert_same_fit(em_fit(X, k, config), loop_em_fit(X, k, config))
+                assert_same_fit(em_fit(X, k), loop_em_fit(X, k))
         assert mixed >= 3
 
 
@@ -399,11 +397,12 @@ class TestEmErrors:
             return weights, means + 100.0 * (len(calls) == 2), variances
 
         monkeypatch.setattr(clustering, "_m_step", worse_second_step)
+        monkeypatch.setattr(clustering, "_EM_RESTARTS", 1)
         X, _ = two_blobs(seed=3, n=30)
         with pytest.raises(NumericalError, match=(
                 r"^EM log-likelihood decreased at iteration 2 "
                 r"\(k=2\): -?[0-9.]+ -> -?[0-9.]+$")):
-            em_fit(X, 2, EMConfig(n_restarts=1))
+            em_fit(X, 2)
 
 
 ONE_D = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -411,23 +410,23 @@ ONE_D = np.array([[0.0], [1.0], [10.0], [11.0]])
 
 class TestDivisive:
     def test_first_split_matches_exhaustive_sse(self):
-        tax = divisive_hierarchy(ONE_D, DivisiveConfig(seed=0))
+        tax = divisive_hierarchy(ONE_D, seed=0)
         got = {frozenset(tax.root.left.indices), frozenset(tax.root.right.indices)}
         left, right = best_two_partition_by_sse(ONE_D)
         assert got == {left, right}
         assert got == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_single_observation_single_leaf(self):
-        tax = divisive_hierarchy(np.array([[3.0]]), DivisiveConfig(seed=0))
+        tax = divisive_hierarchy(np.array([[3.0]]), seed=0)
         assert tax.root.is_leaf and tax.root.indices == (0,)
 
     def test_duplicates_do_not_split(self):
-        tax = divisive_hierarchy(np.ones((5, 2)), DivisiveConfig(seed=0))
+        tax = divisive_hierarchy(np.ones((5, 2)), seed=0)
         assert tax.root.is_leaf
 
     def test_heights_monotone_root_to_leaves(self):
         rng = np.random.default_rng(15)
-        tax = divisive_hierarchy(rng.normal(size=(20, 2)), DivisiveConfig(seed=1))
+        tax = divisive_hierarchy(rng.normal(size=(20, 2)), seed=1)
 
         def walk(node):
             for child in (node.left, node.right):
@@ -453,7 +452,7 @@ class TestDivisive:
 
         with monkeypatch.context() as patch:
             patch.setattr(clustering, "_two_means", more_than_two_rows)
-            got = divisive_hierarchy(X, DivisiveConfig(seed=seed))
+            got = divisive_hierarchy(X, seed=seed)
         assert self.nested(got.root) == want
         return want
 
@@ -477,64 +476,48 @@ class TestDivisive:
 
 class TestAgglomerative:
     def test_hand_computed_merge_order(self):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         merges = [(set(a), set(b), h) for a, b, h in tax.merges]
         assert merges[0] == ({0}, {1}, 1.0)
         assert merges[1] == ({2}, {3}, 1.0)
-        assert merges[2] == ({0, 1}, {2, 3}, 9.0)
+        assert merges[2] == ({0, 1}, {2, 3}, 10.0)   # the mean of 10, 11, 9 and 10
 
     def test_identical_points_merge_at_zero(self):
-        tax = agglomerative_hierarchy(np.array([[2.0], [2.0]]), "single")
+        tax = agglomerative_hierarchy(np.array([[2.0], [2.0]]))
         assert tax.merges[0][2] == 0.0
 
     def test_single_point_no_merges(self):
-        tax = agglomerative_hierarchy(np.array([[1.0]]), "complete")
+        tax = agglomerative_hierarchy(np.array([[1.0]]))
         assert tax.merges == [] and tax.root.is_leaf
 
     def test_merge_count_is_n_minus_one(self):
         rng = np.random.default_rng(18)
         X = rng.normal(size=(9, 3))
-        for linkage in ("single", "complete", "average"):
-            tax = agglomerative_hierarchy(X, linkage)
-            assert len(tax.merges) == 8
+        assert len(agglomerative_hierarchy(X).merges) == 8
 
     def test_heights_nondecreasing(self):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(15, 2))
-        for linkage in ("single", "complete", "average"):
-            heights = [h for _, _, h in agglomerative_hierarchy(X, linkage).merges]
-            assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
-
-    def test_complete_linkage_final_height(self):
-        tax = agglomerative_hierarchy(ONE_D, "complete")
-        assert tax.merges[-1][2] == 11.0
-
-    def test_unknown_linkage_rejected(self):
-        with pytest.raises(ConfigError):
-            agglomerative_hierarchy(ONE_D, "ward")
+        heights = [h for _, _, h in agglomerative_hierarchy(X).merges]
+        assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
 
     def test_heights_match_linkage_definition(self):
-        # each merge height is the min / max / mean of the pairwise Euclidean
-        # distances between the two merged clusters
+        # each merge height is the mean of the pairwise Euclidean distances
+        # between the two merged clusters
         rng = np.random.default_rng(20)
-        reduce = {"single": np.min, "complete": np.max, "average": np.mean}
         for _ in range(10):
             X = rng.normal(size=(int(rng.integers(2, 30)), int(rng.integers(1, 6))))
             dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-            for linkage, fn in reduce.items():
-                for a, b, h in agglomerative_hierarchy(X, linkage).merges:
-                    expected = fn(dist[np.ix_(a, b)])
-                    assert h == pytest.approx(expected, rel=1e-12, abs=0.0)
+            for a, b, h in agglomerative_hierarchy(X).merges:
+                assert h == pytest.approx(np.mean(dist[np.ix_(a, b)]), rel=1e-12, abs=0.0)
 
     @staticmethod
     def assert_same_as_scipy(X, tmp_path):
-        for linkage in ("single", "complete", "average"):
-            ours, theirs = agglomerative_hierarchy(X, linkage), scipy_agglomerative_hierarchy(
-                X, linkage)
-            assert ours.merges == theirs.merges, (linkage, X.shape)
-            ours.to_json(tmp_path / "ours.json")
-            theirs.to_json(tmp_path / "theirs.json")
-            assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "theirs.json").read_bytes()
+        ours, theirs = agglomerative_hierarchy(X), scipy_agglomerative_hierarchy(X)
+        assert ours.merges == theirs.merges, X.shape
+        ours.to_json(tmp_path / "ours.json")
+        theirs.to_json(tmp_path / "theirs.json")
+        assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "theirs.json").read_bytes()
 
     def test_matches_scipy_linkage_on_random_inputs(self, tmp_path):
         # exact floats: the distances are summed in pdist's order and updated
@@ -565,13 +548,12 @@ class TestAgglomerative:
     def test_non_finite_observation_names_its_row(self, bad):
         X = np.random.default_rng(24).normal(size=(5, 3))
         X[3, 1] = X[4, 0] = bad
-        for linkage in ("single", "complete", "average"):
-            with pytest.raises(ConfigError, match="observation 3 "):
-                agglomerative_hierarchy(X, linkage)
+        with pytest.raises(ConfigError, match="observation 3 "):
+            agglomerative_hierarchy(X)
 
     def test_overflowing_distance_rejected(self):
         with pytest.raises(ConfigError, match="overflows"):
-            agglomerative_hierarchy(np.array([[1e200], [-1e200], [0.0]]), "average")
+            agglomerative_hierarchy(np.array([[1e200], [-1e200], [0.0]]))
 
     def test_square_symmetric_hollow_matrix_is_observations(self):
         # scipy's linkage warns that such a matrix looks like distances;
@@ -580,31 +562,30 @@ class TestAgglomerative:
                       [2.0, 1.0, 0.0, 1.0], [3.0, 2.0, 1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for linkage in ("single", "complete", "average"):
-                assert len(agglomerative_hierarchy(X, linkage).merges) == 3
+            assert len(agglomerative_hierarchy(X).merges) == 3
 
 
 class TestTaxonomyClasses:
     def test_cut_at_root_single_class(self):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         classes = taxonomy_to_classes(tax, height=tax.root.height)
         named = [c for c in classes if c.parent == "ROOT"]
         assert len(named) == 1 and named[0].members == (0, 1, 2, 3)
 
     def test_four_leaves_four_singletons(self):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         classes = [c for c in taxonomy_to_classes(tax, leaf_count=4) if c.parent]
         assert [c.members for c in classes] == [(0,), (1,), (2,), (3,)]
 
     def test_two_class_cut(self):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         classes = [c for c in taxonomy_to_classes(tax, leaf_count=2) if c.parent]
         assert [c.members for c in classes] == [(0, 1), (2, 3)]
         assert all(c.parent == "ROOT" for c in classes)
         assert [c.name for c in classes] == ["C1", "C2"]
 
     def test_divisive_cut_matches_too(self):
-        tax = divisive_hierarchy(ONE_D, DivisiveConfig(seed=0))
+        tax = divisive_hierarchy(ONE_D, seed=0)
         classes = [c for c in taxonomy_to_classes(tax, leaf_count=2) if c.parent]
         assert {c.members for c in classes} == {(0, 1), (2, 3)}
 
@@ -614,9 +595,9 @@ class TestTaxonomyClasses:
             n = int(rng.integers(2, 25))
             X = rng.normal(size=(n, int(rng.integers(1, 4))))
             tax = (
-                agglomerative_hierarchy(X, ("single", "complete", "average")[trial % 3])
+                agglomerative_hierarchy(X)
                 if trial % 2
-                else divisive_hierarchy(X, DivisiveConfig(seed=trial))
+                else divisive_hierarchy(X, seed=trial)
             )
             cuts = [dict(height=float(h)) for h in
                     rng.uniform(0, tax.root.height + 1, size=3)]
@@ -628,7 +609,7 @@ class TestTaxonomyClasses:
                 assert len(members) == len(set(members))
 
     def test_invalid_cuts_rejected(self):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         with pytest.raises(ConfigError):
             taxonomy_to_classes(tax)
         with pytest.raises(ConfigError):
@@ -639,7 +620,7 @@ class TestTaxonomyClasses:
             taxonomy_to_classes(tax, height=-0.5)
 
     def test_classes_json(self, tmp_path):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         classes = taxonomy_to_classes(tax, leaf_count=2)
         path = tmp_path / "classes.json"
         classes_to_json(classes, path)
@@ -667,7 +648,7 @@ class TestModelClasses:
 class TestModelSerialization:
     def test_json_round_trip(self, tmp_path):
         X, _ = two_blobs(seed=21, n=20)
-        model = em_fit(X, 2, EMConfig(seed=0))
+        model = em_fit(X, 2, seed=0)
         path = tmp_path / "model.json"
         model.to_json(path)
         again = ClusterModel.from_json(path)
@@ -675,12 +656,12 @@ class TestModelSerialization:
         assert np.array_equal(again.assignments, model.assignments)
         assert again.log_likelihood == model.log_likelihood
         assert again.labels() == model.labels()
-        chosen = select_k(X, 3, EMConfig(seed=0))  # with a BIC curve
+        chosen = select_k(X, 3, seed=0)  # with a BIC curve
         chosen.to_json(path)
         assert_same_fit(ClusterModel.from_json(path), chosen)
 
     def test_taxonomy_json(self, tmp_path):
-        tax = agglomerative_hierarchy(ONE_D, "single")
+        tax = agglomerative_hierarchy(ONE_D)
         path = tmp_path / "tax.json"
         tax.to_json(path)
         import json

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from nof import decomposition
 from nof.decomposition import (
     FactorDecomposition,
-    FastIcaConfig,
     WhitenedData,
     center_and_whiten,
     fastica,
@@ -136,7 +136,7 @@ class TestFastIca:
     def test_independent_input_gives_signed_permutation(self):
         rng = np.random.default_rng(10)
         sources = laplace_sources(rng, 2, 20000)
-        dec = fastica(identity_whitened(sources), FastIcaConfig(seed=0))
+        dec = fastica(identity_whitened(sources), seed=0)
         for row in dec.unmixing:
             assert np.max(np.abs(row)) >= 0.99
 
@@ -145,7 +145,7 @@ class TestFastIca:
         sources = laplace_sources(rng, 2, 20000)
         mixed = np.array([[2.0, 1.0], [1.0, 1.0]]) @ sources
         epochs = wrap_as_epochs(mixed, n_trials=4)
-        dec = fastica(center_and_whiten(epochs), FastIcaConfig(seed=1))
+        dec = fastica(center_and_whiten(epochs), seed=1)
         matched = match_factors(dec.activations(epochs), sources)
         assert all(r >= 0.95 for r in matched)
 
@@ -180,8 +180,8 @@ class TestFastIca:
         mix = np.random.default_rng(14).standard_normal((6, 3))
         epochs = wrap_as_epochs(mix @ sources, n_trials=5)
         white = center_and_whiten(epochs, 3)
-        a = fastica(white, FastIcaConfig(seed=21))
-        b = fastica(white, FastIcaConfig(seed=21))
+        a = fastica(white, seed=21)
+        b = fastica(white, seed=21)
         assert np.array_equal(a.unmixing, b.unmixing)
         assert np.array_equal(a.activations(epochs), b.activations(epochs))
         assert np.array_equal(a.mixing, b.mixing)
@@ -191,7 +191,7 @@ class TestFastIca:
         sources = laplace_sources(rng, 3, 20000)
         mix = rng.standard_normal((8, 3))
         epochs = wrap_as_epochs(mix @ sources, n_trials=4)
-        dec = fastica(center_and_whiten(epochs, 3), FastIcaConfig(seed=2))
+        dec = fastica(center_and_whiten(epochs, 3), seed=2)
         gain = dec.unmixing @ mix
         gain = gain / np.max(np.abs(gain), axis=1, keepdims=True)
         dominant = set()
@@ -202,12 +202,13 @@ class TestFastIca:
             off = np.delete(np.abs(row), j)
             assert np.max(off) <= 0.2
 
-    def test_nonconvergence_flagged(self):
+    def test_nonconvergence_flagged(self, monkeypatch):
         rng = np.random.default_rng(16)
         sources = laplace_sources(rng, 2, 4000)
         white = identity_whitened(sources)
-        with pytest.warns(RuntimeWarning, match="converge"):
-            dec = fastica(white, FastIcaConfig(seed=0, max_iter=1))
+        monkeypatch.setattr(decomposition, "_ICA_MAX_ITER", 1)
+        with pytest.warns(RuntimeWarning, match="within 1 iterations"):
+            dec = fastica(white, seed=0)
         assert not dec.converged
 
     def test_json_round_trip(self, tmp_path, two_pattern_decomposition):
@@ -256,7 +257,7 @@ class TestFactorSpace:
         epochs = generate_dataset([tpl], mixing_noise=0.05, noise_std=0.3,
                                   n_trials=40, seed=19, montage=montage)
         white = center_and_whiten(epochs, 1)
-        dec = fastica(white, FastIcaConfig(seed=3))
+        dec = fastica(white, seed=3)
         topo = dec.mixing[:, 0]
         corr = np.corrcoef(topo, tpl.topography)[0, 1]
         assert abs(corr) >= 0.95
@@ -284,21 +285,20 @@ class TestInPlaceAgainstAllocatingOracles:
             k = min(2, white.n_components)
             white = center_and_whiten(epochs, k)
             oracle_white = var_center_and_whiten(epochs, k)
-            config = FastIcaConfig(seed=seed + 1)
-            dec = fastica(white, config)
-            oracle = allocating_fastica(oracle_white, config)
+            dec = fastica(white, seed=seed + 1)
+            oracle = allocating_fastica(oracle_white, seed=seed + 1)
             assert _same_bytes(dec, oracle, ("unmixing", "mixing", "mean"))
             assert (dec.n_iter, dec.converged) == (oracle.n_iter, oracle.converged)
             assert dec.activations(epochs).tobytes() == allocating_activations(
                 dec, epochs).tobytes()
 
-    def test_unconverged_bytes_equal_the_oracle(self, two_pattern_epochs):
+    def test_unconverged_bytes_equal_the_oracle(self, two_pattern_epochs, monkeypatch):
         white = center_and_whiten(two_pattern_epochs, 4)
-        config = FastIcaConfig(seed=5, max_iter=3)
+        monkeypatch.setattr(decomposition, "_ICA_MAX_ITER", 3)
         with pytest.warns(RuntimeWarning, match="converge"):
-            dec = fastica(white, config)
+            dec = fastica(white, seed=5)
         with pytest.warns(RuntimeWarning, match="converge"):
-            oracle = allocating_fastica(white, config)
+            oracle = allocating_fastica(white, seed=5)
         assert not dec.converged and dec.n_iter == oracle.n_iter == 3
         assert _same_bytes(dec, oracle, ("unmixing", "mixing"))
 
@@ -308,7 +308,7 @@ class TestInPlaceAgainstAllocatingOracles:
         _, templates = two_pattern_preset(montage)
         epochs = generate_dataset(templates, 0.1, 1.0, 1, seed=3, montage=montage)
         before = epochs.data.tobytes()
-        dec = fastica(center_and_whiten(epochs, 2), FastIcaConfig(seed=4))
+        dec = fastica(center_and_whiten(epochs, 2), seed=4)
         assert epochs.data.tobytes() == before
         dec.activations(epochs)
         assert epochs.data.tobytes() == before
@@ -375,8 +375,7 @@ class TestPeakMemory:
 
     def test_fastica_no_more_than_the_allocating_form(self, two_pattern_epochs):
         white = center_and_whiten(two_pattern_epochs, 4)
-        config = FastIcaConfig(seed=8)
-        _, peak = traced_peak(fastica, white, config)
-        _, oracle_peak = traced_peak(allocating_fastica, white, config)
+        _, peak = traced_peak(fastica, white, 8)
+        _, oracle_peak = traced_peak(allocating_fastica, white, 8)
         # two k x n work arrays where the allocating form peaks at three
         assert peak <= oracle_peak - white.whitened.nbytes + 64 * 1024

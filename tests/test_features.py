@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nof.decomposition import FactorDecomposition, FastIcaConfig, center_and_whiten, fastica
+from nof.decomposition import FactorDecomposition, center_and_whiten, fastica
 from nof.errors import ConfigError, ParseError
 from nof.features import (
     COLUMNS,
@@ -176,7 +176,7 @@ class TestExtractSummary:
         tpl = p300_template(montage)
         epochs = generate_dataset([tpl], mixing_noise=0.05, noise_std=0.5,
                                   n_trials=60, seed=23, montage=montage)
-        dec = fastica(center_and_whiten(epochs, 1), FastIcaConfig(seed=5))
+        dec = fastica(center_and_whiten(epochs, 1), seed=5)
         row = extract_summary(dec, epochs, "FA1", {}, template=tpl.topography)
         assert 300.0 <= row["TI_max"] <= 500.0
         assert row["SP_max_ROI"] == "frontal"

@@ -15,19 +15,31 @@ from nof import classification, clustering, decomposition
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nof"
 
-# Each kept field has a caller: a pipeline stage, an acceptance criterion, or
-# a test that uses it as its reference path.
-CONFIG_FIELDS = [
-    (clustering.EMConfig, ("seed", "n_restarts")),
-    (clustering.DivisiveConfig, ("seed",)),
-    (classification.TreeConfig, ("prune_cf",)),
-    (decomposition.FastIcaConfig, ("max_iter", "seed")),
+# The algorithms' parameters, with their defaults. The settable values are
+# the FastICA, EM and divisive seeds, which the stages derive from the
+# config's seed, and prune_cf, which criterion 05 sets to None; iteration
+# caps, tolerances and restart counts are module constants.
+PARAMETERS = [
+    (decomposition.fastica, ("white", "seed=0")),
+    (clustering.em_fit, ("X", "k", "seed=0")),
+    (clustering.select_k, ("X", "k_max", "seed=0")),
+    (clustering.divisive_hierarchy, ("X", "seed=0")),
+    (clustering.agglomerative_hierarchy, ("X",)),
+    (classification.build_tree, ("rows", "labels", "prune_cf=0.25")),
 ]
 
 
-@pytest.mark.parametrize("cls,names", CONFIG_FIELDS, ids=[c.__name__ for c, _ in CONFIG_FIELDS])
-def test_config_fields_are_the_kept_set(cls, names):
-    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+@pytest.mark.parametrize("fn,params", PARAMETERS, ids=[fn.__name__ for fn, _ in PARAMETERS])
+def test_parameters_are_the_kept_set(fn, params):
+    assert tuple(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
+                 for p in inspect.signature(fn).parameters.values()) == params
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_config_class(path):
+    classes = [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    assert [name for name in classes if name.endswith("Config")] == []
 
 
 # A diagonal mixture: what was fitted, and the BIC curve select_k computed.

@@ -31,8 +31,8 @@ from helpers import traced_peak
 ROOT = Path(__file__).resolve().parents[1]
 EXPERT_EXAMPLE = ROOT / "docs" / "expert.example.json"
 
-# Stage parameters the pipeline leaves at the library's defaults
-# (FastIcaConfig, EMConfig, TreeConfig, the testbed presets), and options the
+# Stage parameters the pipeline leaves at the library's defaults (module
+# constants, build_tree's prune_cf, the testbed presets), and options the
 # library does not have (an IN_mean channel set, a condition grouping,
 # multi-item consequents); none of them is a config key. Every
 # stage seed derives from the top-level `seed`. The support, confidence and
@@ -440,13 +440,13 @@ class TestStages:
             "synth": {"n_trials": 24},
             "decompose": {"n_components": 2},
             "cluster": {"k": None, "k_max": 3,
-                        "hierarchy": "agglomerative:complete"},
+                        "hierarchy": "agglomerative:average"},
         })
         run_pipeline(config)
         model = json.loads((out / "cluster_model.json").read_text())
         assert 1 <= model["k"] <= 3
         taxonomy = json.loads((out / "taxonomy.json").read_text())
-        assert taxonomy["method"] == "agglomerative:complete"
+        assert taxonomy["method"] == "agglomerative:average"
 
         def leaves(node):
             return sum(map(leaves, node["children"])) if "children" in node else 1
@@ -942,10 +942,15 @@ class TestCli:
          "synth.conditions[0].EVENT: value 'a=b' contains a reserved character"),
         ('synth.conditions=[{"EVENT":"a","STIM":"b","MOD":"ANY"}]',
          "synth.conditions[0].MOD: the value 'ANY' is reserved"),
+        ("cluster.hierarchy=agglomerative:single", "unknown cluster.hierarchy "
+         "'agglomerative:single'; pick one of divisive, agglomerative:average"),
+        ("cluster.hierarchy=agglomerative:complete", "unknown cluster.hierarchy "
+         "'agglomerative:complete'; pick one of divisive, agglomerative:average"),
     ], ids=["noise-inf", "noise-nan", "value-nan", "value-neg-inf", "not-object", "kind",
             "unknown-key", "roi-number", "csv-no-path", "csv-path-number", "expert-number",
             "out-number", "conditions-empty", "conditions-number", "condition-keys",
-            "condition-number", "condition-reserved", "condition-any"])
+            "condition-number", "condition-reserved", "condition-any", "single-linkage",
+            "complete-linkage"])
     def test_cli_pipeline_rejects_a_bad_value_before_any_stage(self, tmp_path, monkeypatch,
                                                                capsys, setting, message):
         # before, noise_std=Infinity published non-finite epochs and decompose
@@ -956,6 +961,22 @@ class TestCli:
         assert main(["pipeline", "--set", "out=out", "--set", setting]) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("template,code,message", [
+        ({"kind": "roi", "roi": "nowhere"}, 3,
+         "template ROI 'nowhere' not present in the montage"),
+        ({"kind": "csv", "path": "absent.csv"}, 2, "template CSV not found: "),
+        ({"kind": "csv", "path": "fz_only.csv"}, 3, "template CSV lacks channels: "),
+    ], ids=["roi", "absent-csv", "short-csv"])
+    def test_cli_pipeline_checks_the_template_before_any_stage(self, tmp_path, monkeypatch,
+                                                               capsys, template, code, message):
+        # before, each published synth and decompose, then failed at extract
+        monkeypatch.chdir(tmp_path)
+        Path("fz_only.csv").write_text("channel,weight\nFz,1.0\n")
+        assert main(["pipeline", "--set", "out=out", "--set",
+                     f"extract.template={json.dumps(template)}"]) == code
+        assert capsys.readouterr().err.startswith(f"error: extract.template: {message}")
+        assert not Path("out").exists()     # no epochs/, nor anything else
 
     def test_cli_pipeline_rejects_a_misspelt_template_key_in_a_config_file(self, tmp_path,
                                                                            capsys):

@@ -6,7 +6,7 @@
 SRC_A and SRC_B are directories holding the `nof` package, such as the `src`
 directory of two checkouts. Each tree runs `run_pipeline` in its own
 interpreter for seeds 0-11 of the `paper_default` and `many_rows` workloads
-of bench/spec.json (read, never written), and for seeds 0-2 of seven edge
+of bench/spec.json (read, never written), and for seeds 0-2 of five edge
 configs defined here (EDGE_CONFIGS), with the expert rule base
 docs/expert.example.json. The two sides are compared on the checksums of
 every artifact (`artifact_checksums`) and on every run.json entry with its
@@ -30,8 +30,7 @@ WORKLOADS = ("paper_default", "many_rows")
 SEEDS = range(12)
 # corners of synth -> decompose that the workloads do not reach: one planted
 # source, a single trial (its concatenated epochs are a reshape of the
-# tensor), and noise-free data, whose rank is the number of sources; the
-# two agglomerative linkages besides many_rows' average linkage; and a fixed
+# tensor), and noise-free data, whose rank is the number of sources; a fixed
 # k, which fits EM without select_k and grows a divisive tree over three
 # means; and a template read from a channel,weight CSV, which each side writes
 # as TEMPLATE_CSV in its own temp dir with the default ROI template's weights
@@ -40,8 +39,6 @@ EDGE_CONFIGS = {
     "p300_only": {"synth": {"preset": "p300_only"}},
     "one_trial": {"synth": {"n_trials": 1}},
     "noise_free": {"synth": {"noise_std": 0.0}, "decompose": {"n_components": 2}},
-    "single_linkage": {"cluster": {"hierarchy": "agglomerative:single"}},
-    "complete_linkage": {"cluster": {"hierarchy": "agglomerative:complete"}},
     "fixed_k": {"cluster": {"k": 3}},
     "csv_template": {"extract": {"template": {"kind": "csv", "path": TEMPLATE_CSV}}},
 }
