@@ -33,6 +33,7 @@ import numpy as np
 from .classification import Row
 from .errors import ConfigError, MissingInputError, NumericalError
 from .features import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
+from .testbed import METADATA_KEYS
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -41,15 +42,18 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # observation encoding
 # ---------------------------------------------------------------------------
 
-def encode_observations(
-    rows: list[Row], categorical: tuple[str, ...] = CATEGORICAL_COLUMNS
-) -> np.ndarray:
-    """The NUMERIC_COLUMNS z-scored (std > 0 only), then for each
-    `categorical` column a 0/1 column per value it takes, in sorted order."""
+# EM groups the rows by their pattern attributes, not by the condition
+_PATTERN_COLUMNS = tuple(c for c in CATEGORICAL_COLUMNS if c not in METADATA_KEYS)
+
+
+def encode_observations(rows: list[Row]) -> np.ndarray:
+    """The NUMERIC_COLUMNS z-scored (std > 0 only), then for each pattern
+    column (SP_max, SP_max_ROI, SP_min, SP_min_ROI) a 0/1 column per value it
+    takes, in sorted order."""
     if not rows:
         raise ConfigError("cannot encode an empty summary table")
     cols = [np.array([float(r[c]) for r in rows]) for c in NUMERIC_COLUMNS]
-    for c in categorical:
+    for c in _PATTERN_COLUMNS:
         for v in sorted({str(r[c]) for r in rows}):
             cols.append(np.array([1.0 if str(r[c]) == v else 0.0 for r in rows]))
     X = np.column_stack(cols)

@@ -82,137 +82,68 @@ def default_montage() -> ChannelMontage:
     return ChannelMontage(tuple(channels), roi_of)
 
 
+# Every epoch is one window: _N_SAMPLES samples at _FS Hz, starting at 0 ms.
+_FS = 250.0
+_N_SAMPLES = 250
+
+
 @dataclass(frozen=True)
 class SourceTemplate:
-    """A ground-truth source: rank-1 (topography x waveform) pattern.
-
-    The waveform is sampled at fs starting at t0 ms relative to the event,
-    so waveform length fixes the epoch duration.
-    """
+    """A ground-truth source: rank-1 (topography x waveform) pattern, its
+    waveform sampled on the epoch window."""
 
     name: str
     topography: np.ndarray
     waveform: np.ndarray
-    fs: float
-    peak_latency_ms: float
-    polarity: str
-    t0: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "topography", np.asarray(self.topography, dtype=float))
         object.__setattr__(self, "waveform", np.asarray(self.waveform, dtype=float))
-        if self.fs <= 0:
-            raise ConfigError("fs must be positive")
-        if self.polarity not in ("positive", "negative"):
-            raise ConfigError(f"polarity must be positive|negative, got {self.polarity!r}")
-        if self.waveform.ndim != 1 or self.waveform.size == 0:
-            raise ConfigError("waveform must be a nonempty 1-D array")
-        lo = self.t0
-        hi = self.t0 + self.waveform.size * 1000.0 / self.fs
-        if not (lo <= self.peak_latency_ms < hi):
-            raise ConfigError(
-                f"peak_latency_ms {self.peak_latency_ms} outside epoch window [{lo}, {hi})"
-            )
-        peak = int(np.argmax(np.abs(self.waveform)))
-        sign = np.sign(self.waveform[peak])
-        want = 1.0 if self.polarity == "positive" else -1.0
-        if sign != 0 and sign != want:
-            raise ConfigError(
-                f"polarity {self.polarity!r} does not match waveform sign at peak"
-            )
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.waveform.size)
 
 
 def gaussian_source(
-    name: str,
-    topography: np.ndarray,
-    fs: float,
-    n_samples: int,
-    peak_ms: float,
-    width_ms: float,
-    amplitude: float,
-    t0: float = 0.0,
+    name: str, topography: np.ndarray, peak_ms: float, width_ms: float, amplitude: float
 ) -> SourceTemplate:
     """Build a template with a Gaussian bump waveform peaking at peak_ms."""
-    t = t0 + np.arange(n_samples) * 1000.0 / fs
+    t = np.arange(_N_SAMPLES) * 1000.0 / _FS
     waveform = amplitude * np.exp(-0.5 * ((t - peak_ms) / width_ms) ** 2)
-    polarity = "positive" if amplitude >= 0 else "negative"
-    return SourceTemplate(
-        name=name,
-        topography=topography,
-        waveform=waveform,
-        fs=fs,
-        peak_latency_ms=peak_ms,
-        polarity=polarity,
-        t0=t0,
-    )
+    return SourceTemplate(name, topography, waveform)
 
 
 def roi_topography(
-    montage: ChannelMontage,
-    roi_weights: dict[str, float],
-    peak_channel: str | None = None,
-    peak_weight: float = 1.0,
-    floor: float = 0.05,
+    montage: ChannelMontage, roi_weights: dict[str, float], peak_channel: str
 ) -> np.ndarray:
-    """Per-channel weights from per-ROI weights, with an optional single
-    strongest channel so argmax extraction is unambiguous."""
-    topo = np.full(len(montage.channels), floor, dtype=float)
+    """Per-channel weights from per-ROI weights (0.05 outside them), with
+    peak_channel at 1.0 so argmax extraction is unambiguous."""
+    topo = np.full(len(montage.channels), 0.05, dtype=float)
     for i, c in enumerate(montage.channels):
         r = montage.roi_of[c]
         if r in roi_weights:
             topo[i] = roi_weights[r]
-    if peak_channel is not None:
-        topo[montage.index(peak_channel)] = peak_weight
+    topo[montage.index(peak_channel)] = 1.0
     return topo
 
 
-def p300_template(
-    montage: ChannelMontage,
-    fs: float = 250.0,
-    n_samples: int = 250,
-    t0: float = 0.0,
-    peak_ms: float = 400.0,
-    amplitude: float = 5.0,
-) -> SourceTemplate:
-    """Frontal-positive pattern peaking at 400 ms by default."""
-    topo = roi_topography(
-        montage, {"frontal": 0.8, "central": 0.3}, peak_channel="Fz", peak_weight=1.0
-    )
-    return gaussian_source("P300", topo, fs, n_samples, peak_ms, 55.0, amplitude, t0)
+def p300_template(montage: ChannelMontage, amplitude: float = 5.0) -> SourceTemplate:
+    """Frontal-positive pattern peaking at 400 ms."""
+    topo = roi_topography(montage, {"frontal": 0.8, "central": 0.3}, "Fz")
+    return gaussian_source("P300", topo, 400.0, 55.0, amplitude)
 
 
-def occipital_template(
-    montage: ChannelMontage,
-    fs: float = 250.0,
-    n_samples: int = 250,
-    t0: float = 0.0,
-    peak_ms: float = 150.0,
-    amplitude: float = -4.0,
-) -> SourceTemplate:
-    """Occipital-negative early pattern, the default second planted source."""
-    topo = roi_topography(
-        montage, {"occipital": 0.8, "parietal": 0.3}, peak_channel="Oz", peak_weight=1.0
-    )
-    return gaussian_source("OCC150", topo, fs, n_samples, peak_ms, 35.0, amplitude, t0)
+def occipital_template(montage: ChannelMontage) -> SourceTemplate:
+    """Occipital-negative early pattern peaking at 150 ms, the default second
+    planted source."""
+    topo = roi_topography(montage, {"occipital": 0.8, "parietal": 0.3}, "Oz")
+    return gaussian_source("OCC150", topo, 150.0, 35.0, -4.0)
 
 
 def two_pattern_preset(
     montage: ChannelMontage | None = None,
-    fs: float = 250.0,
-    n_samples: int = 250,
-    t0: float = 0.0,
 ) -> tuple[ChannelMontage, list[SourceTemplate]]:
     """Canonical two-source benchmark: frontal-positive late + occipital-negative early."""
     if montage is None:
         montage = default_montage()
-    return montage, [
-        p300_template(montage, fs, n_samples, t0),
-        occipital_template(montage, fs, n_samples, t0),
-    ]
+    return montage, [p300_template(montage), occipital_template(montage)]
 
 
 @dataclass
@@ -373,34 +304,31 @@ def generate_dataset(
         raise ConfigError("template list must be nonempty")
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
-    if noise_std < 0:
-        raise ConfigError("noise_std must be >= 0")
-    fs = templates[0].fs
-    t0 = templates[0].t0
-    n_samples = templates[0].n_samples
-    for t in templates[1:]:
-        if t.fs != fs or t.t0 != t0 or t.n_samples != n_samples:
-            raise ConfigError(
-                f"template {t.name!r} window (fs={t.fs}, t0={t.t0}, n={t.n_samples}) "
-                f"does not match {templates[0].name!r}"
-            )
+    # written so that NaN fails too
+    if not 0 <= noise_std < np.inf:
+        raise ConfigError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not 0 <= mixing_noise < np.inf:
+        raise ConfigError(f"mixing_noise must be finite and >= 0, got {mixing_noise}")
+    if conditions is None:
+        conditions = [DEFAULT_CONDITION]
+    if not conditions:
+        raise ConfigError("conditions must be nonempty")
     n_channels = len(montage.channels)
     for t in templates:
-        if t.topography.size != n_channels:
+        if t.topography.shape != (n_channels,) or t.waveform.shape != (_N_SAMPLES,):
             raise ConfigError(
-                f"template {t.name!r} topography length {t.topography.size} "
-                f"does not match montage ({n_channels} channels)"
+                f"template {t.name!r} has {t.topography.size} weights and "
+                f"{t.waveform.size} samples; the montage has {n_channels} channels "
+                f"and the epoch window {_N_SAMPLES} samples"
             )
-    if conditions is None:
-        conditions = [dict(DEFAULT_CONDITION)]
     rng = np.random.default_rng(seed)
     gains = 1.0 + mixing_noise * rng.standard_normal((n_trials, len(templates)))
     # Drawn unconditionally so the signal part reproduces with noise_std=0.
-    data = np.empty((n_trials, n_channels, n_samples))
+    data = np.empty((n_trials, n_channels, _N_SAMPLES))
     rng.standard_normal(out=data)
     data *= noise_std
     patterns = [np.outer(t.topography, t.waveform) for t in templates]
-    signal = np.empty((n_channels, n_samples))
+    signal = np.empty((n_channels, _N_SAMPLES))
     term = np.empty_like(signal)
     for i in range(n_trials):
         signal.fill(0.0)
@@ -409,7 +337,7 @@ def generate_dataset(
             signal += term
         data[i] += signal
     trial_info = [dict(conditions[i % len(conditions)]) for i in range(n_trials)]
-    return EpochTensor(data=data, fs=fs, t0=t0, montage=montage, trial_info=trial_info)
+    return EpochTensor(data=data, fs=_FS, t0=0.0, montage=montage, trial_info=trial_info)
 
 
 def mean_of_trials(epochs: EpochTensor, trials: list[int]) -> np.ndarray:

@@ -19,7 +19,7 @@ from nof.clustering import (
     taxonomy_to_classes,
 )
 from nof.errors import ConfigError, NumericalError
-from nof.features import CATEGORICAL_COLUMNS, COLUMNS, NUMERIC_COLUMNS, read_summary_csv
+from nof.features import COLUMNS, NUMERIC_COLUMNS, read_summary_csv
 from nof.pipeline import load_config, run_stage
 
 from helpers import (
@@ -54,21 +54,21 @@ def two_blobs(seed=0, n=100, sep=10.0):
 
 class TestEncoding:
     def test_one_hot_and_zscore(self):
-        rows = [summary_row(TI_max=100.0, EVENT="e1"),
-                summary_row(TI_max=300.0, EVENT="e2"),
-                summary_row(TI_max=200.0, EVENT="e1")]
+        rows = [summary_row(TI_max=100.0, SP_max="Fz", EVENT="e1"),
+                summary_row(TI_max=300.0, SP_max="Cz", EVENT="e2"),
+                summary_row(TI_max=200.0, SP_max="Fz", EVENT="e1")]
         X = encode_observations(rows)
         ti = X[:, NUMERIC_COLUMNS.index("TI_max")]
         assert ti.mean() == pytest.approx(0.0, abs=1e-12)
         assert ti.std() == pytest.approx(1.0, abs=1e-12)
-        # the numeric columns, then one column per value of each categorical
-        # column in CATEGORICAL_COLUMNS order: SP_max, SP_max_ROI, SP_min and
-        # SP_min_ROI take one value here, EVENT two, STIM and MOD one
-        assert CATEGORICAL_COLUMNS.index("EVENT") == 4
-        assert X.shape == (3, len(NUMERIC_COLUMNS) + 8)
-        event = len(NUMERIC_COLUMNS) + 4
-        assert X[:, event].tolist() == [1.0, 0.0, 1.0]
-        assert X[:, event + 1].tolist() == [0.0, 1.0, 0.0]
+        # the numeric columns, then one column per value of each pattern
+        # column: SP_max takes two values here, SP_max_ROI, SP_min and
+        # SP_min_ROI one each; EVENT, STIM and MOD are not encoded
+        assert X.shape == (3, len(NUMERIC_COLUMNS) + 5)
+        sp_max = len(NUMERIC_COLUMNS)
+        assert X[:, sp_max].tolist() == [0.0, 1.0, 0.0]  # Cz
+        assert X[:, sp_max + 1].tolist() == [1.0, 0.0, 1.0]  # Fz
+        assert np.array_equal(encode_observations([{**r, "EVENT": "e"} for r in rows]), X)
 
     def test_constant_numeric_column_not_scaled(self):
         rows = [summary_row(), summary_row()]
@@ -81,16 +81,20 @@ class TestEncoding:
             summary_row(IN_min=float(rng.normal()), IN_max=float(rng.normal() + 3),
                         IN_mean=float(rng.normal()), SP_cor=float(rng.uniform(-1, 1)),
                         TI_max=float(rng.uniform(0, 1000)),
-                        EVENT=("e1" if i % 2 else "e2"))
+                        **({"SP_max": "Fz", "SP_max_ROI": "frontal"} if i % 2 else
+                           {"SP_max": "Cz", "SP_max_ROI": "central"}))
             for i in range(12)
         ]
-        scaled = encode_observations(rows, categorical=("EVENT",))
-        # z-score the raw numeric columns by hand, then one-hot EVENT
+        scaled = encode_observations(rows)
+        # z-score the raw numeric columns by hand, then one-hot SP_max and
+        # SP_max_ROI; SP_min and SP_min_ROI take one value each
         raw = np.array([[r[c] for c in NUMERIC_COLUMNS] for r in rows])
         sd = raw.std(axis=0)
         sd[sd == 0] = 1.0
         X = np.column_stack([(raw - raw.mean(axis=0)) / sd] + [
-            [1.0 if r["EVENT"] == v else 0.0 for r in rows] for v in ("e1", "e2")])
+            [1.0 if r[c] == v else 0.0 for r in rows]
+            for c, v in (("SP_max", "Cz"), ("SP_max", "Fz"), ("SP_max_ROI", "central"),
+                         ("SP_max_ROI", "frontal"))] + [np.ones(12), np.ones(12)])
         assert np.array_equal(X, scaled)
         a = em_fit(X, 2, seed=1)
         b = em_fit(scaled, 2, seed=1)
@@ -240,8 +244,8 @@ MANY_CONDITIONS = [{"EVENT": e, "STIM": f"s{i}", "MOD": m}
 def testbed_tables(tmp_path_factory):
     tables = {}
     for name, seed, synth, shape in (
-        ("paper_default", 2, {}, (8, 25)),
-        ("many_rows", 0, {"n_trials": 160, "conditions": MANY_CONDITIONS}, (64, 27)),
+        ("paper_default", 2, {}, (8, 21)),
+        ("many_rows", 0, {"n_trials": 160, "conditions": MANY_CONDITIONS}, (64, 19)),
     ):
         out = tmp_path_factory.mktemp(name)
         config = load_config(overrides={"out": str(out), "seed": seed, "synth": synth})

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nof import classification, clustering, decomposition
+from nof import classification, clustering, decomposition, testbed
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "nof"
@@ -27,12 +27,26 @@ PARAMETERS = [
     (clustering.agglomerative_hierarchy, ("X",)),
     (classification.build_tree, ("rows", "labels", "prune_cf=0.25")),
 ]
+# The testbed builders take no epoch window: every epoch is 250 samples at
+# 250 Hz from 0 ms, so a template is a name, a topography and a waveform.
+PARAMETERS += [
+    (testbed.gaussian_source, ("name", "topography", "peak_ms", "width_ms", "amplitude")),
+    (testbed.roi_topography, ("montage", "roi_weights", "peak_channel")),
+    (testbed.p300_template, ("montage", "amplitude=5.0")),
+    (testbed.occipital_template, ("montage",)),
+    (testbed.two_pattern_preset, ("montage=None",)),
+]
 
 
 @pytest.mark.parametrize("fn,params", PARAMETERS, ids=[fn.__name__ for fn, _ in PARAMETERS])
 def test_parameters_are_the_kept_set(fn, params):
     assert tuple(p.name if p.default is p.empty else f"{p.name}={p.default!r}"
                  for p in inspect.signature(fn).parameters.values()) == params
+
+
+def test_source_template_fields():
+    assert tuple(f.name for f in dataclasses.fields(testbed.SourceTemplate)) \
+        == ("name", "topography", "waveform")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -209,16 +223,34 @@ def test_public_names_have_a_caller(path):
     assert [n for n in uncalled if n.partition(" ")[0] not in kept] == []
 
 
+def _attribute_loads(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def _loads_and_strings(tree: ast.AST) -> set[str]:
     """The attribute names `tree` loads, and its string constants other than
     docstrings, such as a getattr key."""
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
                   and ast.get_docstring(node, clean=False) is not None}
-    return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)} | {
+    return _attribute_loads(tree) | {
         node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
         and isinstance(node.value, str) and id(node) not in docstrings}
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    """The modules `tree` imports or imports a name from, package modules
+    without their `nof.` prefix."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("nof.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "nof"):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module.removeprefix("nof."))
+    return found
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
@@ -226,23 +258,38 @@ def _is_dataclass(decorator: ast.expr) -> bool:
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
-def unread_dataclass_fields(source: str, readers: list[str]) -> list[str]:
-    """Fields of the dataclasses `source` defines that neither it nor any of
-    `readers` loads as an attribute or names in a string."""
-    tree = ast.parse(source)
-    read = set().union(*(_loads_and_strings(ast.parse(text)) for text in (source, *readers)))
+def unread_dataclass_fields(module: str, package: dict[str, str], outside: list[str]) -> list[str]:
+    """Fields of the dataclasses that package module `module` defines which
+    are read nowhere. A field is read where `module` itself loads it as an
+    attribute (its own strings, such as a JSON key of the same name, do not
+    count), or where a package module that imports `module`, or one of the
+    `outside` sources, loads it as an attribute or names it in a string."""
+    tree = ast.parse(package[module])
+    readers = [ast.parse(text) for name, text in package.items() if name != module]
+    read = _attribute_loads(tree).union(
+        *(_loads_and_strings(reader) for reader in readers if module in _imported_modules(reader)),
+        *(_loads_and_strings(ast.parse(text)) for text in outside))
     return [f"{node.name}.{f.target.id} (line {f.lineno})" for node in tree.body
             if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
             for f in node.body if isinstance(f, ast.AnnAssign) and f.target.id not in read]
 
 
 def test_unread_field_check_flags_an_orphan():
+    # `keyed` is read by a getattr key in a module that imports `a`; `named`
+    # only by a's own JSON key and `shadowed` only by a module that does not
+    # import `a`, as OntologyRuleBase.attributes once was beside
+    # DecisionTree.attributes and ontology's "attributes" key
     source = ('"""A.lost"""\nfrom dataclasses import dataclass\n'
               '@dataclass(frozen=True)\nclass A:\n    """lost"""\n    kept: int\n'
               '    keyed: int\n    lost: int = 0\n    stored: int = 0\n'
-              'class B:\n    plain: int\n')
-    assert unread_dataclass_fields(source, ["a.kept\ngetattr(a, 'keyed')\na.stored = 1\n"]) \
-        == ["A.lost (line 8)", "A.stored (line 9)"]
+              '    named: int = 0\n    shadowed: int = 0\n'
+              'class B:\n    plain: int\n'
+              'def dump(a):\n    return {"named": a.kept}\n')
+    package = {"a": source,
+               "user": "from .a import A\ngetattr(A(1, 2), 'keyed')\nA.stored = 1\n",
+               "other": "from .user import f\ndef g(tree):\n    return tree.shadowed\n"}
+    assert unread_dataclass_fields("a", package, ["a.kept\n"]) \
+        == ["A.lost (line 8)", "A.stored (line 9)", "A.named (line 10)", "A.shadowed (line 11)"]
 
 
 # Dataclasses whose writers emit every field through dataclasses.fields or
@@ -253,11 +300,12 @@ READ_WHOLE = {"clustering": {"ClusterModel", "TaxonomyClass"}}
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
                          ids=lambda p: p.name)
 def test_dataclass_fields_are_read(path):
-    """A dataclass field is read somewhere in the package, by the benchmark
-    (bench/*.py) or by the acceptance criteria; otherwise it is deleted."""
-    readers = [p for p in SRC.glob("*.py") if p != path]
-    readers += [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
-    unread = unread_dataclass_fields(path.read_text(encoding="utf-8"),
-                                     [p.read_text(encoding="utf-8") for p in readers])
+    """A dataclass field is read by its own module, by a package module that
+    imports it, by the benchmark (bench/*.py) or by the acceptance criteria;
+    otherwise it is deleted."""
+    package = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    outside = [p.read_text(encoding="utf-8") for p in
+               [*(ROOT / "bench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]]
+    unread = unread_dataclass_fields(path.stem, package, outside)
     whole = READ_WHOLE.get(path.stem, set())
     assert [n for n in unread if n.partition(".")[0] not in whole] == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from nof.pipeline import _PRESETS as PRESETS
 from nof.testbed import (
     ChannelMontage,
     EpochTensor,
-    SourceTemplate,
     average_epochs,
     default_montage,
     gaussian_source,
@@ -55,28 +56,10 @@ class TestMontage:
 
 
 class TestSourceTemplate:
-    def test_polarity_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            SourceTemplate(
-                name="bad",
-                topography=np.ones(3),
-                waveform=np.array([0.0, -1.0, 0.0]),
-                fs=100.0,
-                peak_latency_ms=10.0,
-                polarity="positive",
-            )
-
-    def test_peak_outside_window_rejected(self):
-        with pytest.raises(ConfigError):
-            gaussian_source("x", np.ones(3), fs=100.0, n_samples=10,
-                            peak_ms=500.0, width_ms=10.0, amplitude=1.0)
-
     def test_gaussian_source_peaks_where_asked(self):
-        t = gaussian_source("x", np.ones(4), fs=250.0, n_samples=250,
-                            peak_ms=400.0, width_ms=50.0, amplitude=2.0)
+        t = gaussian_source("x", np.ones(4), peak_ms=400.0, width_ms=50.0, amplitude=2.0)
         peak_idx = int(np.argmax(t.waveform))
         assert peak_idx == 100  # 400 ms at 250 Hz
-        assert t.polarity == "positive"
 
 
 class TestGenerateDataset:
@@ -129,16 +112,25 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError):
             generate_dataset([], 0.0, 0.0, 1, seed=0, montage=montage)
 
-    def test_mismatched_windows_rejected(self, montage):
-        a = p300_template(montage, n_samples=250)
-        b = p300_template(montage, n_samples=200)
-        with pytest.raises(ConfigError, match="window"):
-            generate_dataset([a, b], 0.0, 0.0, 1, seed=0, montage=montage)
-
-    def test_negative_noise_rejected(self, montage):
+    @pytest.mark.parametrize("cut", ["waveform", "topography"])
+    def test_template_off_the_window_or_montage_rejected(self, montage, cut):
         tpl = p300_template(montage)
-        with pytest.raises(ConfigError):
-            generate_dataset([tpl], 0.0, -1.0, 1, seed=0, montage=montage)
+        short = dataclasses.replace(tpl, name="short", **{cut: getattr(tpl, cut)[:-1]})
+        with pytest.raises(ConfigError, match="template 'short'"):
+            generate_dataset([tpl, short], 0.0, 0.0, 1, seed=0, montage=montage)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"conditions": []}, "conditions"),
+        ({"noise_std": -1.0}, "noise_std"),
+        ({"noise_std": float("nan")}, "noise_std"),
+        ({"noise_std": float("inf")}, "noise_std"),
+        ({"mixing_noise": float("nan")}, "mixing_noise"),
+        ({"mixing_noise": -0.1}, "mixing_noise"),
+    ])
+    def test_degenerate_arguments_rejected(self, montage, kwargs, name):
+        args = {"mixing_noise": 0.1, "noise_std": 1.0, "n_trials": 2, "seed": 0} | kwargs
+        with pytest.raises(ConfigError, match=name):
+            generate_dataset([p300_template(montage)], montage=montage, **args)
 
 
 class TestGeneratorInPlace:
@@ -162,8 +154,8 @@ class TestGeneratorInPlace:
         topo = np.ones(len(montage.channels))
         topo[3] = 0.0
         templates = [
-            gaussian_source("N1", topo, 250.0, 250, 100.0, 20.0, -3.0),
-            gaussian_source("N2", topo * 0.5, 250.0, 250, 300.0, 40.0, -2.0),
+            gaussian_source("N1", topo, 100.0, 20.0, -3.0),
+            gaussian_source("N2", topo * 0.5, 300.0, 40.0, -2.0),
         ]
         epochs = generate_dataset(templates, 0.1, 0.0, 6, seed=1, montage=montage)
         oracle = loop_generate_dataset(templates, 0.1, 0.0, 6, seed=1)
