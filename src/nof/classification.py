@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, MissingInputError
+from .errors import ConfigError, MissingInputError, parsing
 from .rulemining import _fmt_num
 
 Row = dict[str, float | str]
@@ -597,19 +597,19 @@ def tree_from_json(path: str | Path) -> DecisionTree:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"tree file not found: {path}")
-    with open(path) as fh:
+    with parsing(path), open(path) as fh:
         doc = json.load(fh)
-    _check_prune_cf(doc["config"]["prune_cf"])
-    return DecisionTree(
-        root=_node_undoc(doc["root"]),
-        attributes=tuple(doc["attributes"]),
-        kinds=dict(doc["kinds"]),
-        n_rows=int(doc["n_rows"]),
-        class_labels=tuple(doc["class_labels"]),
-        # files written before the config held only prune_cf still load;
-        # their other config keys are ignored
-        prune_cf=doc["config"]["prune_cf"],
-    )
+        _check_prune_cf(doc["config"]["prune_cf"])
+        return DecisionTree(
+            root=_node_undoc(doc["root"]),
+            attributes=tuple(doc["attributes"]),
+            kinds=dict(doc["kinds"]),
+            n_rows=int(doc["n_rows"]),
+            class_labels=tuple(doc["class_labels"]),
+            # files written before the config held only prune_cf still load;
+            # their other config keys are ignored
+            prune_cf=doc["config"]["prune_cf"],
+        )
 
 
 def rules_to_text(rules: list[ClassificationRule]) -> str:

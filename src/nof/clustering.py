@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .classification import Row
-from .errors import ConfigError, MissingInputError, NumericalError
+from .errors import ConfigError, MissingInputError, NumericalError, parsing
 from .features import CATEGORICAL_COLUMNS, NUMERIC_COLUMNS
 from .testbed import METADATA_KEYS
 
@@ -119,11 +119,11 @@ class ClusterModel:
         path = Path(path)
         if not path.exists():
             raise MissingInputError(f"cluster model not found: {path}")
-        with open(path) as fh:
+        with parsing(path), open(path) as fh:
             doc = json.load(fh)
-        doc.update((name, np.asarray(doc[name], dtype=t)) for name, t in _MODEL_ARRAYS.items())
-        doc["bic_by_k"] = {int(k): bic for k, bic in doc["bic_by_k"].items()}
-        return cls(**doc)
+            doc.update((name, np.asarray(doc[name], dtype=t)) for name, t in _MODEL_ARRAYS.items())
+            doc["bic_by_k"] = {int(k): bic for k, bic in doc["bic_by_k"].items()}
+            return cls(**doc)
 
 
 def _log_gaussians(X: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, MissingInputError, NumericalError
+from .errors import ConfigError, MissingInputError, NumericalError, parsing
 from .testbed import EpochTensor
 
 _RANK_RTOL = 1e-10
@@ -183,19 +183,19 @@ class FactorDecomposition:
         path = Path(path)
         if not path.exists():
             raise MissingInputError(f"decomposition file not found: {path}")
-        with open(path) as fh:
+        with parsing(path), open(path) as fh:
             doc = json.load(fh)
-        return cls(
-            unmixing=_mat_undoc(doc["unmixing"]),
-            mixing=_mat_undoc(doc["mixing"]),
-            factor_ids=tuple(doc["factor_ids"]),
-            channels=tuple(doc["channels"]),
-            mean=np.asarray(doc["mean"], dtype=float),
-            converged=bool(doc["converged"]),
-            n_iter=int(doc["n_iter"]),
-            n_trials=int(doc["n_trials"]),
-            n_timepoints=int(doc["n_timepoints"]),
-        )
+            return cls(
+                unmixing=_mat_undoc(doc["unmixing"]),
+                mixing=_mat_undoc(doc["mixing"]),
+                factor_ids=tuple(doc["factor_ids"]),
+                channels=tuple(doc["channels"]),
+                mean=np.asarray(doc["mean"], dtype=float),
+                converged=bool(doc["converged"]),
+                n_iter=int(doc["n_iter"]),
+                n_trials=int(doc["n_trials"]),
+                n_timepoints=int(doc["n_timepoints"]),
+            )
 
 
 def _mat_doc(m: np.ndarray) -> dict:

@@ -4,6 +4,7 @@ The CLI maps these to distinct exit codes: missing inputs (2), invalid
 configuration or unparsable input files (3), numerical/degenerate-data
 failures (4).
 """
+import contextlib
 
 
 class NofError(Exception):
@@ -34,3 +35,16 @@ class ParseError(NofError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+@contextlib.contextmanager
+def parsing(path):
+    """Re-raise what reading the JSON document in `path` meets in the body,
+    invalid JSON, a missing key or a value of the wrong type, as a
+    ParseError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc

@@ -215,7 +215,7 @@ def _fmt(value: float | str) -> str:
 
 def write_summary_csv(rows: list[Row], path: str | Path) -> None:
     """Write the 12-column summary CSV."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(COLUMNS)
         w.writerows([_fmt(row[c]) for c in COLUMNS] for row in rows)
@@ -226,7 +226,7 @@ def read_summary_csv(path: str | Path) -> list[Row]:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"summary file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(COLUMNS):

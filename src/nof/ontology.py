@@ -25,7 +25,7 @@ from .errors import ConfigError, MissingInputError, ParseError
 from .features import COLUMNS
 from .rulemining import AssociationRule, Item, eq_item, label_item, parse_item
 
-DEFAULT_ATTRIBUTES = tuple(COLUMNS) + ("CLUSTER",)
+ATTRIBUTES = tuple(COLUMNS) + ("CLUSTER",)
 
 DEFAULT_THRESHOLDS = {"beta_sup": 0.2, "beta_conf": 0.8, "pi_min": 0.5}
 # Each threshold's range, as a test and its wording
@@ -301,12 +301,11 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
     """Read the expert rule base JSON, validating item vocabulary.
 
     Schema: {"thresholds": {"beta_sup", "beta_conf", "pi_min"},
-             "attributes": [...],          # optional, defaults to the summary
-                                           # columns plus CLUSTER
              "rules": [{"id", "if": [items...], "then": "P300" | {"not": "P300"}}]}
 
-    Every key is optional. An unknown key, a duplicate rule id or an
-    out-of-range threshold is a ParseError, not a silent default.
+    Every key is optional. An unknown key, a duplicate rule id, an
+    out-of-range threshold or an item whose attribute is neither a summary
+    column nor CLUSTER is a ParseError, not a silent default.
     """
     path = Path(path)
     if not path.exists():
@@ -334,7 +333,7 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                     line=_find_line(text, f'"{key}"'),
                 )
 
-    known_keys(doc, ("thresholds", "attributes", "rules"), "at the top level")
+    known_keys(doc, ("thresholds", "rules"), "at the top level")
     thresholds = doc.get("thresholds", {})
     expect(isinstance(thresholds, dict) and all(map(_is_number, thresholds.values())),
            "thresholds", "an object of numbers")
@@ -344,9 +343,6 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
         if not in_range(value):
             raise ParseError(f"thresholds.{key} must lie in {wording}, got {value}",
                              line=_find_line(text, f'"{key}"'))
-    attributes = doc.get("attributes", list(DEFAULT_ATTRIBUTES))
-    expect(_list_of(attributes, str), "attributes", "a list of strings")
-    declared = set(attributes)
 
     raw_rules = doc.get("rules", [])
     expect(_list_of(raw_rules, dict), "rules", "a list of objects")
@@ -373,16 +369,16 @@ def ingest_expert_rules(path: str | Path) -> OntologyRuleBase:
                     f"antecedent item {raw!r} does not reference an attribute",
                     line=_find_line(text, str(raw)),
                 )
-            if item.attribute not in declared:
+            if item.attribute not in ATTRIBUTES:
                 raise ParseError(
-                    f"undeclared attribute {item.attribute!r} in rule {rule_id!r}",
+                    f"unknown attribute {item.attribute!r} in rule {rule_id!r}",
                     line=_find_line(text, str(raw)),
                 )
             antecedent.add(item)
         consequent, negated = _parse_consequent(raw_rule.get("then"), text)
-        if consequent.kind != "label" and consequent.attribute not in declared:
+        if consequent.kind != "label" and consequent.attribute not in ATTRIBUTES:
             raise ParseError(
-                f"undeclared attribute {consequent.attribute!r} in rule {rule_id!r}",
+                f"unknown attribute {consequent.attribute!r} in rule {rule_id!r}",
                 line=_find_line(text, consequent.attribute),
             )
         rules.append(ExpertRule(rule_id, frozenset(antecedent), consequent, negated))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import csv
 import functools
 import hashlib
 import json
@@ -44,7 +43,8 @@ DEFAULT_CONFIG: dict = {
         "n_components": 4,
     },
     "extract": {
-        "template": {"kind": "roi", "roi": "frontal", "value": 1.0},
+        # the ROI whose 0/1 indicator SP_cor correlates each topography with
+        "template": "frontal",
     },
     "cluster": {
         "k": None,
@@ -92,10 +92,6 @@ _PRESETS = {
 _HIERARCHIES = ("divisive", "agglomerative:average")
 # Config keys that name one of a fixed set of choices
 _CHOICES = {"synth.preset": tuple(_PRESETS), "cluster.hierarchy": _HIERARCHIES}
-# The keys an extract.template may hold, and the kinds it may name. Both
-# kinds carry the default's roi and value, merged in under a csv spec.
-_TEMPLATE_KEYS = ("kind", "roi", "value", "path")
-_TEMPLATE_KINDS = ("roi", "csv")
 
 
 def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> None:
@@ -106,28 +102,6 @@ def _check_number(key: str, value, types: tuple[type, ...], nullable: bool) -> N
         raise ConfigError(f"{key} must be {kind}{' or null' if nullable else ''}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be finite, got {value!r}")
-
-
-def _check_template(template) -> None:
-    """Raise ConfigError naming the extract.template key that is not a
-    template spec: an object of _TEMPLATE_KEYS with a known kind, a string
-    roi, a finite value, and for csv a string path."""
-    if not isinstance(template, dict):
-        raise ConfigError(f"extract.template must be an object, got {template!r}")
-    unknown = sorted(set(template) - set(_TEMPLATE_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown keys in extract.template: {unknown}; "
-                          f"expected {', '.join(_TEMPLATE_KEYS)}")
-    kind = template.get("kind")
-    if kind not in _TEMPLATE_KINDS:
-        raise ConfigError(f"unknown extract.template.kind {kind!r}; "
-                          f"pick one of {', '.join(_TEMPLATE_KINDS)}")
-    if not isinstance(template.get("roi", ""), str):
-        raise ConfigError(f"extract.template.roi must be a string, got {template['roi']!r}")
-    _check_number("extract.template.value", template.get("value", 1.0), _REAL, False)
-    if kind == "csv" and not isinstance(template.get("path"), str):
-        raise ConfigError(
-            f"extract.template.path must name a file, got {template.get('path')!r}")
 
 
 def _check_conditions(conditions) -> None:
@@ -170,7 +144,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if not path.exists():
             raise MissingInputError(f"config file not found: {path}")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -201,7 +175,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         value = _lookup(config, key)
         if not (isinstance(value, str) or nullable and value is None):
             raise ConfigError(f"{key} must be a path{' or null' if nullable else ''}, got {value!r}")
-    _check_template(config["extract"]["template"])
+    template = config["extract"]["template"]
+    if not (isinstance(template, str) and template):
+        raise ConfigError(f"extract.template must name an ROI, got {template!r}")
     _check_conditions(config["synth"]["conditions"])
     return config
 
@@ -390,44 +366,11 @@ def _stage_decompose(config: dict, paths: dict[str, Path], staged: dict[str, Pat
     dec.to_json(staged["decomposition"])
 
 
-def _resolve_template(montage: testbed.ChannelMontage, cfg: dict) -> np.ndarray:
-    """Per-channel weights of a template spec that load_config has checked."""
-    if cfg["kind"] == "roi":
-        roi = cfg.get("roi", "frontal")
-        if roi not in montage.rois():
-            raise ConfigError(f"template ROI {roi!r} not present in the montage")
-        value = float(cfg.get("value", 1.0))
-        return np.array(
-            [value if montage.roi_of[c] == roi else 0.0 for c in montage.channels]
-        )
-    if not Path(cfg["path"]).exists():
-        raise MissingInputError(f"template CSV not found: {cfg['path']}")
-    weights: dict[str, float] = {}
-    with open(cfg["path"], newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["channel", "weight"]:
-            raise ConfigError("template CSV header must be 'channel,weight'")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                channel, weight = row
-                value = float(weight)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"template CSV line {lineno}: expected channel,weight, got {row}"
-                ) from exc
-            if not math.isfinite(value):
-                raise ConfigError(f"template CSV line {lineno}: weight {weight!r} is not finite")
-            if channel in weights:
-                raise ConfigError(f"template CSV line {lineno}: channel {channel!r} is repeated")
-            if channel not in montage.roi_of:
-                raise ConfigError(
-                    f"template CSV line {lineno}: channel {channel!r} is not in the montage")
-            weights[channel] = value
-    missing = [c for c in montage.channels if c not in weights]
-    if missing:
-        raise ConfigError(f"template CSV lacks channels: {missing}")
-    return np.array([weights[c] for c in montage.channels])
+def _resolve_template(montage: testbed.ChannelMontage, roi: str) -> np.ndarray:
+    """The 0/1 indicator of the montage's channels in `roi`."""
+    if roi not in montage.rois():
+        raise ConfigError(f"template ROI {roi!r} not present in the montage")
+    return np.array([float(montage.roi_of[c] == roi) for c in montage.channels])
 
 
 def _stage_extract(config: dict, paths: dict[str, Path], staged: dict[str, Path]) -> None:
@@ -567,8 +510,7 @@ def _stage_partition(config: dict, paths: dict[str, Path], staged: dict[str, Pat
 _STAGES = {
     "synth": (_stage_synth, (), ("montage", "epochs_meta", "epochs_data")),
     "decompose": (_stage_decompose, ("epochs_meta", "epochs_data"), ("decomposition",)),
-    "extract": (_stage_extract, ("epochs_meta", "epochs_data", "decomposition",
-                                 "extract.template"), ("summary",)),
+    "extract": (_stage_extract, ("epochs_meta", "epochs_data", "decomposition"), ("summary",)),
     "cluster": (_stage_cluster, ("summary",), ("cluster_model", "taxonomy", "classes")),
     "classify": (_stage_classify, ("summary", "cluster_model"),
                  ("tree", "class_rules_json", "class_rules_txt")),
@@ -581,23 +523,15 @@ STAGES = tuple(_STAGES)
 _PRODUCER = {key: stage for stage, (_, _, outputs) in _STAGES.items() for key in outputs}
 
 
-def _config_file(config: dict, key: str) -> Path | None:
-    """The file a `section.key` config value names, or None when unset. A
-    template spec names a file only when its kind is csv."""
-    value = _lookup(config, key)
-    if isinstance(value, dict):
-        value = value["path"] if value["kind"] == "csv" else None
-    return None if value is None else Path(value)
-
-
 def _stage_inputs(keys: tuple[str, ...], config: dict, paths: dict[str, Path]) -> list[Path]:
     """The stage's input files; raises MissingInputError naming an absent one."""
     inputs = []
     for key in keys:
         if key not in _PRODUCER:
-            path = _config_file(config, key)
-            if path is None:
+            value = _lookup(config, key)
+            if value is None:
                 continue
+            path = Path(value)
             if not path.exists():
                 raise MissingInputError(f"file named by {key} not found: {path}")
         else:
@@ -622,24 +556,20 @@ def _upstream(keys: tuple[str, ...]) -> set[str]:
     return found
 
 
-def _check_fresh(input_keys: tuple[str, ...], config: dict, paths: dict[str, Path],
-                 sums: dict[str, str], stages: list[dict], digest_of) -> None:
+def _check_fresh(input_keys: tuple[str, ...], paths: dict[str, Path],
+                 sums: dict[str, str], stages: list[dict]) -> None:
     """Raise MissingInputError when an input artifact is stale: some stage
-    upstream of it read an artifact, or the template CSV that the config
-    still names, that has changed since. An artifact this stage reads is
-    current as `sums` hashed it; any other as its producer last recorded it
-    in run.json. The error names the earliest such stage, the one to run
-    again. The expert file is not compared: partition may re-run alone on a
-    new expert base, checked against the gate mine recorded (_check_gate)."""
+    upstream of it read an artifact that has changed since. An artifact this
+    stage reads is current as `sums` hashed it; any other as its producer
+    last recorded it in run.json. The error names the earliest such stage,
+    the one to run again. The expert file is not compared: partition may
+    re-run alone on a new expert base, checked against the gate mine
+    recorded (_check_gate)."""
     producer = {paths[key].name: stage for key, stage in _PRODUCER.items()}
     recorded = {s["stage"]: s for s in stages}
     current = {name: digest for s in stages for name, digest in s["outputs"].items()}
     current.update((name, digest) for name, digest in sums.items() if name in producer)
     upstream = _upstream(input_keys)
-    template = _config_file(config, "extract.template") if "extract" in upstream else None
-    if template is not None and "extract" in recorded and template.exists() \
-            and template.name in recorded["extract"]["inputs"]:
-        current[template.name] = digest_of(template)
     for stage in (s for s in STAGES if s in upstream and s in recorded):
         for name, digest in recorded[stage]["inputs"].items():
             if current.get(name, digest) != digest:
@@ -680,7 +610,7 @@ def run_stage(stage: str, config: dict) -> dict:
     try:
         staged = artifact_paths(staging)
         extra = fn(config, paths, staged)
-        _check_fresh(input_keys, config, paths, input_sums, stages, digest_of)
+        _check_fresh(input_keys, paths, input_sums, stages)
         outputs = [paths[key] for key in output_keys]
         for key, path in zip(output_keys, outputs):
             if path.parent != out:  # epochs/, absent before the first synth
@@ -708,7 +638,7 @@ def run_stage(stage: str, config: dict) -> dict:
 def run_pipeline(config: dict) -> list[dict]:
     """Run all seven stages in order; returns the manifest entries. Errors
     propagate with the failing stage's name prefixed. The expert rule base
-    and the template are read first, the template against the montage synth
+    and the template ROI are checked first, the ROI against the montage synth
     writes, so a file or ROI that mine or extract would reject stops the run
     before any stage publishes."""
     try:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .errors import ConfigError, MissingInputError, NumericalError
+from .errors import ConfigError, MissingInputError, NumericalError, parsing
 
 METADATA_KEYS = ("EVENT", "STIM", "MOD")
 
@@ -216,28 +216,24 @@ class EpochTensor:
         meta_path = directory / "meta.json"
         if not meta_path.exists():
             raise MissingInputError(f"epoch container not found: {meta_path}")
-        with open(meta_path) as fh:
+        with parsing(meta_path), open(meta_path) as fh:
             meta = json.load(fh)
-        data_path = directory / meta["data_file"]
+            data_path = directory / meta["data_file"]
+            shape = list(meta["shape"])
+            fs, t0 = float(meta["fs"]), float(meta["t0"])
+            montage = ChannelMontage(
+                tuple(meta["montage"]["channels"]), dict(meta["montage"]["roi"])
+            )
+            trial_info = [dict(t) for t in meta["trials"]]
         if channels_major:
-            data = _read_channels_major(data_path, meta["shape"])
+            data = _read_channels_major(data_path, shape)
         else:
             data = np.load(data_path)
-        if list(data.shape) != meta["shape"]:
+        if list(data.shape) != shape:
             raise ConfigError(
-                f"{data_path}: data shape {list(data.shape)} disagrees with meta "
-                f"{meta['shape']}"
+                f"{data_path}: data shape {list(data.shape)} disagrees with meta {shape}"
             )
-        montage = ChannelMontage(
-            tuple(meta["montage"]["channels"]), dict(meta["montage"]["roi"])
-        )
-        return cls(
-            data=data,
-            fs=float(meta["fs"]),
-            t0=float(meta["t0"]),
-            montage=montage,
-            trial_info=[dict(t) for t in meta["trials"]],
-        )
+        return cls(data=data, fs=fs, t0=t0, montage=montage, trial_info=trial_info)
 
 
 def _read_channels_major(path: Path, shape: list[int]) -> np.ndarray:

@@ -589,8 +589,6 @@ class TestExpertRuleFile:
         ({"rules": {"a": 1}}, "rules"),
         ({"thresholds": [1, 2]}, "thresholds"),
         ({"thresholds": {"beta_sup": True}}, "thresholds"),
-        ({"attributes": "TI_max"}, "attributes"),
-        ({"attributes": ["TI_max", 3]}, "attributes"),
     ])
     def test_wrong_shape_names_its_key(self, tmp_path, change, key):
         path = tmp_path / "expert.json"
@@ -646,6 +644,15 @@ class TestExpertRuleFile:
         doc = self._doc()
         doc["rules"][0]["iff"] = doc["rules"][0].pop("if")
         self._rejected(tmp_path, doc, "unknown key 'iff' in rule 'p300_rule'", '"iff"')
+
+    @pytest.mark.parametrize("attributes", ["TI_max", ["TI_max", 3], ["ROI", "TI_max"]])
+    def test_attributes_key_rejected(self, tmp_path, attributes):
+        # before, ["ROI", "TI_max"] let a rule name ROI, which no summary row
+        # holds, and the rule was reported missing whatever was mined
+        doc = self._doc()
+        doc["attributes"] = attributes
+        self._rejected(tmp_path, doc, "unknown key 'attributes' at the top level",
+                       '"attributes"')
 
     def test_classes_key_rejected(self, tmp_path):
         # the pipeline's classes are the EM clusters; an expert file holds none

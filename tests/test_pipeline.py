@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nof import classification, clustering, decomposition, pipeline, rulemining, testbed
+from nof import (classification, clustering, decomposition, features, pipeline, rulemining,
+                 testbed)
 from nof.cli import main
 from nof.errors import ConfigError, MissingInputError, NumericalError
 from nof.pipeline import (
@@ -62,14 +63,6 @@ def small_overrides(out):
         "decompose": {"n_components": 2},
         "cluster": {"k": 2},
     }
-
-
-def write_template(path):
-    """A channel,weight template CSV weighting every other channel; returns `path`."""
-    path.write_text("channel,weight\n" + "".join(
-        f"{c},{1.0 if i % 2 else 0.0}\n"
-        for i, c in enumerate(testbed.default_montage().channels)))
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +143,6 @@ class TestConfig:
             "decompose": {"n_components": 3},
             "mine": {"max_len": None},
             "cluster": {"k": None, "k_max": 3},
-            "extract": {"template": {"kind": "roi", "roi": "frontal", "value": 2}},
         })
         assert config["mine"]["max_len"] is None
 
@@ -207,20 +199,6 @@ class TestStages:
                            match=r"^cluster_model\.json missing: .*\(run cluster first\)$"):
             run_stage("classify", config)
 
-    def test_manifest_records_template_csv_for_extract(self, tmp_path):
-        template = write_template(tmp_path / "template.csv")
-        overrides = small_overrides(tmp_path / "run")
-        overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
-        config = load_config(overrides=overrides)
-        for stage in ("synth", "decompose", "extract"):
-            run_stage(stage, config)
-        manifest = json.loads((tmp_path / "run" / "run.json").read_text())
-        inputs = {s["stage"]: s["inputs"] for s in manifest["stages"]}
-        assert inputs["extract"]["template.csv"] == sha256_file(template)
-        template.unlink()
-        with pytest.raises(MissingInputError, match="extract.template"):
-            run_stage("extract", config)
-
     def test_pipeline_hashes_each_file_once(self, tmp_path, monkeypatch):
         hashed = Counter()
 
@@ -229,15 +207,33 @@ class TestStages:
             return sha256_file(path)
 
         monkeypatch.setattr(pipeline, "sha256_file", counting)
-        template = write_template(tmp_path / "template.csv")
         overrides = small_overrides(tmp_path / "run")
-        overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
         overrides["partition"] = {"expert_rules": str(EXPERT_EXAMPLE)}
         run_pipeline(load_config(overrides=overrides))
         artifacts = {p for p in (tmp_path / "run").rglob("*")
                      if p.is_file() and p.name != "run.json"}
         assert len(artifacts) >= 14
-        assert hashed == Counter(artifacts | {template, EXPERT_EXAMPLE})
+        assert hashed == Counter(artifacts | {EXPERT_EXAMPLE})
+
+    def test_extract_correlates_with_the_named_roi(self, published_run, tmp_path):
+        # the template is the named ROI's 0/1 indicator over the epochs' montage
+        out = tmp_path / "run"
+        shutil.copytree(published_run, out)
+        overrides = small_overrides(out)
+        overrides["extract"] = {"template": "central"}
+        run_stage("extract", load_config(overrides=overrides))
+        paths = artifact_paths(out)
+        epochs = testbed.EpochTensor.load(paths["epochs"])
+        montage = epochs.montage
+        central = np.array([float(montage.roi_of[c] == "central") for c in montage.channels])
+        assert 0 < central.sum() < len(central)
+        expected = tmp_path / "expected.csv"
+        features.write_summary_csv(features.summarize_dataset(
+            decomposition.FactorDecomposition.from_json(paths["decomposition"]), epochs,
+            central), expected)
+        summary = paths["summary"].read_bytes()
+        assert summary == expected.read_bytes()
+        assert summary != (published_run / "summary.csv").read_bytes()
 
     def test_stage_alone_rehashes_data_rewritten_with_its_stat_key(self, tmp_path):
         # same inode, size and mtime: only the bytes tell the epochs changed
@@ -262,17 +258,14 @@ class TestStages:
     @pytest.mark.parametrize("via", ["run_stage", "main"])
     def test_stage_alone_hashes_only_its_outputs(self, tmp_path, monkeypatch, via):
         # run.json's digest record holds every input's digest under its stat
-        # key, the template CSV's and the expert file's too
-        template = write_template(tmp_path / "template.csv")
+        # key, the expert file's too
         out = tmp_path / "run"
         overrides = small_overrides(out)
-        overrides["extract"] = {"template": {"kind": "csv", "path": str(template)}}
         overrides["partition"] = {"expert_rules": str(EXPERT_EXAMPLE)}
         config = load_config(overrides=overrides)
         run_pipeline(config)
         argv = ["--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
                 "--set", "decompose.n_components=2", "--set", "cluster.k=2",
-                "--set", "extract.template=" + json.dumps(overrides["extract"]["template"]),
                 "--set", f"partition.expert_rules={EXPERT_EXAMPLE}"]
         hashed = Counter()
 
@@ -644,6 +637,27 @@ class TestArtifactEncoding:
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False), name
 
+    def test_pipeline_under_an_ascii_locale_writes_what_a_utf8_one_does(self, tmp_path):
+        # before, the ASCII locale read the config in its own encoding and
+        # exited 3 on "sé", and run_pipeline raised a bare UnicodeEncodeError
+        # writing summary.csv
+        conditions = [{"EVENT": "stimon", "STIM": "sé", "MOD": "visual"},
+                      {"EVENT": "stimon", "STIM": "s2", "MOD": "visual"}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n_trials": 24, "conditions": conditions},
+                                      "decompose": {"n_components": 2}, "cluster": {"k": 2}},
+                                     ensure_ascii=False), encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        proc = subprocess.run([sys.executable, "-m", "nof.cli", "pipeline", "--config",
+                               str(config), "--out", str(tmp_path / "ascii")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "utf8")]) == 0
+        summary = (tmp_path / "ascii" / "summary.csv").read_bytes()
+        assert "sé".encode() in summary
+        assert summary == (tmp_path / "utf8" / "summary.csv").read_bytes()
+        assert artifact_checksums(tmp_path / "ascii") == artifact_checksums(tmp_path / "utf8")
+
 
 # a many_rows-style table: 8 conditions x 4 factors = 32 summary rows
 EIGHT_CONDITIONS = [{"EVENT": event, "STIM": stim, "MOD": mod}
@@ -745,6 +759,19 @@ class TestExpertAwareMining:
         for stage in ("mine", "partition"):
             assert inputs[stage][EXPERT_EXAMPLE.name] == digest
         assert EXPERT_EXAMPLE.name not in inputs["classify"]
+
+    @pytest.mark.parametrize("stage", ["mine", "partition"])
+    def test_stage_alone_refuses_an_absent_expert_file(self, expert_run, tmp_path, stage):
+        out = tmp_path / "run"
+        shutil.copytree(expert_run, out)
+        absent = tmp_path / "expert.json"
+        config = load_config(overrides={"out": str(out),
+                                        "partition": {"expert_rules": str(absent)}})
+        before = snapshot(out)
+        with pytest.raises(MissingInputError, match=(
+                f"^file named by partition.expert_rules not found: {re.escape(str(absent))}$")):
+            run_stage(stage, config)
+        assert snapshot(out) == before
 
     def test_expert_named_universal_item_kept_and_matched(self, tmp_path):
         expert = tmp_path / "expert.json"
@@ -862,12 +889,9 @@ class TestCli:
         "decompose.n_components=null", "decompose.n_components=1.0", "cluster.k=true",
         "cluster.k_max=2.5", "cluster.k_max=false", "synth.noise_std=null",
         "cluster.k_max=null", "mine.max_len=true", "mine.max_len=2.5",
-        'extract.template={"kind":"roi","roi":"frontal","value":true}',
     ])
     def test_cli_rejects_a_numeric_key_of_the_wrong_type(self, tmp_path, capsys, setting):
         key = setting.partition("=")[0]
-        if key == "extract.template":
-            key += ".value"
         assert main(["synth", "--out", str(tmp_path), "--set", setting]) == 3
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "epochs").exists()
@@ -890,6 +914,31 @@ class TestCli:
         assert main([stage, "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
                      "--set", "decompose.n_components=2", "--set", "cluster.k=2"]) == 3
         assert capsys.readouterr().err.startswith(f"error: {out / 'run.json'}: ")
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("name,text,stage", [
+        ("epochs/meta.json", "{}", "decompose"),
+        ("epochs/meta.json", '{"data_file": 3}', "extract"),
+        ("decomposition.json", "[]", "extract"),
+        ("decomposition.json", '{"unmixing": {"data": [1], "shape": "x"}}', "extract"),
+        ("cluster_model.json", "{}", "classify"),
+        ("cluster_model.json", "[]", "classify"),
+        ("tree.json", '{"root": {}}', "mine"),
+        ("tree.json", '{"root": {"type": "leaf"}, "config": {"prune_cf": 0.25}}', "mine"),
+    ], ids=["meta-empty", "meta-data-file", "decomposition-list", "decomposition-shape",
+            "model-empty", "model-list", "tree-no-config", "tree-leaf"])
+    def test_cli_rejects_a_malformed_json_artifact_and_publishes_nothing(
+            self, tmp_path, capsys, published_run, name, text, stage):
+        # before, each exited 1 on the KeyError or TypeError, naming no file
+        out = tmp_path / "run"
+        shutil.copytree(published_run, out)
+        path = out / name
+        path.write_text(text)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main([stage, "--out", str(out), "--seed", "5", "--set", "synth.n_trials=24",
+                     "--set", "decompose.n_components=2", "--set", "cluster.k=2"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert snapshot(out) == before
 
     @pytest.mark.parametrize("max_len", ["0", "-2"])
@@ -919,17 +968,13 @@ class TestCli:
     @pytest.mark.parametrize("setting,message", [
         ("synth.noise_std=Infinity", "synth.noise_std must be finite, got inf"),
         ("synth.noise_std=NaN", "synth.noise_std must be finite, got nan"),
-        ("extract.template.value=NaN", "extract.template.value must be finite, got nan"),
-        ("extract.template.value=-Infinity",
-         "extract.template.value must be finite, got -inf"),
-        ("extract.template=frontal", "extract.template must be an object, got 'frontal'"),
-        ("extract.template.kind=weights",
-         "unknown extract.template.kind 'weights'; pick one of roi, csv"),
-        ("extract.template.rio=central", "unknown keys in extract.template: ['rio']"),
-        ("extract.template.roi=3", "extract.template.roi must be a string, got 3"),
-        ('extract.template={"kind":"csv"}', "extract.template.path must name a file, got None"),
-        ('extract.template={"kind":"csv","path":3}',
-         "extract.template.path must name a file, got 3"),
+        ("extract.template=3", "extract.template must name an ROI, got 3"),
+        ("extract.template=", "extract.template must name an ROI, got ''"),
+        ("extract.template.roi=central",
+         "extract.template must name an ROI, got {'roi': 'central'}"),
+        ("extract.template.value=2", "extract.template must name an ROI, got {'value': 2}"),
+        ('extract.template={"kind":"csv","path":"t.csv"}',
+         "extract.template must name an ROI, got {'kind': 'csv', 'path': 't.csv'}"),
         ("partition.expert_rules=5", "partition.expert_rules must be a path or null, got 5"),
         ("out=5", "out must be a path, got 5"),
         ("synth.conditions=[]", "synth.conditions must be a nonempty list, got []"),
@@ -946,90 +991,71 @@ class TestCli:
          "'agglomerative:single'; pick one of divisive, agglomerative:average"),
         ("cluster.hierarchy=agglomerative:complete", "unknown cluster.hierarchy "
          "'agglomerative:complete'; pick one of divisive, agglomerative:average"),
-    ], ids=["noise-inf", "noise-nan", "value-nan", "value-neg-inf", "not-object", "kind",
-            "unknown-key", "roi-number", "csv-no-path", "csv-path-number", "expert-number",
-            "out-number", "conditions-empty", "conditions-number", "condition-keys",
-            "condition-number", "condition-reserved", "condition-any", "single-linkage",
-            "complete-linkage"])
+    ], ids=["noise-inf", "noise-nan", "roi-number", "roi-empty", "template-roi-key",
+            "template-value", "template-csv", "expert-number", "out-number",
+            "conditions-empty", "conditions-number", "condition-keys", "condition-number",
+            "condition-reserved", "condition-any", "single-linkage", "complete-linkage"])
     def test_cli_pipeline_rejects_a_bad_value_before_any_stage(self, tmp_path, monkeypatch,
                                                                capsys, setting, message):
         # before, noise_std=Infinity published non-finite epochs and decompose
-        # failed on rank 0, and value=NaN published a summary with SP_cor nan;
-        # expert_rules=5, out=5 and the first two conditions exited 1, and the
-        # other conditions published synth's artifacts, or more, before failing
+        # failed on rank 0; expert_rules=5, out=5 and the first two conditions
+        # exited 1, and the other conditions published synth's artifacts, or
+        # more, before failing
         monkeypatch.chdir(tmp_path)
         assert main(["pipeline", "--set", "out=out", "--set", setting]) == 3
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("template,code,message", [
-        ({"kind": "roi", "roi": "nowhere"}, 3,
-         "template ROI 'nowhere' not present in the montage"),
-        ({"kind": "csv", "path": "absent.csv"}, 2, "template CSV not found: "),
-        ({"kind": "csv", "path": "fz_only.csv"}, 3, "template CSV lacks channels: "),
-    ], ids=["roi", "absent-csv", "short-csv"])
-    def test_cli_pipeline_checks_the_template_before_any_stage(self, tmp_path, monkeypatch,
-                                                               capsys, template, code, message):
-        # before, each published synth and decompose, then failed at extract
-        monkeypatch.chdir(tmp_path)
-        Path("fz_only.csv").write_text("channel,weight\nFz,1.0\n")
-        assert main(["pipeline", "--set", "out=out", "--set",
-                     f"extract.template={json.dumps(template)}"]) == code
-        assert capsys.readouterr().err.startswith(f"error: extract.template: {message}")
-        assert not Path("out").exists()     # no epochs/, nor anything else
+    def test_cli_pipeline_checks_the_template_before_any_stage(self, tmp_path, capsys):
+        # before, an unknown ROI published synth and decompose, then failed at extract
+        out = tmp_path / "out"
+        assert main(["pipeline", "--out", str(out), "--set", "extract.template=nowhere"]) == 3
+        assert capsys.readouterr().err == (
+            "error: extract.template: template ROI 'nowhere' not present in the montage\n")
+        assert not out.exists()     # no epochs/, nor anything else
+
+    def test_cli_extract_rejects_a_montage_without_the_template_roi(self, published_run,
+                                                                    tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(published_run, out)
+        meta_path = out / "epochs" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        roi = meta["montage"]["roi"]
+        roi.update((c, "central") for c, r in roi.items() if r == "frontal")
+        meta_path.write_text(json.dumps(meta, sort_keys=True))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert main(["extract", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: template ROI 'frontal' not present in the montage\n")
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("setting", [
+        "extract.template.roi=central", "extract.template.value=2",
+        'extract.template={"kind":"csv","path":"t.csv"}',
+    ], ids=["roi-key", "value", "csv"])
+    def test_cli_extract_rejects_a_retired_template_form(self, published_run, capsys,
+                                                         setting):
+        # extract alone on a published run: the config is refused before the
+        # stage writes anything
+        before = snapshot(published_run)
+        capsys.readouterr()
+        assert main(["extract", "--out", str(published_run), "--set", setting]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: extract.template must name an ROI, got {")
+        assert snapshot(published_run) == before
 
     def test_cli_pipeline_rejects_a_misspelt_template_key_in_a_config_file(self, tmp_path,
                                                                            capsys):
-        # before, the file ran with the default's frontal ROI
+        # an object is no template, so a misspelt key in one cannot run with
+        # the default's frontal ROI
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"extract": {"template": {"rio": "central"}}}))
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 3
-        assert "unknown keys in extract.template: ['rio']" in capsys.readouterr().err
+        assert "extract.template must name an ROI, got {'rio': 'central'}" \
+            in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("edit,message", [
-        (lambda lines: [lines[0].replace("0.0", "nan")] + lines[1:],
-         "line 2: weight 'nan' is not finite"),
-        (lambda lines: lines[:5] + [lines[5].replace("1.0", "inf")] + lines[6:],
-         "line 7: weight 'inf' is not finite"),
-        (lambda lines: lines + [lines[1].replace("1.0", "2.0")],
-         "line 34: channel 'Fp2' is repeated"),
-        (lambda lines: lines[:1] + ["Q9,1.0"] + lines[1:],
-         "line 3: channel 'Q9' is not in the montage"),
-    ], ids=["nan", "inf", "repeated", "unknown"])
-    def test_cli_template_csv_rejects_a_bad_line(self, published_run, tmp_path, capsys, edit,
-                                                 message):
-        # before, nan ended as a singular covariance in cluster, a repeated
-        # channel kept its last weight, and an unknown channel was ignored
-        template = write_template(tmp_path / "template.csv")
-        header, *lines = template.read_text().splitlines()
-        template.write_text("\n".join([header, *edit(lines)]) + "\n")
-        before = snapshot(published_run)
-        capsys.readouterr()
-        assert main(["extract", "--out", str(published_run), "--set",
-                     f'extract.template={{"kind":"csv","path":"{template}"}}']) == 3
-        assert capsys.readouterr().err == f"error: template CSV {message}\n"
-        assert snapshot(published_run) == before
-
-    def test_cli_csv_template_without_path_is_config_error(self, published_run, capsys):
-        before = snapshot(published_run)
-        code = main(["extract", "--out", str(published_run),
-                     "--set", 'extract.template={"kind":"csv"}'])
-        assert code == 3
-        assert "extract.template" in capsys.readouterr().err
-        assert snapshot(published_run) == before
-
-    def test_cli_csv_template_short_row_names_its_line(self, published_run, tmp_path, capsys):
-        template = tmp_path / "template.csv"
-        channels = testbed.default_montage().channels
-        template.write_text("channel,weight\n" + f"{channels[0]},1.0\n{channels[1]}\n")
-        before = snapshot(published_run)
-        code = main(["extract", "--out", str(published_run), "--set",
-                     f'extract.template={{"kind":"csv","path":"{template}"}}'])
-        assert code == 3
-        assert "line 3" in capsys.readouterr().err
-        assert snapshot(published_run) == before
 
     def test_cli_non_number_in_summary_names_its_column_and_line(self, published_run,
                                                                  tmp_path, capsys):
@@ -1095,43 +1121,26 @@ class TestCli:
             f"error: line 2: consequent '{cons}&P300' holds more than one item\n")
         assert snapshot(out) == before
 
-    def test_cli_pipeline_rejects_the_expert_file_before_any_stage(self, tmp_path, capsys):
-        # before, mine rejected the undeclared attribute after synth..classify
-        # had published their artifacts and run.json
+    @pytest.mark.parametrize("doc,message", [
+        ({"rules": [{"id": "r", "if": ["ROI=frontal"], "then": "P300"}]},
+         "line 1: unknown attribute 'ROI' in rule 'r'"),
+        ({"attributes": ["ROI", "TI_max"],
+          "rules": [{"id": "r", "if": ["ROI=frontal"], "then": "P300"}]},
+         "line 1: unknown key 'attributes' at the top level; expected one of thresholds, rules"),
+    ], ids=["unknown-attribute", "attributes-key"])
+    def test_cli_pipeline_rejects_the_expert_file_before_any_stage(self, tmp_path, capsys,
+                                                                   doc, message):
+        # before, mine rejected the unknown attribute after synth..classify
+        # had published their artifacts and run.json, and an `attributes`
+        # key naming it let the rule run, never to match
         expert = tmp_path / "expert.json"
-        expert.write_text('{"rules": [{"id": "r", "if": ["ROI=frontal"], "then": "P300"}]}')
+        expert.write_text(json.dumps(doc))
         out = tmp_path / "run"
         capsys.readouterr()
         assert main(["pipeline", "--out", str(out),
                      "--set", f"partition.expert_rules={expert}"]) == 3
-        assert capsys.readouterr().err == (
-            "error: partition.expert_rules: line 1: undeclared attribute 'ROI' in rule 'r'\n")
-        assert not out.exists() or not any(out.iterdir())
-
-    def test_cli_cluster_refuses_a_summary_extracted_with_an_old_template(self, tmp_path,
-                                                                         capsys):
-        def write_roi_template(roi):
-            montage = testbed.default_montage()
-            template.write_text("channel,weight\n" + "".join(
-                f"{c},{1.0 if montage.roi_of[c] == roi else 0.0}\n" for c in montage.channels))
-
-        template = tmp_path / "weights.csv"
-        write_roi_template("frontal")
-        out = tmp_path / "run"
-        base = ["--out", str(out), "--seed", "3", "--set", "synth.n_trials=24",
-                "--set", "decompose.n_components=2", "--set", "cluster.k=2",
-                "--set", f'extract.template={{"kind":"csv","path":"{template}"}}']
-        assert main(["pipeline", *base]) == 0
-        write_roi_template("occipital")
-        before = snapshot(out)
-        capsys.readouterr()
-        assert main(["cluster", *base]) == 2
-        assert capsys.readouterr().err == (
-            "error: summary.csv is stale: weights.csv changed since extract ran "
-            "(run extract first)\n")
-        assert snapshot(out) == before
-        assert main(["extract", *base]) == 0
-        assert main(["cluster", *base]) == 0
+        assert capsys.readouterr().err == f"error: partition.expert_rules: {message}\n"
+        assert not out.exists()
 
     def test_cli_set_value_then_nested_key_conflicts(self, tmp_path, capsys):
         code = main(["mine", "--out", str(tmp_path),
